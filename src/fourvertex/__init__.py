@@ -75,6 +75,7 @@ from .moebius import (
     moebius_on_config,
 )
 from .solver import (
+    BadParameter,
     InsufficientDensity,
     NoWindingAtRadius,
     OriginOnLoop,

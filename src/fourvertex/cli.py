@@ -170,8 +170,11 @@ def cmd_synth(args) -> int:
     except (HypothesisViolated, NoPositiveWindow) as ex:
         print(f"hypothesis violated: {ex}", file=sys.stderr)
         return EXIT_INPUT
+    except solver.BadParameter as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_INPUT
     except solver.SynthesisFailed as ex:
-        print(f"synthesis failed: {ex}", file=sys.stderr)
+        print(ex, file=sys.stderr)
         return EXIT_FAILED
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
@@ -188,6 +191,7 @@ def cmd_synth(args) -> int:
         "angle_distance": result.diagnostics.angle_distance,
         "rounds": result.diagnostics.rounds,
         "error_evaluations": result.diagnostics.error_evaluations,
+        "root_finder": result.diagnostics.root_finder,
     }
     (out_dir / "diagnostics.json").write_text(
         json.dumps(diag, sort_keys=True, indent=1) + "\n", encoding="utf-8")

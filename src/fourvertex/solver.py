@@ -2,11 +2,14 @@
 
 The endpoint error of a normalized curvature profile, precomposed with the
 disk of special Möbius maps, winds once around the origin along small
-parameter circles.  A quadtree subdivision of the parameter square keeps
-the cell whose boundary winding is nonzero, and a two-variable secant
-polish finishes the root.  The synthesis pipeline warps an admissible
-profile onto a two-value step function, closes the curve by that root, and
-reparameterizes the result back to the original parameter.
+parameter circles, so it vanishes somewhere inside.  The zero search checks
+that winding first, then polishes from the disk center with a two-variable
+secant iteration and certifies the polished root by a nonzero winding along
+a small square around it.  When the polish or the certificate fails, a
+quadtree subdivision of the parameter square keeps the cell whose boundary
+winding is nonzero and polishes its center.  The synthesis pipeline warps an
+admissible profile onto a two-value step function, closes the curve by that
+root, and reparameterizes the result back to the original parameter.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .moebius import MoebiusParameter, _beta_value, moebius_apply, moebius_lift
 RESIDUAL_TOL = 1e-9
 CELL_HALF_MIN = 3.5e-7   # cell diagonal below 1e-6
 ZERO_ON_EDGE = 1e-12
+CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
 
@@ -60,6 +64,10 @@ class InsufficientDensity(ValueError):
     """Consecutive loop samples turn by a quarter turn or more."""
 
 
+class BadParameter(ValueError):
+    """A synthesis schedule parameter is out of range."""
+
+
 class NoWindingAtRadius(RuntimeError):
     """The error loop at the requested radius does not wind."""
 
@@ -67,8 +75,8 @@ class NoWindingAtRadius(RuntimeError):
 class PolishDiverged(RuntimeError):
     """Root polishing failed; carries the best candidate found."""
 
-    def __init__(self, beta: complex, residual: float):
-        super().__init__(f"polish stalled at residual {residual:.3e}")
+    def __init__(self, beta: complex, residual: float, why: str = "stalled"):
+        super().__init__(f"polish {why} at residual {residual:.3e}")
         self.beta = beta
         self.residual = residual
 
@@ -89,6 +97,7 @@ class SynthesisDiagnostics:
     angle_distance: float
     rounds: int
     error_evaluations: int
+    root_finder: str  # "polish", "quadtree", or "none" for a constant profile
 
 
 @dataclass(frozen=True)
@@ -210,11 +219,10 @@ def _boundary_winding(err, center: complex, half: float, per_edge: int = 5) -> i
             seg = _refine_arc(err, z0, z1, us[j], vals[j], us[j + 1], vals[j + 1], 0)
             loop.extend(seg)
         loop.pop()  # the closing corner opens the next edge
-    total = float(np.sum(np.angle(np.roll(np.asarray(loop), -1) / np.asarray(loop))))
-    w = round(total / TWO_PI)
-    if abs(total / TWO_PI - w) > 0.01:
-        raise _EdgeZero
-    return int(w)
+    try:
+        return winding_number(loop)
+    except (InsufficientDensity, OriginOnLoop):
+        raise _EdgeZero from None
 
 
 def _outside_disk(center: complex, half: float, radius: float) -> bool:
@@ -237,14 +245,22 @@ def _circle_winding(err, radius: float, n0: int = 64, n_max: int = 2048) -> int:
 
 
 def _polish(err, x0: complex, tol: float, max_iter: int = 80) -> tuple[complex, float]:
-    """Two-variable secant iteration with a rank-one update and damping."""
+    """Two-variable secant iteration with a rank-one update and damping.
+
+    An iterate on or outside the unit circle, where no Möbius parameter
+    exists, ends the iteration as a divergence without being evaluated.
+    """
+    best_x, best_r = x0, math.inf
+
     def fvec(b):
+        if abs(b) >= 1.0:
+            raise PolishDiverged(best_x, best_r, "left the unit disk")
         e = err(b)
         return np.array([e.real, e.imag]), abs(e)
 
     h = 1e-7
     f0, r0 = fvec(x0)
-    best_x, best_r = x0, r0
+    best_r = r0
     if r0 < tol:
         return x0, r0
     fx, _ = fvec(x0 + h)
@@ -281,12 +297,18 @@ def find_zero_beta(
 ) -> MoebiusParameter:
     """Parameter inside the disk of radius r0 at which the error vanishes.
 
-    Requires a nonzero error winding along |beta| = r0.  The square
-    [-r0, r0]^2 is subdivided; cells outside the disk or with boundary
-    winding zero are discarded, and a zero landing on a cell edge nudges
-    the subdivision by 1e-12.  The surviving cell is shrunk until its
-    diameter is below 1e-6 and the center is polished to a residual below
-    1e-9.  The search is deterministic.
+    Requires a nonzero error winding along |beta| = r0, else raises
+    NoWindingAtRadius.  The root is then polished from beta = 0 to a
+    residual below 1e-9 and accepted when a square of half-width
+    CERTIFICATE_HALF around it lies inside the disk and the error winds
+    along its boundary, which certifies a zero there.  If the polish
+    diverges or the certificate fails, the quadtree search runs: the square
+    [-r0, r0]^2 is subdivided, cells outside the disk or with boundary
+    winding zero are discarded, and a zero landing on a cell edge nudges the
+    subdivision by 1e-12.  The surviving cell is shrunk until its diameter
+    is below 1e-6 and its center is polished.  ``stats`` counts the
+    evaluations and records which path, "polish" or "quadtree", returned.
+    The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
@@ -298,6 +320,16 @@ def find_zero_beta(
     if _circle_winding(err, r0) == 0:
         raise NoWindingAtRadius(f"no winding at radius {r0}")
 
+    try:
+        beta, _residual = _polish(err, 0j, RESIDUAL_TOL)
+        if (abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF < r0
+                and _boundary_winding(err, beta, CERTIFICATE_HALF) != 0):
+            counter["root_finder"] = "polish"
+            return MoebiusParameter(beta)
+    except (PolishDiverged, _EdgeZero):
+        pass
+
+    counter["root_finder"] = "quadtree"
     center, half = 0.0 + 0.0j, float(r0)
     while half > CELL_HALF_MIN:
         chosen = None
@@ -348,8 +380,15 @@ def synthesize(
     The grid must resolve the warp's sliver arcs for the final curvature
     check to pass; profiles coarser than about 2048 samples fail the
     schedule at the default eps0.  Step-interpolated input is realized
-    through its continuous piecewise-linear envelope.
+    through its continuous piecewise-linear envelope.  Raises BadParameter
+    unless 0 < r0 < 1, eps0 is finite and positive, and max_rounds >= 1.
     """
+    if not 0.0 < r0 < 1.0:
+        raise BadParameter(f"r0 must lie in (0, 1), got {r0}")
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise BadParameter(f"eps0 must be finite and positive, got {eps0}")
+    if max_rounds < 1:
+        raise BadParameter(f"max_rounds must be at least 1, got {max_rounds}")
     if k.interp == "step":
         k = CurvatureProfile(k.samples, "linear")
     peak = float(np.max(np.abs(k.samples)))
@@ -365,7 +404,7 @@ def synthesize(
         diag = SynthesisDiagnostics(
             final_error=abs(circle.pos[-1] - circle.pos[0]),
             position_distance=0.0, angle_distance=0.0, rounds=0,
-            error_evaluations=0)
+            error_evaluations=0, root_finder="none")
         return SynthesisResult(curve, MoebiusParameter(0.0), CircleDiffeo.identity(),
                                ScaleFactor(1.0 / abs(value)), 0.0, False, diag)
 
@@ -442,7 +481,7 @@ def synthesize(
         diag = SynthesisDiagnostics(
             final_error=err.magnitude, position_distance=c0_dist,
             angle_distance=c1_dist, rounds=round_no,
-            error_evaluations=stats["evaluations"])
+            error_evaluations=stats["evaluations"], root_finder=stats["root_finder"])
         return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
 
     raise SynthesisFailed(history)

@@ -50,13 +50,27 @@ def test_synth_hypothesis_violated(tmp_path):
     assert code == 2
 
 
-def test_synth_failure_exit_code(tmp_path):
+def test_synth_failure_exit_code(tmp_path, capsys):
     # a 512-sample grid cannot resolve the warp slivers, so every round fails
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
                      "--grid", "512", "--max-rounds", "4"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
+
+
+@pytest.mark.parametrize("bad", [["--r0", "1.5"], ["--r0", "-0.2"], ["--eps0", "0"],
+                                 ["--max-rounds", "0"]])
+def test_synth_bad_schedule_parameters(tmp_path, capsys, bad):
+    src = tmp_path / "kappa.csv"
+    write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
+    code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
+                     "--grid", "1024", "--max-rounds", "2"] + bad)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_synth_missing_file(tmp_path):
@@ -128,6 +142,8 @@ def test_outputs_are_deterministic(tmp_path):
                          "--grid", "1024", "--seed", "7"]) == 0
         outs.append((out / "curve.csv").read_bytes()
                     + (out / "diagnostics.json").read_bytes())
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["root_finder"] in ("polish", "quadtree")
     assert outs[0] == outs[1]
 
 

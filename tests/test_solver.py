@@ -18,10 +18,15 @@ from fourvertex.curvature import (
 )
 from fourvertex.integrator import curvature_samples, error_vector, is_simple
 from fourvertex.moebius import evaluation_inverse, moebius_on_config
+from fourvertex import solver
 from fourvertex.solver import (
+    CERTIFICATE_HALF,
+    BadParameter,
     InsufficientDensity,
     NoWindingAtRadius,
     OriginOnLoop,
+    PolishDiverged,
+    _boundary_winding,
     _two_value_runs,
     compass_demo,
     error_at_beta,
@@ -31,6 +36,8 @@ from fourvertex.solver import (
 )
 
 P0 = Configuration(1, 1j, -1, -1j)
+# beta* of 1.5 + cos 2t at n=4096 as the quadtree-first search found it (1159 evaluations)
+QUADTREE_BETA = -0.0009879729773802923 + 0.0009693498726319181j
 
 
 def ray_crossing_winding(points):
@@ -142,10 +149,85 @@ class TestFindZero:
         _, m = evaluation_inverse(Configuration(*np.exp(1j * bps)))
         assert abs(beta.beta - m.beta) < 1e-9
 
-    def test_constant_profile_has_no_winding(self):
+    def test_constant_profile_has_no_winding(self, monkeypatch):
+        def no_polish(*args, **kwargs):
+            raise AssertionError("polish ran before the winding check")
+
+        monkeypatch.setattr(solver, "_polish", no_polish)
         k = profile_from_function(lambda t: np.ones_like(t), n=512)
         with pytest.raises(NoWindingAtRadius):
             find_zero_beta(k, 0.2)
+
+
+@pytest.fixture(scope="module")
+def warped():
+    """The 1.5 + cos 2t profile warped onto its step at eps = 0.1, and its polished root."""
+    k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
+    ab = find_abab_points(k)
+    k1 = compose(k, build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1))
+    stats = {}
+    beta = find_zero_beta(k1, 0.2, stats)
+    assert stats["root_finder"] == "polish"
+    return k1, beta.beta
+
+
+def _failing_first_polish(monkeypatch, first):
+    """Replace the first _polish call by ``first(real_polish, err, x0, tol)``."""
+    real = solver._polish
+    calls = []
+
+    def patched(err, x0, tol, *args, **kwargs):
+        calls.append(x0)
+        if len(calls) == 1:
+            return first(real, err, x0, tol)
+        return real(err, x0, tol, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_polish", patched)
+    return calls
+
+
+class TestQuadtreeFallback:
+    def test_diverged_polish_falls_back(self, monkeypatch, warped):
+        k1, ref = warped
+
+        def diverge(real, err, x0, tol):
+            raise PolishDiverged(x0, 1.0)
+
+        calls = _failing_first_polish(monkeypatch, diverge)
+        stats = {}
+        beta = find_zero_beta(k1, 0.2, stats)
+        assert stats["root_finder"] == "quadtree" and len(calls) == 2
+        assert abs(beta.beta - ref) < 1e-9
+        assert stats["evaluations"] > 500  # the quadtree ran
+
+    def test_polish_leaving_unit_disk_falls_back(self, monkeypatch, warped):
+        k1, ref = warped
+        seen = []
+
+        def shifted(real, err, x0, tol):
+            # the shifted error has no zero in the disk; its first step lands near
+            # |beta| = 2, where error_at_beta would raise ValueError if evaluated
+            try:
+                return real(lambda b: err(b) + 10.0, x0, tol)
+            except PolishDiverged as ex:
+                seen.append(ex)
+                raise
+
+        _failing_first_polish(monkeypatch, shifted)
+        stats = {}
+        beta = find_zero_beta(k1, 0.2, stats)
+        assert "unit disk" in str(seen[0])
+        assert stats["root_finder"] == "quadtree"
+        assert abs(beta.beta - ref) < 1e-9
+
+    def test_certificate_winds_once_around_root_only(self, warped):
+        k1, ref = warped
+
+        def err(b):
+            return error_at_beta(k1, b)[0].e
+
+        assert abs(_boundary_winding(err, ref, CERTIFICATE_HALF)) == 1
+        assert _boundary_winding(err, ref + 10 * CERTIFICATE_HALF, CERTIFICATE_HALF) == 0
 
 
 class TestSynthesize:
@@ -185,6 +267,23 @@ class TestSynthesize:
         kappa = curvature_samples(res.curve)
         assert np.min(kappa) < 0  # the negative slivers survive
         self._check_round_trip(k, res)
+
+    def test_evaluation_budget(self):
+        k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
+        res = synthesize(k)
+        assert res.diagnostics.root_finder == "polish"
+        assert res.diagnostics.error_evaluations <= 150
+        assert abs(res.beta_star.beta - QUADTREE_BETA) < 1e-9
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r0": 0.0}, {"r0": 1.0}, {"r0": -0.2}, {"r0": math.nan},
+        {"eps0": 0.0}, {"eps0": -0.1}, {"eps0": math.inf}, {"eps0": math.nan},
+        {"max_rounds": 0},
+    ])
+    def test_bad_schedule_rejected(self, kwargs):
+        k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=1024)
+        with pytest.raises(BadParameter):
+            synthesize(k, **kwargs)
 
     def test_one_extremum_rejected(self):
         k = profile_from_function(lambda t: 1.0 + 0.5 * np.sin(t), n=1024)
