@@ -40,7 +40,6 @@ from .curvature import (
     ConstructionFailed,
     CurvatureProfile,
     HypothesisViolated,
-    IdenticallyZero,
     NoPositiveWindow,
     ScaleFactor,
     StepSpec,
@@ -48,8 +47,6 @@ from .curvature import (
     build_h1,
     compose,
     find_abab_points,
-    local_extrema,
-    make_integral_nonzero,
     normalize_total,
     profile_from_function,
     profile_from_step,
@@ -57,14 +54,16 @@ from .curvature import (
 )
 from .integrator import (
     ErrorVector,
+    InsufficientDensity,
+    OriginOnLoop,
     PlanarCurve,
     TooFewSamples,
     error_vector,
-    estimate_curvature,
     integrate_arcs,
     integrate_curve,
     is_simple,
     scale_curve,
+    winding_number,
 )
 from .moebius import (
     MoebiusParameter,
@@ -76,9 +75,7 @@ from .moebius import (
 )
 from .solver import (
     BadParameter,
-    InsufficientDensity,
     NoWindingAtRadius,
-    OriginOnLoop,
     PolishDiverged,
     SynthesisFailed,
     SynthesisResult,
@@ -86,7 +83,6 @@ from .solver import (
     error_at_beta,
     find_zero_beta,
     synthesize,
-    winding_number,
 )
 
 __version__ = "0.1.0"

@@ -180,6 +180,24 @@ def _params(c: PlanarCurve, ring_size: int) -> np.ndarray:
     return np.asarray(c.s[:ring_size], dtype=float)
 
 
+def _contact_band(
+    c: PlanarCurve, circle: EnclosingCircle, band: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ring positions and the mask of those within ``band`` of the circle.
+
+    ``band`` defaults to 1e-5 of the radius.
+    """
+    if band is None:
+        band = 1e-5 * circle.radius
+    if band <= 0.0:
+        raise ValueError("band must be positive")
+    _, pos, _, _ = _ring(c)
+    near = np.abs(np.abs(pos - circle.center) - circle.radius) < band
+    if not np.any(near):
+        raise NoContact("no curve sample within the contact band")
+    return pos, near
+
+
 def contact_components(
     c: PlanarCurve, circle: EnclosingCircle, band: float | None = None
 ) -> list[ContactComponent]:
@@ -188,15 +206,8 @@ def contact_components(
     A run spanning fewer than two grid steps counts as a point contact,
     otherwise as an arc.  ``band`` defaults to 1e-5 of the radius.
     """
-    if band is None:
-        band = 1e-5 * circle.radius
-    if band <= 0.0:
-        raise ValueError("band must be positive")
-    _, pos, _, _ = _ring(c)
+    pos, near = _contact_band(c, circle, band)
     m = pos.size
-    near = np.abs(np.abs(pos - circle.center) - circle.radius) < band
-    if not np.any(near):
-        raise NoContact("no curve sample within the contact band")
     params = _params(c, m)
 
     runs: list[tuple[int, int]] = []
@@ -233,12 +244,7 @@ def contact_angular_gap(
     A gap above pi would mean the contact set fits in an open half circle,
     which the smallest enclosing circle rules out.
     """
-    if band is None:
-        band = 1e-5 * circle.radius
-    _, pos, _, _ = _ring(c)
-    near = np.abs(np.abs(pos - circle.center) - circle.radius) < band
-    if not np.any(near):
-        raise NoContact("no curve sample within the contact band")
+    pos, near = _contact_band(c, circle, band)
     ang = np.sort(np.angle(pos[near] - circle.center))
     gaps = np.diff(np.concatenate((ang, [ang[0] + TWO_PI])))
     return float(np.max(gaps))
@@ -250,7 +256,7 @@ def detect_vertices(c: PlanarCurve, plateau_tol: float = 1e-9) -> VertexReport:
     Raises :class:`ConstantCurvature` for circles, whose curvature has no
     extrema.
     """
-    if not (c.closed or c.endpoint_gap() < 1e-6 * c.length):
+    if not c.closes:
         raise NotClosed("vertex detection needs a closed curve")
     values = curvature_samples(c)
     plateaus = plateau_extrema(values, plateau_tol)
@@ -285,7 +291,7 @@ def osserman_check(
     checked only when every component is an arc.  Witness points are kept
     separate from vertices and never counted as such.
     """
-    if not (c.closed or c.endpoint_gap() < 1e-6 * c.length):
+    if not c.closes:
         raise NotClosed("curve endpoints do not meet")
     ok, witness = is_simple(c)
     if not ok:

@@ -13,7 +13,8 @@ division points in the angle-of-inclination parameter gives
 
 with a', b' the values rescaled to total curvature 2*pi.  The same
 quantity is also available by direct arc integration, which keeps the two
-routes independently checkable against each other.
+routes independently checkable against each other.  Error loops over
+configurations are counted with :func:`fourvertex.integrator.winding_number`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import TWO_PI
-from .integrator import ErrorVector, PlanarCurve, ScaleFactor, error_vector, integrate_arcs
+from .integrator import (
+    ErrorVector,
+    PlanarCurve,
+    ScaleFactor,
+    error_vector,
+    integrate_arcs,
+    winding_number,
+)
 
 UNIT_TOL = 1e-12
 
@@ -61,9 +69,6 @@ class Configuration:
         pts = self.points()
         angles = [cmath.phase(pts[(i + 1) % 4] / pts[i]) % TWO_PI for i in range(4)]
         return tuple(angles)
-
-    def rotated(self, w: complex) -> "Configuration":
-        return Configuration(*(w * p for p in self.points()))
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,7 @@ def closed_form_error(c: Configuration, a: float, b: float) -> ErrorVector:
     factor, since the values renormalize to total curvature 2*pi either
     way.
     """
-    q, ap, bp = arclength_to_angle_config(c, a, b)
-    defect = 1.0 - q.p2 + q.p3 - q.p4
-    return ErrorVector((1.0 / (1j * bp) - 1.0 / (1j * ap)) * defect)
+    return error_from_angle_config(arclength_to_angle_config(c, a, b)[0], a, b)
 
 
 def error_from_angle_config(q: Configuration, a: float, b: float) -> ErrorVector:
@@ -179,24 +182,13 @@ def integrated_error(
     return error_vector(curve), curve, ScaleFactor(sigma)
 
 
-def _angle_sum_winding(points: list[complex]) -> int:
-    z = np.asarray(points, dtype=complex)
-    inc = np.angle(np.roll(z, -1) / z)
-    if np.any(np.abs(inc) >= 0.5 * math.pi):
-        raise ValueError("loop sampled too sparsely for a reliable winding count")
-    total = float(np.sum(inc))
-    w = round(total / TWO_PI)
-    if abs(total / TWO_PI - w) > 0.01:
-        raise ValueError("winding count did not settle to an integer")
-    return int(w)
-
-
 def error_winding_on_core_link(a: float, b: float, loop) -> int:
     """Winding number of the closed-form error along a loop of configurations.
 
     The loop must stay away from the core; configurations closer than 1e-6
-    are rejected, and an error magnitude below 1e-12 along the loop raises
-    :class:`LoopTouchesCore`.
+    are rejected, an error magnitude below 1e-12 along the loop raises
+    :class:`LoopTouchesCore`, and a loop too sparse to count raises
+    :class:`~fourvertex.integrator.InsufficientDensity`.
     """
     errors = []
     for c in loop:
@@ -206,25 +198,7 @@ def error_winding_on_core_link(a: float, b: float, loop) -> int:
         if abs(e) < 1e-12:
             raise LoopTouchesCore("error magnitude vanished along the loop")
         errors.append(e)
-    return _angle_sum_winding(errors)
-
-
-def config_to_json_data(c: Configuration) -> list:
-    """Four [re, im] pairs."""
-    return [[p.real, p.imag] for p in c.points()]
-
-
-def config_from_json_data(data) -> Configuration:
-    return Configuration(*(complex(re, im) for re, im in data))
-
-
-def coords_to_json_data(rc: ReducedConfigCoords) -> list:
-    return [rc.x, rc.y, rc.z]
-
-
-def coords_from_json_data(data) -> ReducedConfigCoords:
-    x, y, z = data
-    return ReducedConfigCoords(float(x), float(y), float(z))
+    return winding_number(errors)
 
 
 def random_configuration(rng, min_gap: float = 1e-3, reduced: bool = False) -> Configuration:

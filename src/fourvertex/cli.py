@@ -20,7 +20,7 @@ from .curvature import (
     normalize_total,
     profile_from_step,
 )
-from .integrator import PlanarCurve, error_vector, integrate_curve
+from .integrator import PlanarCurve, TooFewSamples, error_vector, integrate_curve
 from .svg import Drawing
 
 EXIT_OK = 0
@@ -213,7 +213,7 @@ def cmd_analyze(args) -> int:
     except (ValueError, KeyError) as ex:
         print(f"error: bad curve file: {ex}", file=sys.stderr)
         return EXIT_IO
-    if not (curve.closed or curve.endpoint_gap() < 1e-6 * curve.length):
+    if not curve.closes:
         print("error: curve is not closed", file=sys.stderr)
         return EXIT_INPUT
     out: dict = {}
@@ -226,6 +226,9 @@ def cmd_analyze(args) -> int:
     except analysis.ConstantCurvature:
         out["vertex_report"] = {"count": 0, "vertices": [],
                                 "constant_curvature": True}
+    except TooFewSamples as ex:
+        print(f"error: curve has too few samples: {ex}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         oss = analysis.osserman_check(curve, seed=args.seed)
         out["osserman"] = _osserman_json(oss)

@@ -29,10 +29,6 @@ class ZeroTotalCurvature(ValueError):
     """Total curvature is too close to zero to normalize."""
 
 
-class IdenticallyZero(ValueError):
-    """The profile vanishes everywhere up to the configured threshold."""
-
-
 class HypothesisViolated(ValueError):
     """The profile lacks two local maxima and two local minima."""
 
@@ -123,13 +119,6 @@ class StepSpec:
         out = np.where(idx % 2 == 0, self.a, self.b)
         return out if out.ndim else float(out)
 
-    def arc_values_lengths(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, lengths) of the four arcs, cut at the first breakpoint."""
-        bps = np.asarray(self.breakpoints)
-        lengths = np.diff(np.append(bps, bps[0] + TWO_PI))
-        values = np.array([self.a, self.b, self.a, self.b])
-        return values, lengths
-
 
 def profile_from_step(spec: StepSpec, n: int = 4096) -> CurvatureProfile:
     grid = TWO_PI * np.arange(n) / n
@@ -165,10 +154,6 @@ class CircleDiffeo:
     @classmethod
     def identity(cls) -> "CircleDiffeo":
         return cls(np.array([0.0, TWO_PI]), np.array([0.0, TWO_PI]))
-
-    @classmethod
-    def rotation(cls, phi: float) -> "CircleDiffeo":
-        return cls(np.array([0.0, TWO_PI]), np.array([phi, phi + TWO_PI]))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -230,51 +215,6 @@ def normalize_total(k: CurvatureProfile) -> tuple[CurvatureProfile, ScaleFactor]
     return CurvatureProfile(c * k.samples, k.interp), ScaleFactor(c)
 
 
-def make_integral_nonzero(
-    k: CurvatureProfile, squeeze: float = 0.1
-) -> tuple[CurvatureProfile, CircleDiffeo]:
-    """Precompose with a warp so the total curvature is nonzero.
-
-    When the integral already clears the zero threshold the identity is
-    returned.  Otherwise most of the domain is mapped onto a neighbourhood
-    of the strongest sample, so that sign dominates the integral.
-    """
-    peak = float(np.max(np.abs(k.samples)))
-    if peak < 1e-12:
-        raise IdenticallyZero("profile is zero everywhere")
-    total = total_curvature(k)
-    if abs(total) >= ZERO_TOTAL_REL * peak * TWO_PI:
-        return k, CircleDiffeo.identity()
-
-    samples = k.samples
-    j_star = int(np.argmax(np.abs(samples)))
-    sign = 1.0 if samples[j_star] > 0 else -1.0
-    strong = sign * samples > 0.5 * peak
-
-    # maximal contiguous run (cyclically) of strong samples around j_star
-    n = k.n
-    lo = j_star
-    while strong[(lo - 1) % n] and (j_star - lo) < n - 1:
-        lo -= 1
-    hi = j_star
-    while strong[(hi + 1) % n] and (hi - j_star) < n - 1:
-        hi += 1
-    u0 = TWO_PI * lo / n
-    u1 = TWO_PI * (hi + 1) / n
-
-    lam = squeeze
-    for _ in range(8):
-        d = CircleDiffeo(
-            np.array([0.0, (1.0 - lam) * TWO_PI, TWO_PI]),
-            np.array([u0, u1, u0 + TWO_PI]),
-        )
-        warped = compose(k, d)
-        if abs(total_curvature(warped)) >= ZERO_TOTAL_REL * peak * TWO_PI:
-            return warped, d
-        lam *= 0.5
-    raise ConstructionFailed("could not make the integral nonzero")
-
-
 def compose(k: CurvatureProfile, d: CircleDiffeo) -> CurvatureProfile:
     """Pointwise k(d(t)), resampled on k's uniform grid."""
     return CurvatureProfile(np.asarray(k(d(k.grid)), dtype=float), k.interp)
@@ -324,22 +264,6 @@ def plateau_extrema(values, tol: float = 1e-9) -> list[Plateau]:
         else:
             continue
         out.append(Plateau(starts[g], counts[g], kind, means[g]))
-    return out
-
-
-def local_extrema(
-    k: CurvatureProfile, plateau_tol: float = 1e-9
-) -> list[tuple[tuple[float, float], str, float]]:
-    """Plateau extrema as ((t_start, t_end), kind, value) in cyclic order.
-
-    ``t_end < t_start`` flags a plateau that wraps past 2*pi.
-    """
-    grid = k.grid
-    out = []
-    for p in plateau_extrema(k.samples, plateau_tol):
-        t0 = grid[p.start]
-        t1 = grid[(p.start + p.length - 1) % k.n]
-        out.append(((float(t0), float(t1)), p.kind, float(p.value)))
     return out
 
 

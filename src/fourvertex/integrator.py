@@ -1,9 +1,11 @@
-"""Plane curves from curvature.
+"""Plane curves from curvature, and winding numbers of plane loops.
 
 Curves are arc-length-parameterized polylines with a continuous
 tangent-angle lift.  Integration advances through exact circular arcs, one
 per grid step, so step-function curvature is reproduced without quadrature
-drift.  All operations are pure.
+drift.  The winding counter here is the one both the configuration loops of
+``bicircle`` and the zero search of ``solver`` use.  All operations are
+pure.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ CLOSURE_REL = 1e-9      # endpoint gap below this fraction of length closes a cu
 
 class TooFewSamples(ValueError):
     """Curve has too few samples for the requested operation."""
+
+
+class OriginOnLoop(ValueError):
+    """A loop point coincides with the origin."""
+
+
+class InsufficientDensity(ValueError):
+    """Consecutive loop samples turn by a quarter turn or more."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,11 @@ class PlanarCurve:
     def endpoint_gap(self) -> float:
         return float(abs(self.pos[-1] - self.pos[0]))
 
+    @property
+    def closes(self) -> bool:
+        """Flagged closed, or the endpoints meet within 1e-6 of the length."""
+        return self.closed or self.endpoint_gap() < 1e-6 * self.length
+
 
 @dataclass(frozen=True)
 class ErrorVector:
@@ -77,9 +92,12 @@ class ErrorVector:
 
 
 def _integrate(kappa: np.ndarray, ds: np.ndarray, t: np.ndarray | None = None) -> PlanarCurve:
+    turn = kappa * ds
+    if np.any(np.abs(turn) >= math.pi):
+        raise TooFewSamples("a grid step turns by half a turn or more")
     theta = np.empty(kappa.size + 1)
     theta[0] = 0.0
-    np.cumsum(kappa * ds, out=theta[1:])
+    np.cumsum(turn, out=theta[1:])
     rot0 = np.exp(1j * theta[:-1])
     rot1 = np.exp(1j * theta[1:])
     arcs = np.empty(kappa.size, dtype=complex)
@@ -137,6 +155,29 @@ def error_vector(c: PlanarCurve) -> ErrorVector:
     return ErrorVector(complex(c.pos[-1] - c.pos[0]))
 
 
+def winding_number(points) -> int:
+    """Signed turn count of a closed loop of plane vectors around the origin.
+
+    The loop is traversed cyclically; increments are summed as signed
+    angles and must each stay below a quarter turn.
+    """
+    z = np.asarray(list(points), dtype=complex)
+    if z.size < 3:
+        raise InsufficientDensity("need at least 3 loop points")
+    if np.any(z == 0):
+        raise OriginOnLoop("loop passes through the origin")
+    inc = np.angle(np.roll(z, -1) / z)
+    if not np.all(np.isfinite(inc)):
+        raise OriginOnLoop("loop passes too close to the origin")
+    if np.any(np.abs(inc) >= 0.5 * math.pi):
+        raise InsufficientDensity("angle increment reached a quarter turn")
+    total = float(np.sum(inc))
+    w = round(total / TWO_PI)
+    if abs(total / TWO_PI - w) > 0.01:
+        raise InsufficientDensity("winding did not settle to an integer")
+    return int(w)
+
+
 def scale_curve(c: PlanarCurve, f: ScaleFactor) -> PlanarCurve:
     """Scale positions by f.c; curvature scales by the reciprocal.
 
@@ -159,8 +200,8 @@ def reverse_curve(c: PlanarCurve) -> PlanarCurve:
 
 def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Samples with any duplicated closing sample dropped."""
-    closed = c.closed or c.endpoint_gap() < 1e-6 * c.length
-    if closed and abs(c.pos[-1] - c.pos[0]) < 1e-3 * c.length:
+    closed = c.closes
+    if closed and c.endpoint_gap() < 1e-3 * c.length:
         return c.s[:-1], c.pos[:-1], c.theta[:-1], True
     return c.s, c.pos, c.theta, closed
 
@@ -187,27 +228,6 @@ def curvature_samples(c: PlanarCurve) -> np.ndarray:
     out[0] = (theta[1] - theta[0]) / (s[1] - s[0])
     out[-1] = (theta[-1] - theta[-2]) / (s[-1] - s[-2])
     return out
-
-
-def estimate_curvature(c: PlanarCurve) -> CurvatureProfile:
-    """Curvature profile recovered from the polyline.
-
-    Non-uniform arc-length grids are resampled periodically onto the
-    uniform profile grid.
-    """
-    s, _, _, closed = _ring(c)
-    if s.size < 64:
-        raise TooFewSamples("need at least 64 samples")
-    values = curvature_samples(c)
-    ds = np.diff(s)
-    if np.max(ds) - np.min(ds) < 1e-9 * np.mean(ds):
-        return CurvatureProfile(values, "linear")
-    if not closed:
-        raise ValueError("cannot resample an open non-uniform curve")
-    period = c.s[-1]
-    target = period * np.arange(s.size) / s.size
-    resampled = np.interp(target, s, values, period=period)
-    return CurvatureProfile(resampled, "linear")
 
 
 def _orient(a: complex, b: complex, c: complex) -> float:

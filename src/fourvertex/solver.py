@@ -7,9 +7,10 @@ that winding first, then polishes from the disk center with a two-variable
 secant iteration and certifies the polished root by a nonzero winding along
 a small square around it.  When the polish or the certificate fails, a
 quadtree subdivision of the parameter square keeps the cell whose boundary
-winding is nonzero and polishes its center.  The synthesis pipeline warps an
-admissible profile onto a two-value step function, closes the curve by that
-root, and reparameterizes the result back to the original parameter.
+winding is nonzero and polishes its center.  Windings are counted by
+:func:`fourvertex.integrator.winding_number`.  The synthesis pipeline warps
+an admissible profile onto a two-value step function, closes the curve by
+that root, and reparameterizes the result back to the original parameter.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .curvature import (
     HypothesisViolated,
     ScaleFactor,
     StepSpec,
+    ZeroTotalCurvature,
     build_h1,
     compose,
     find_abab_points,
@@ -37,7 +39,10 @@ from .curvature import (
 )
 from .integrator import (
     ErrorVector,
+    InsufficientDensity,
+    OriginOnLoop,
     PlanarCurve,
+    TooFewSamples,
     curvature_samples,
     error_vector,
     integrate_arcs,
@@ -45,6 +50,7 @@ from .integrator import (
     is_simple,
     reverse_curve,
     scale_curve,
+    winding_number,
 )
 from .moebius import MoebiusParameter, _beta_value, moebius_apply, moebius_lift
 
@@ -54,14 +60,6 @@ ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
-
-
-class OriginOnLoop(ValueError):
-    """A loop point coincides with the origin."""
-
-
-class InsufficientDensity(ValueError):
-    """Consecutive loop samples turn by a quarter turn or more."""
 
 
 class BadParameter(ValueError):
@@ -116,29 +114,6 @@ class SynthesisResult:
     eps_used: float
     sign_flipped: bool
     diagnostics: SynthesisDiagnostics
-
-
-def winding_number(points) -> int:
-    """Signed turn count of a closed loop of plane vectors around the origin.
-
-    The loop is traversed cyclically; increments are summed as signed
-    angles and must each stay below a quarter turn.
-    """
-    z = np.asarray(list(points), dtype=complex)
-    if z.size < 3:
-        raise InsufficientDensity("need at least 3 loop points")
-    if np.any(z == 0):
-        raise OriginOnLoop("loop passes through the origin")
-    inc = np.angle(np.roll(z, -1) / z)
-    if not np.all(np.isfinite(inc)):
-        raise OriginOnLoop("loop passes too close to the origin")
-    if np.any(np.abs(inc) >= 0.5 * math.pi):
-        raise InsufficientDensity("angle increment reached a quarter turn")
-    total = float(np.sum(inc))
-    w = round(total / TWO_PI)
-    if abs(total / TWO_PI - w) > 0.01:
-        raise InsufficientDensity("winding did not settle to an integer")
-    return int(w)
 
 
 def _two_value_runs(k: CurvatureProfile):
@@ -370,18 +345,23 @@ def synthesize(
     """Build a closed simple curve whose curvature at parameter t is k(t).
 
     A nonzero constant profile returns a circle of the matching radius
-    directly.  Otherwise the profile (negated and reflected when only its
-    negation admits a positive value window) is warped close to a two-value
-    step function, the winding argument closes the curve at some Möbius
+    directly.  Otherwise the profile is warped close to a two-value step
+    function, the winding argument closes the curve at some Möbius
     parameter, and the curve is scaled and tagged with the original
     parameter.  The schedule halves eps each failed round and also halves
-    the search radius when the winding check fails.
+    the search radius when the winding check fails.  When the profile admits
+    no positive value window, or every round of its schedule fails, the
+    reflected negation -k(2*pi - t) runs a schedule of its own and the
+    finished curve is reversed; max_rounds bounds each schedule.
 
     The grid must resolve the warp's sliver arcs for the final curvature
     check to pass; profiles coarser than about 2048 samples fail the
-    schedule at the default eps0.  Step-interpolated input is realized
-    through its continuous piecewise-linear envelope.  Raises BadParameter
-    unless 0 < r0 < 1, eps0 is finite and positive, and max_rounds >= 1.
+    schedule at the default eps0.  Once eps drops below the grid step
+    2*pi/n, the n-sample curvature check could pass only with no mismatched
+    sample at all, so the schedule stops there and raises SynthesisFailed.
+    Step-interpolated input is realized through its continuous
+    piecewise-linear envelope.  Raises BadParameter unless 0 < r0 < 1, eps0
+    is finite and positive, and max_rounds >= 1.
     """
     if not 0.0 < r0 < 1.0:
         raise BadParameter(f"r0 must lie in (0, 1), got {r0}")
@@ -408,81 +388,89 @@ def synthesize(
         return SynthesisResult(curve, MoebiusParameter(0.0), CircleDiffeo.identity(),
                                ScaleFactor(1.0 / abs(value)), 0.0, False, diag)
 
-    abab = find_abab_points(k)
-    flipped = abab.sign_flipped
-    work = k
-    if flipped:
-        # realize -k(2*pi - t); reversing the finished curve then yields k(t)
-        work = reflect_negate(k)
-        abab = find_abab_points(work)
-        if abab.sign_flipped:
-            raise RuntimeError("window search flipped twice")
-
-    step = StepSpec(abab.a, abab.b)
-    k0 = profile_from_step(step, n=k.n)
-    ref_curve = integrate_curve(normalize_total(k0)[0])
-    tol_kappa = 0.05 * (abab.b - abab.a)
-
-    eps, radius = float(eps0), float(r0)
     history: list[tuple[int, float, float, str]] = []
     stats = {"evaluations": 0}
-    for round_no in range(1, max_rounds + 1):
-        try:
-            h1 = build_h1(work, abab, step, eps)
-        except ConstructionFailed as ex:
-            history.append((round_no, eps, radius, f"warp construction: {ex}"))
-            eps *= 0.5
-            continue
-        k1 = compose(work, h1)
-        try:
-            beta_star = find_zero_beta(k1, radius, stats=stats)
-        except NoWindingAtRadius as ex:
-            history.append((round_no, eps, radius, f"winding: {ex}"))
-            radius *= 0.5
-            eps *= 0.5
-            continue
-        except PolishDiverged as ex:
-            history.append((round_no, eps, radius, f"polish: {ex}"))
-            eps *= 0.5
-            continue
-        err, curve, sc = error_at_beta(k1, beta_star)
-        if err.magnitude >= RESIDUAL_TOL * TWO_PI:
-            history.append((round_no, eps, radius, f"closure residual {err.magnitude:.2e}"))
-            eps *= 0.5
-            continue
-        simple, witness = is_simple(curve)
-        if not simple:
-            history.append((round_no, eps, radius, f"self-intersection at {witness}"))
-            eps *= 0.5
-            continue
-        c0_dist = float(np.max(np.abs(curve.pos - ref_curve.pos)))
-        c1_dist = float(np.max(np.abs(curve.theta - ref_curve.theta)))
-        if c0_dist >= C1_POSITION_TOL or c1_dist >= C1_ANGLE_TOL:
-            history.append((round_no, eps, radius,
-                            f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"))
-            eps *= 0.5
-            continue
+    for flipped in (False, True):
+        # the flipped pass realizes -k(2*pi - t); reversing the finished curve
+        # then yields k(t)
+        work = reflect_negate(k) if flipped else k
+        abab = find_abab_points(work)
+        if abab.sign_flipped:
+            continue  # work admits no positive value window
 
-        tags = _reparameterize(curve, h1, beta_star.beta)
-        final = replace(scale_curve(curve, sc), t=tags)
-        if flipped:
-            final = reverse_curve(final)
-            final = replace(final, t=np.mod(TWO_PI - final.t, TWO_PI))
-        kap_hat = curvature_samples(final)
-        target = np.asarray(k(final.t[: kap_hat.size]))
-        bad = np.abs(kap_hat - target) >= tol_kappa
-        bad_measure = float(np.mean(bad)) * TWO_PI
-        if bad_measure >= eps:
-            history.append((round_no, eps, radius,
-                            f"curvature mismatch on measure {bad_measure:.3f}"))
-            eps *= 0.5
-            continue
+        step = StepSpec(abab.a, abab.b)
+        k0 = profile_from_step(step, n=k.n)
+        ref_curve = integrate_curve(normalize_total(k0)[0])
+        tol_kappa = 0.05 * (abab.b - abab.a)
 
-        diag = SynthesisDiagnostics(
-            final_error=err.magnitude, position_distance=c0_dist,
-            angle_distance=c1_dist, rounds=round_no,
-            error_evaluations=stats["evaluations"], root_finder=stats["root_finder"])
-        return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
+        eps, radius = float(eps0), float(r0)
+        for round_no in range(len(history) + 1, len(history) + max_rounds + 1):
+            if eps < TWO_PI / k.n:
+                history.append((round_no, eps, radius,
+                                f"eps below the grid step 2*pi/{k.n}; schedule stopped"))
+                break
+            try:
+                h1 = build_h1(work, abab, step, eps)
+            except ConstructionFailed as ex:
+                history.append((round_no, eps, radius, f"warp construction: {ex}"))
+                eps *= 0.5
+                continue
+            k1 = compose(work, h1)
+            try:
+                beta_star = find_zero_beta(k1, radius, stats=stats)
+            except NoWindingAtRadius as ex:
+                history.append((round_no, eps, radius, f"winding: {ex}"))
+                radius *= 0.5
+                eps *= 0.5
+                continue
+            except PolishDiverged as ex:
+                history.append((round_no, eps, radius, f"polish: {ex}"))
+                eps *= 0.5
+                continue
+            except (TooFewSamples, ZeroTotalCurvature) as ex:
+                # the sliver mass left the normalized profile unresolvable on the grid
+                history.append((round_no, eps, radius, f"error evaluation: {ex}"))
+                eps *= 0.5
+                continue
+            err, curve, sc = error_at_beta(k1, beta_star)
+            closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
+            if closure >= RESIDUAL_TOL * TWO_PI:
+                history.append((round_no, eps, radius, f"closure residual {closure:.2e}"))
+                eps *= 0.5
+                continue
+            simple, witness = is_simple(curve)
+            if not simple:
+                history.append((round_no, eps, radius, f"self-intersection at {witness}"))
+                eps *= 0.5
+                continue
+            c0_dist = float(np.max(np.abs(curve.pos - ref_curve.pos)))
+            c1_dist = float(np.max(np.abs(curve.theta - ref_curve.theta)))
+            if c0_dist >= C1_POSITION_TOL or c1_dist >= C1_ANGLE_TOL:
+                history.append((round_no, eps, radius,
+                                f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"))
+                eps *= 0.5
+                continue
+
+            tags = _reparameterize(curve, h1, beta_star.beta)
+            final = replace(scale_curve(curve, sc), t=tags)
+            if flipped:
+                final = reverse_curve(final)
+                final = replace(final, t=np.mod(TWO_PI - final.t, TWO_PI))
+            kap_hat = curvature_samples(final)
+            target = np.asarray(k(final.t[: kap_hat.size]))
+            bad = np.abs(kap_hat - target) >= tol_kappa
+            bad_measure = float(np.mean(bad)) * TWO_PI
+            if bad_measure >= eps:
+                history.append((round_no, eps, radius,
+                                f"curvature mismatch on measure {bad_measure:.3f}"))
+                eps *= 0.5
+                continue
+
+            diag = SynthesisDiagnostics(
+                final_error=err.magnitude, position_distance=c0_dist,
+                angle_distance=c1_dist, rounds=round_no,
+                error_evaluations=stats["evaluations"], root_finder=stats["root_finder"])
+            return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
 
     raise SynthesisFailed(history)
 

@@ -72,16 +72,6 @@ class Drawing:
                 f'<line x1="{x1:.6g}" y1="{-y1:.6g}" x2="{hx:.6g}" y2="{-hy:.6g}" '
                 f'stroke="{color}" stroke-width="{w:.6g}"/>')
 
-    def text(self, x: float, y: float, content: str, size: float = 0.1,
-             color: str = "#444444"):
-        self._require(x, y)
-        self._require(x + 0.6 * size * len(content), y + size)
-        safe = (content.replace("&", "&amp;").replace("<", "&lt;")
-                .replace(">", "&gt;"))
-        self.elements.append(
-            f'<text x="{x:.6g}" y="{-y:.6g}" font-size="{size:.6g}" '
-            f'fill="{color}" font-family="monospace">{safe}</text>')
-
     def to_string(self) -> str:
         if not self.elements:
             self._require(0.0, 0.0)
@@ -97,7 +87,3 @@ class Drawing:
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{x0:.6g} {y0:.6g} {w:.6g} {h:.6g}">\n'
             f"{body}\n</svg>\n")
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_string())

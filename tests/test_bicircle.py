@@ -22,6 +22,7 @@ from fourvertex.bicircle import (
     to_reduced,
 )
 from fourvertex.curvature import TWO_PI
+from fourvertex.integrator import InsufficientDensity
 from fourvertex.moebius import moebius_on_config
 
 P0 = Configuration(1, 1j, -1, -1j)
@@ -168,6 +169,10 @@ class TestWinding:
         w = error_winding_on_core_link(0.5, 2.0, self.loop_around_core(0.2))
         assert abs(w) == 1
 
+    def test_sparse_loop_raises_insufficient_density(self):
+        with pytest.raises(InsufficientDensity):
+            error_winding_on_core_link(0.5, 2.0, self.loop_around_core(0.2, n=3))
+
     def test_constant_loop(self):
         rng = np.random.default_rng(13)
         c = random_configuration(rng, reduced=True)
@@ -200,18 +205,3 @@ class TestWinding:
         with pytest.raises(LoopTouchesCore):
             error_winding_on_core_link(1.0, 1.0 + 1e-13, loop)
 
-
-def test_json_round_trips():
-    from fourvertex.bicircle import (
-        config_from_json_data,
-        config_to_json_data,
-        coords_from_json_data,
-        coords_to_json_data,
-    )
-
-    rng = np.random.default_rng(15)
-    c = random_configuration(rng)
-    back = config_from_json_data(config_to_json_data(c))
-    assert back.points() == c.points()
-    rc = to_reduced(c)[1]
-    assert coords_from_json_data(coords_to_json_data(rc)) == rc

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,28 @@ def test_synth_failure_exit_code(tmp_path, capsys):
     assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
 
 
+def test_synth_default_rounds_stop_below_grid_step(tmp_path):
+    # eps halves each failed round; once it drops below 2*pi/512 the schedule
+    # stops instead of growing the warp's check grid without bound
+    src = tmp_path / "kappa.csv"
+    write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourvertex", "synth", str(src),
+         "--out-dir", str(tmp_path / "o"), "--grid", "512"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "round 5 (eps=0.00625" in proc.stderr
+    assert proc.stderr.rstrip().endswith("schedule stopped")
+
+
 @pytest.mark.parametrize("bad", [["--r0", "1.5"], ["--r0", "-0.2"], ["--eps0", "0"],
                                  ["--max-rounds", "0"]])
 def test_synth_bad_schedule_parameters(tmp_path, capsys, bad):
@@ -117,6 +144,18 @@ def test_analyze_open_arc_rejected(tmp_path):
     path = tmp_path / "arc.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_too_few_samples_rejected(tmp_path, capsys):
+    # a closed square: four samples once the duplicated closing one is dropped
+    rows = ["s,x,y,theta", "0,0,0,0", "1,1,0,1.5707963267948966",
+            "2,1,1,3.141592653589793", "3,0,1,4.71238898038469",
+            "4,0,0,6.283185307179586"]
+    path = tmp_path / "square.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_curve_round_trip_formats(tmp_path):

@@ -9,16 +9,14 @@ from fourvertex.curvature import (
     CircleDiffeo,
     CurvatureProfile,
     HypothesisViolated,
-    IdenticallyZero,
     ScaleFactor,
     StepSpec,
     ZeroTotalCurvature,
     build_h1,
     compose,
     find_abab_points,
-    local_extrema,
-    make_integral_nonzero,
     normalize_total,
+    plateau_extrema,
     profile_from_function,
     profile_from_step,
     reflect_negate,
@@ -33,6 +31,10 @@ def cos2t(n=1024):
 
 def ridge(n=4096):
     return profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=n)
+
+
+def rotation(phi):
+    return CircleDiffeo(np.array([0.0, TWO_PI]), np.array([phi, phi + TWO_PI]))
 
 
 class TestProfile:
@@ -114,23 +116,6 @@ class TestNormalize:
         assert abs(sc2.c - 1.0) < 1e-12
 
 
-class TestMakeIntegralNonzero:
-    def test_already_nonzero_is_identity(self):
-        k = profile_from_function(lambda t: np.ones_like(t), n=64)
-        k2, d = make_integral_nonzero(k)
-        assert np.array_equal(k2.samples, k.samples)
-        assert np.array_equal(d.knots, d.values)
-
-    def test_mean_zero_profile_gets_positive_integral(self):
-        k2, d = make_integral_nonzero(cos2t(2048))
-        assert total_curvature(k2) > 0.1
-        assert np.allclose(k2.samples, np.asarray(cos2t(2048)(d(k2.grid))))
-
-    def test_identically_zero(self):
-        with pytest.raises(IdenticallyZero):
-            make_integral_nonzero(CurvatureProfile(np.zeros(64)))
-
-
 class TestCompose:
     def test_identity_exact(self):
         k = ridge(512)
@@ -139,7 +124,7 @@ class TestCompose:
 
     def test_rotation_rolls_step_samples(self):
         k = profile_from_step(StepSpec(0.5, 2.0), 1024)
-        k2 = compose(k, CircleDiffeo.rotation(0.5 * math.pi))
+        k2 = compose(k, rotation(0.5 * math.pi))
         assert np.allclose(k2.samples, np.roll(k.samples, -256))
 
     def test_warp_matches_direct_evaluation(self):
@@ -183,7 +168,7 @@ class TestCircleDiffeo:
             CircleDiffeo(np.array([0.0, TWO_PI]), np.array([0.0, 1.5 * TWO_PI]))
 
     def test_degree_one_extension(self):
-        d = CircleDiffeo.rotation(1.0)
+        d = rotation(1.0)
         assert d(0.5 + TWO_PI) == pytest.approx(d(0.5) + TWO_PI, abs=1e-12)
 
     def test_inverse_is_exact(self):
@@ -195,22 +180,23 @@ class TestCircleDiffeo:
 
 class TestLocalExtrema:
     def test_smooth_two_by_two(self):
-        ext = local_extrema(ridge())
-        kinds = [e[1] for e in ext]
-        values = sorted(e[2] for e in ext)
+        ext = plateau_extrema(ridge().samples)
+        kinds = [p.kind for p in ext]
+        values = sorted(p.value for p in ext)
         assert kinds.count("max") == 2 and kinds.count("min") == 2
         assert values[0] == pytest.approx(0.5, abs=1e-6)
         assert values[-1] == pytest.approx(2.5, abs=1e-6)
 
     def test_constant_empty(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=64)
-        assert local_extrema(k) == []
+        assert plateau_extrema(k.samples) == []
 
     def test_step_plateaus(self):
         k = profile_from_step(StepSpec(1.0, 3.0), 1024)
-        ext = local_extrema(k)
-        assert sorted(e[1] for e in ext) == ["max", "max", "min", "min"]
-        assert {round(e[2], 12) for e in ext} == {1.0, 3.0}
+        ext = plateau_extrema(k.samples)
+        assert sorted(p.kind for p in ext) == ["max", "max", "min", "min"]
+        assert {round(p.value, 12) for p in ext} == {1.0, 3.0}
+        assert [p.length for p in ext] == [256] * 4
 
 
 class TestFindAbab:

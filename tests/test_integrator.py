@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from fourvertex.curvature import (
 from fourvertex.integrator import (
     PlanarCurve,
     TooFewSamples,
+    curvature_samples,
     error_vector,
-    estimate_curvature,
     integrate_arcs,
     integrate_curve,
     is_simple,
@@ -36,8 +37,16 @@ class TestIntegrateCurve:
     def test_unit_circle_closes(self):
         c = unit_circle()
         assert error_vector(c).magnitude < 1e-12
-        assert c.closed
+        assert c.closed and c.closes
         assert c.theta[-1] == pytest.approx(TWO_PI, abs=1e-10)
+        # an unflagged curve closes when its endpoint gap is below 1e-6 of its length
+        assert replace(c, closed=False).closes
+        gap = replace(c, pos=c.pos + 0.5e-6 * c.length * (c.s == c.length), closed=False)
+        assert gap.closes
+        wide = replace(c, pos=c.pos + 2e-6 * c.length * (c.s == c.length), closed=False)
+        assert not wide.closes
+        half = PlanarCurve(s=c.s[:2049], pos=c.pos[:2049], theta=c.theta[:2049])
+        assert not half.closes
 
     def test_equal_opposite_arcs_close(self):
         spec = StepSpec(0.5, 2.0, (0.0, 2 * math.pi / 3, math.pi, 5 * math.pi / 3))
@@ -84,10 +93,14 @@ class TestErrorVector:
 
     def test_limacon_reintegrates_from_own_curvature(self):
         lim = limacon_curve(8192)
-        k = estimate_curvature(lim)
+        kappa = curvature_samples(lim)
         total_len = lim.length
-        # rescale onto the unit-speed domain of length 2*pi
-        k2 = CurvatureProfile(k.samples * total_len / TWO_PI, "linear")
+        # resample onto a uniform arc-length grid, then rescale onto the
+        # unit-speed domain of length 2*pi
+        s = lim.s[:-1]
+        target = total_len * np.arange(s.size) / s.size
+        k = np.interp(target, s, kappa, period=total_len)
+        k2 = CurvatureProfile(k * total_len / TWO_PI, "linear")
         again = integrate_curve(k2)
         assert error_vector(again).magnitude < 1e-6
 
@@ -95,8 +108,7 @@ class TestErrorVector:
 class TestScaleCurve:
     def test_circle_scaled_radius_two(self):
         c = scale_curve(unit_circle(), ScaleFactor(2.0))
-        k = estimate_curvature(c)
-        assert np.max(np.abs(k.samples - 0.5)) < 1e-6
+        assert np.max(np.abs(curvature_samples(c) - 0.5)) < 1e-6
 
     def test_identity_scale(self):
         c = unit_circle()
@@ -113,21 +125,22 @@ class TestScaleCurve:
         kn, _ = normalize_total(k0)
         c = integrate_curve(kn)
         factor = 2.5
-        ratio = estimate_curvature(scale_curve(c, ScaleFactor(factor))).samples \
-            / estimate_curvature(c).samples
+        ratio = curvature_samples(scale_curve(c, ScaleFactor(factor))) \
+            / curvature_samples(c)
         assert np.max(np.abs(ratio - 1.0 / factor)) < 1e-9
 
 
 class TestEstimateCurvature:
     def test_unit_circle(self):
-        k = estimate_curvature(unit_circle())
-        assert np.max(np.abs(k.samples - 1.0)) < 1e-6
+        kappa = curvature_samples(unit_circle())
+        assert kappa.size == 4096  # the duplicated closing sample is dropped
+        assert np.max(np.abs(kappa - 1.0)) < 1e-6
 
     def test_too_few_samples(self):
         c = unit_circle(4096)
-        clipped = PlanarCurve(s=c.s[:32], pos=c.pos[:32], theta=c.theta[:32])
+        clipped = PlanarCurve(s=c.s[:4], pos=c.pos[:4], theta=c.theta[:4])
         with pytest.raises(TooFewSamples):
-            estimate_curvature(clipped)
+            curvature_samples(clipped)
 
 
 class TestIsSimple:
@@ -193,7 +206,8 @@ class TestIntegrateArcs:
         spec = StepSpec(0.5, 2.0)
         k, sc = normalize_total(profile_from_step(spec, 4096))
         via_profile = error_vector(integrate_curve(k)).e
-        values, lengths = spec.arc_values_lengths()
+        values = np.array([spec.a, spec.b, spec.a, spec.b])
+        lengths = np.full(4, 0.5 * math.pi)
         via_arcs = error_vector(integrate_arcs(sc.c * values, lengths)).e
         assert abs(via_profile - via_arcs) < 1e-12
 
@@ -207,7 +221,7 @@ def test_reverse_curve_flips_curvature_sign():
         lambda t: 1.5 + np.cos(2 * t), n=2048))
     c = integrate_curve(k)
     r = reverse_curve(c)
-    kc = estimate_curvature(c).samples
-    kr = estimate_curvature(r).samples
+    kc = curvature_samples(c)
+    kr = curvature_samples(r)
     # reversed ring sample j sits at original ring index (n - j) mod n
     assert np.max(np.abs(kr + np.roll(kc[::-1], 1))) < 1e-9

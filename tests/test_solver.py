@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fourvertex.analysis import detect_vertices
+from fourvertex.analysis import detect_vertices, osserman_check
 from fourvertex.bicircle import Configuration, closed_form_error
 from fourvertex.curvature import (
     TWO_PI,
+    CurvatureProfile,
     HypothesisViolated,
+    NoPositiveWindow,
     StepSpec,
     build_h1,
     compose,
@@ -306,6 +309,36 @@ class TestSynthesize:
         target = np.asarray(k(res.curve.t[: kappa.size]))
         bad = np.abs(kappa - target) >= 0.05 * (ab.b - ab.a)
         assert float(np.mean(bad)) * TWO_PI < res.eps_used
+
+
+@settings(max_examples=10, deadline=None)
+@given(c0=st.floats(min_value=-2.5, max_value=2.5),
+       coefs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=10, max_size=10))
+# a polished root whose residual the curve's scale factor (12.4) lifted past the bound
+@example(c0=-0.7284428043915223,
+         coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, -0.0625] + [0.0] * 5)
+# the normalized error evaluation turned a grid step by more than half a turn
+@example(c0=-0.7284428043915223,
+         coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
+# every round of the profile's own small window fails the reference distance
+@example(c0=-0.75, coefs=[0.0625, -0.0625, 0.0, -0.0625] + [0.0] * 6)
+def test_synthesis_realizes_random_admissible_profiles(c0, coefs):
+    """c0 + cos 2t plus a trig polynomial of degree <= 5, end to end."""
+    n = 4096
+    t = TWO_PI * np.arange(n) / n
+    degrees = np.arange(1, 6)[:, None]
+    poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
+            + np.asarray(coefs[5:]) @ np.sin(degrees * t))
+    k = CurvatureProfile(c0 + np.cos(2 * t) + poly, "linear")
+    try:
+        find_abab_points(k)
+    except (HypothesisViolated, NoPositiveWindow):
+        assume(False)
+    res = synthesize(k)
+    assert error_vector(res.curve).magnitude < 1e-9 * TWO_PI
+    assert is_simple(res.curve)[0]
+    TestSynthesize._check_round_trip(k, res)
+    assert osserman_check(res.curve).vertex_count >= 4
 
 
 def test_estimated_curvature_tracks_profile_away_from_slivers():
