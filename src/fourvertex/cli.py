@@ -161,7 +161,7 @@ def cmd_synth(args) -> int:
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as ex:
+    except (ValueError, KeyError, TypeError) as ex:
         print(f"error: bad curvature file: {ex}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -191,7 +191,6 @@ def cmd_synth(args) -> int:
         "angle_distance": result.diagnostics.angle_distance,
         "rounds": result.diagnostics.rounds,
         "error_evaluations": result.diagnostics.error_evaluations,
-        "root_finder": result.diagnostics.root_finder,
     }
     (out_dir / "diagnostics.json").write_text(
         json.dumps(diag, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -210,7 +209,7 @@ def cmd_analyze(args) -> int:
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as ex:
+    except (ValueError, KeyError, TypeError) as ex:
         print(f"error: bad curve file: {ex}", file=sys.stderr)
         return EXIT_IO
     if not curve.closes:

@@ -382,7 +382,8 @@ def build_h1(
         measure{ t : |k(h1(t)) - step(t)| > eps } < eps
 
     is verified on a uniform grid before returning; failures retry with
-    smaller neighbourhoods.
+    smaller neighbourhoods.  The window must be one of k itself: the points
+    of a sign-flipped window do not attain its values, raising ValueError.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -390,12 +391,10 @@ def build_h1(
             and math.isclose(step.b, abab.b, rel_tol=1e-9)):
         raise ValueError("step values must match the window values")
 
-    w = k.samples if not abab.sign_flipped else -k.samples
-    kfun = CurvatureProfile(w, k.interp)
     u = _unwrap_cyclic(abab.params)
     targets = np.array([abab.a, abab.b, abab.a, abab.b])
     for i in range(4):
-        if abs(float(kfun(u[i])) - targets[i]) > 1e-6:
+        if abs(float(k(u[i])) - targets[i]) > 1e-6:
             raise ValueError("window points do not attain the window values")
 
     bps = np.asarray(step.breakpoints)
@@ -406,7 +405,7 @@ def build_h1(
         delta = 0.4 * min(gaps[i - 1] if i > 0 else gaps[3], gaps[i])
         probe = np.linspace(-1.0, 1.0, 201)
         while delta > 1e-11:
-            dev = np.max(np.abs(np.asarray(kfun(u[i] + delta * probe)) - targets[i]))
+            dev = np.max(np.abs(np.asarray(k(u[i] + delta * probe)) - targets[i]))
             if dev <= dev_cap:
                 return delta
             delta *= 0.6
@@ -434,7 +433,7 @@ def build_h1(
             sliver *= 0.5
             dev_cap *= 0.5
             continue
-        bad = np.abs(np.asarray(kfun(h1(tgrid))) - step_vals) > eps
+        bad = np.abs(np.asarray(k(h1(tgrid))) - step_vals) > eps
         if float(np.mean(bad)) * TWO_PI < eps:
             return h1
         sliver *= 0.5

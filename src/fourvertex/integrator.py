@@ -59,6 +59,9 @@ class PlanarCurve:
             object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         if not (s.shape == pos.shape == theta.shape) or s.ndim != 1 or s.size < 2:
             raise ValueError("s, pos and theta must be matching 1-d arrays")
+        if not (np.isfinite(s).all() and np.isfinite(pos).all() and np.isfinite(theta).all()
+                and (self.t is None or np.isfinite(self.t).all())):
+            raise ValueError("curve samples must be finite")
         ds = np.diff(s)
         if s[0] != 0.0 or not np.all(ds > 0):
             raise ValueError("arc length must increase strictly from 0")

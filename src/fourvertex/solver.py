@@ -2,15 +2,14 @@
 
 The endpoint error of a normalized curvature profile, precomposed with the
 disk of special Möbius maps, winds once around the origin along small
-parameter circles, so it vanishes somewhere inside.  The zero search checks
-that winding first, then polishes from the disk center with a two-variable
-secant iteration and certifies the polished root by a nonzero winding along
-a small square around it.  When the polish or the certificate fails, a
-quadtree subdivision of the parameter square keeps the cell whose boundary
-winding is nonzero and polishes its center.  Windings are counted by
-:func:`fourvertex.integrator.winding_number`.  The synthesis pipeline warps
-an admissible profile onto a two-value step function, closes the curve by
-that root, and reparameterizes the result back to the original parameter.
+parameter circles, so it vanishes somewhere inside.  The zero search
+polishes from the disk center with a two-variable secant iteration and
+certifies the polished root by a nonzero winding along a small square
+around it, counted by :func:`fourvertex.integrator.winding_number`.  A
+root that fails the certificate fails the synthesis round, which retries
+with a finer warp.  The synthesis pipeline warps an admissible profile
+onto a two-value step function, closes the curve by that root, and
+reparameterizes the result back to the original parameter.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .integrator import (
 from .moebius import MoebiusParameter, _beta_value, moebius_apply, moebius_lift
 
 RESIDUAL_TOL = 1e-9
-CELL_HALF_MIN = 3.5e-7   # cell diagonal below 1e-6
 ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
 C1_POSITION_TOL = 0.1
@@ -67,7 +65,7 @@ class BadParameter(ValueError):
 
 
 class NoWindingAtRadius(RuntimeError):
-    """The error loop at the requested radius does not wind."""
+    """The polished root is not certified by a winding inside the search radius."""
 
 
 class PolishDiverged(RuntimeError):
@@ -84,7 +82,7 @@ class SynthesisFailed(RuntimeError):
 
     def __init__(self, history: list):
         super().__init__("synthesis failed: " + "; ".join(
-            f"round {r} (eps={e:.3g}, r={rad:.3g}): {why}" for r, e, rad, why in history))
+            f"round {r} (eps={e:.3g}): {why}" for r, e, why in history))
         self.history = history
 
 
@@ -95,7 +93,6 @@ class SynthesisDiagnostics:
     angle_distance: float
     rounds: int
     error_evaluations: int
-    root_finder: str  # "polish", "quadtree", or "none" for a constant profile
 
 
 @dataclass(frozen=True)
@@ -200,25 +197,6 @@ def _boundary_winding(err, center: complex, half: float, per_edge: int = 5) -> i
         raise _EdgeZero from None
 
 
-def _outside_disk(center: complex, half: float, radius: float) -> bool:
-    dx = max(abs(center.real) - half, 0.0)
-    dy = max(abs(center.imag) - half, 0.0)
-    return math.hypot(dx, dy) > radius
-
-
-def _circle_winding(err, radius: float, n0: int = 64, n_max: int = 2048) -> int:
-    n = n0
-    while n <= n_max:
-        try:
-            pts = [err(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)]
-            return winding_number(pts)
-        except InsufficientDensity:
-            n *= 2
-        except OriginOnLoop:
-            raise NoWindingAtRadius(f"error vanishes on the circle of radius {radius}")
-    raise NoWindingAtRadius(f"error loop at radius {radius} never settled")
-
-
 def _polish(err, x0: complex, tol: float, max_iter: int = 80) -> tuple[complex, float]:
     """Two-variable secant iteration with a rank-one update and damping.
 
@@ -272,17 +250,13 @@ def find_zero_beta(
 ) -> MoebiusParameter:
     """Parameter inside the disk of radius r0 at which the error vanishes.
 
-    Requires a nonzero error winding along |beta| = r0, else raises
-    NoWindingAtRadius.  The root is then polished from beta = 0 to a
-    residual below 1e-9 and accepted when a square of half-width
-    CERTIFICATE_HALF around it lies inside the disk and the error winds
-    along its boundary, which certifies a zero there.  If the polish
-    diverges or the certificate fails, the quadtree search runs: the square
-    [-r0, r0]^2 is subdivided, cells outside the disk or with boundary
-    winding zero are discarded, and a zero landing on a cell edge nudges the
-    subdivision by 1e-12.  The surviving cell is shrunk until its diameter
-    is below 1e-6 and its center is polished.  ``stats`` counts the
-    evaluations and records which path, "polish" or "quadtree", returned.
+    The root is polished from beta = 0 to a residual below 1e-9 and
+    accepted when a square of half-width CERTIFICATE_HALF around it lies
+    inside the disk and the error winds along its boundary, which
+    certifies a zero there.  A root outside the disk, a square along which
+    the error does not wind, or an error vanishing on the square raises
+    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
+    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations.
     The search is deterministic.
     """
     counter = stats if stats is not None else {}
@@ -292,42 +266,15 @@ def find_zero_beta(
         counter["evaluations"] += 1
         return error_at_beta(k1, b)[0].e
 
-    if _circle_winding(err, r0) == 0:
-        raise NoWindingAtRadius(f"no winding at radius {r0}")
-
+    beta, _residual = _polish(err, 0j, RESIDUAL_TOL)
+    if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= r0:
+        raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {r0}")
     try:
-        beta, _residual = _polish(err, 0j, RESIDUAL_TOL)
-        if (abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF < r0
-                and _boundary_winding(err, beta, CERTIFICATE_HALF) != 0):
-            counter["root_finder"] = "polish"
-            return MoebiusParameter(beta)
-    except (PolishDiverged, _EdgeZero):
-        pass
-
-    counter["root_finder"] = "quadtree"
-    center, half = 0.0 + 0.0j, float(r0)
-    while half > CELL_HALF_MIN:
-        chosen = None
-        for _ in range(9):
-            for quadrant in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j):
-                child = center + 0.5 * half * quadrant
-                if _outside_disk(child, 0.5 * half, r0):
-                    continue
-                try:
-                    if _boundary_winding(err, child, 0.5 * half) != 0:
-                        chosen = child
-                        break
-                except _EdgeZero:
-                    chosen = None
-                    break
-            if chosen is not None:
-                break
-            center += 1.3e-12 + 0.7e-12j
-        if chosen is None:
-            break  # zero pinned against an edge; polish from here
-        center, half = chosen, 0.5 * half
-
-    beta, _residual = _polish(err, center, RESIDUAL_TOL)
+        winding = _boundary_winding(err, beta, CERTIFICATE_HALF)
+    except _EdgeZero:
+        raise NoWindingAtRadius("error vanishes on the certificate square") from None
+    if winding == 0:
+        raise NoWindingAtRadius(f"no winding around the polished root {beta:.3g}")
     return MoebiusParameter(beta)
 
 
@@ -348,11 +295,11 @@ def synthesize(
     directly.  Otherwise the profile is warped close to a two-value step
     function, the winding argument closes the curve at some Möbius
     parameter, and the curve is scaled and tagged with the original
-    parameter.  The schedule halves eps each failed round and also halves
-    the search radius when the winding check fails.  When the profile admits
-    no positive value window, or every round of its schedule fails, the
-    reflected negation -k(2*pi - t) runs a schedule of its own and the
-    finished curve is reversed; max_rounds bounds each schedule.
+    parameter.  The schedule halves eps each failed round; r0 bounds where
+    an accepted root may lie.  When the profile admits no positive value
+    window, or every round of its schedule fails, the reflected negation
+    -k(2*pi - t) runs a schedule of its own and the finished curve is
+    reversed; max_rounds bounds each schedule.
 
     The grid must resolve the warp's sliver arcs for the final curvature
     check to pass; profiles coarser than about 2048 samples fail the
@@ -384,11 +331,11 @@ def synthesize(
         diag = SynthesisDiagnostics(
             final_error=abs(circle.pos[-1] - circle.pos[0]),
             position_distance=0.0, angle_distance=0.0, rounds=0,
-            error_evaluations=0, root_finder="none")
+            error_evaluations=0)
         return SynthesisResult(curve, MoebiusParameter(0.0), CircleDiffeo.identity(),
                                ScaleFactor(1.0 / abs(value)), 0.0, False, diag)
 
-    history: list[tuple[int, float, float, str]] = []
+    history: list[tuple[int, float, str]] = []
     stats = {"evaluations": 0}
     for flipped in (False, True):
         # the flipped pass realizes -k(2*pi - t); reversing the finished curve
@@ -403,50 +350,43 @@ def synthesize(
         ref_curve = integrate_curve(normalize_total(k0)[0])
         tol_kappa = 0.05 * (abab.b - abab.a)
 
-        eps, radius = float(eps0), float(r0)
+        eps = float(eps0)
         for round_no in range(len(history) + 1, len(history) + max_rounds + 1):
             if eps < TWO_PI / k.n:
-                history.append((round_no, eps, radius,
+                history.append((round_no, eps,
                                 f"eps below the grid step 2*pi/{k.n}; schedule stopped"))
                 break
             try:
                 h1 = build_h1(work, abab, step, eps)
             except ConstructionFailed as ex:
-                history.append((round_no, eps, radius, f"warp construction: {ex}"))
+                history.append((round_no, eps, f"warp construction: {ex}"))
                 eps *= 0.5
                 continue
             k1 = compose(work, h1)
             try:
-                beta_star = find_zero_beta(k1, radius, stats=stats)
-            except NoWindingAtRadius as ex:
-                history.append((round_no, eps, radius, f"winding: {ex}"))
-                radius *= 0.5
-                eps *= 0.5
-                continue
-            except PolishDiverged as ex:
-                history.append((round_no, eps, radius, f"polish: {ex}"))
-                eps *= 0.5
-                continue
-            except (TooFewSamples, ZeroTotalCurvature) as ex:
-                # the sliver mass left the normalized profile unresolvable on the grid
-                history.append((round_no, eps, radius, f"error evaluation: {ex}"))
+                beta_star = find_zero_beta(k1, r0, stats=stats)
+            except (NoWindingAtRadius, PolishDiverged, TooFewSamples,
+                    ZeroTotalCurvature) as ex:
+                # the last two: the sliver mass left the normalized profile
+                # unresolvable on the grid
+                history.append((round_no, eps, f"zero search: {type(ex).__name__}: {ex}"))
                 eps *= 0.5
                 continue
             err, curve, sc = error_at_beta(k1, beta_star)
             closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
             if closure >= RESIDUAL_TOL * TWO_PI:
-                history.append((round_no, eps, radius, f"closure residual {closure:.2e}"))
+                history.append((round_no, eps, f"closure residual {closure:.2e}"))
                 eps *= 0.5
                 continue
             simple, witness = is_simple(curve)
             if not simple:
-                history.append((round_no, eps, radius, f"self-intersection at {witness}"))
+                history.append((round_no, eps, f"self-intersection at {witness}"))
                 eps *= 0.5
                 continue
             c0_dist = float(np.max(np.abs(curve.pos - ref_curve.pos)))
             c1_dist = float(np.max(np.abs(curve.theta - ref_curve.theta)))
             if c0_dist >= C1_POSITION_TOL or c1_dist >= C1_ANGLE_TOL:
-                history.append((round_no, eps, radius,
+                history.append((round_no, eps,
                                 f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"))
                 eps *= 0.5
                 continue
@@ -461,7 +401,7 @@ def synthesize(
             bad = np.abs(kap_hat - target) >= tol_kappa
             bad_measure = float(np.mean(bad)) * TWO_PI
             if bad_measure >= eps:
-                history.append((round_no, eps, radius,
+                history.append((round_no, eps,
                                 f"curvature mismatch on measure {bad_measure:.3f}"))
                 eps *= 0.5
                 continue
@@ -469,7 +409,7 @@ def synthesize(
             diag = SynthesisDiagnostics(
                 final_error=err.magnitude, position_distance=c0_dist,
                 angle_distance=c1_dist, rounds=round_no,
-                error_evaluations=stats["evaluations"], root_finder=stats["root_finder"])
+                error_evaluations=stats["evaluations"])
             return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
 
     raise SynthesisFailed(history)

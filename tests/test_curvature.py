@@ -263,6 +263,14 @@ class TestBuildH1:
         bad = np.abs(np.asarray(k(h1(t))) - step.value_at(t)) > 0.1
         assert float(np.mean(bad)) * TWO_PI < 0.1
 
+    def test_sign_flipped_window_rejected(self):
+        # a window of the negated profile does not lie on k itself
+        k = profile_from_function(lambda t: -(1.5 + np.cos(2 * t)), n=4096)
+        ab = find_abab_points(k)
+        assert ab.sign_flipped
+        with pytest.raises(ValueError, match="do not attain"):
+            build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1)
+
     def test_zero_eps_rejected(self):
         k = ridge()
         ab = find_abab_points(k)

@@ -216,6 +216,18 @@ class TestIntegrateArcs:
             integrate_arcs([], [])
 
 
+@pytest.mark.parametrize("field", ["s", "pos", "theta", "t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_planar_curve_rejects_non_finite_samples(field, bad):
+    # NaN compares false, so only an explicit check keeps it out of the curve
+    c = unit_circle()
+    c = replace(c, t=c.s.copy())
+    values = getattr(c, field).copy()
+    values[-1 if field == "s" else 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        replace(c, **{field: values})
+
+
 def test_reverse_curve_flips_curvature_sign():
     k, _ = normalize_total(profile_from_function(
         lambda t: 1.5 + np.cos(2 * t), n=2048))

@@ -19,7 +19,7 @@ from fourvertex.curvature import (
     profile_from_function,
     profile_from_step,
 )
-from fourvertex.integrator import curvature_samples, error_vector, is_simple
+from fourvertex.integrator import ErrorVector, curvature_samples, error_vector, is_simple
 from fourvertex.moebius import evaluation_inverse, moebius_on_config
 from fourvertex import solver
 from fourvertex.solver import (
@@ -152,11 +152,7 @@ class TestFindZero:
         _, m = evaluation_inverse(Configuration(*np.exp(1j * bps)))
         assert abs(beta.beta - m.beta) < 1e-9
 
-    def test_constant_profile_has_no_winding(self, monkeypatch):
-        def no_polish(*args, **kwargs):
-            raise AssertionError("polish ran before the winding check")
-
-        monkeypatch.setattr(solver, "_polish", no_polish)
+    def test_constant_profile_has_no_winding(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=512)
         with pytest.raises(NoWindingAtRadius):
             find_zero_beta(k, 0.2)
@@ -168,60 +164,44 @@ def warped():
     k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
     ab = find_abab_points(k)
     k1 = compose(k, build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1))
-    stats = {}
-    beta = find_zero_beta(k1, 0.2, stats)
-    assert stats["root_finder"] == "polish"
-    return k1, beta.beta
+    return k1, find_zero_beta(k1, 0.2).beta
 
 
-def _failing_first_polish(monkeypatch, first):
-    """Replace the first _polish call by ``first(real_polish, err, x0, tol)``."""
-    real = solver._polish
-    calls = []
+class TestCertifiedPolish:
+    def test_diverged_polish_propagates(self, monkeypatch, warped):
+        k1, _ = warped
 
-    def patched(err, x0, tol, *args, **kwargs):
-        calls.append(x0)
-        if len(calls) == 1:
-            return first(real, err, x0, tol)
-        return real(err, x0, tol, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_polish", patched)
-    return calls
-
-
-class TestQuadtreeFallback:
-    def test_diverged_polish_falls_back(self, monkeypatch, warped):
-        k1, ref = warped
-
-        def diverge(real, err, x0, tol):
+        def stall(err, x0, tol, *args, **kwargs):
             raise PolishDiverged(x0, 1.0)
 
-        calls = _failing_first_polish(monkeypatch, diverge)
-        stats = {}
-        beta = find_zero_beta(k1, 0.2, stats)
-        assert stats["root_finder"] == "quadtree" and len(calls) == 2
-        assert abs(beta.beta - ref) < 1e-9
-        assert stats["evaluations"] > 500  # the quadtree ran
+        monkeypatch.setattr(solver, "_polish", stall)
+        with pytest.raises(PolishDiverged, match="stalled"):
+            find_zero_beta(k1, 0.2)
 
-    def test_polish_leaving_unit_disk_falls_back(self, monkeypatch, warped):
+    def test_polish_leaving_unit_disk_propagates(self, monkeypatch, warped):
+        k1, _ = warped
+        real = solver.error_at_beta
+
+        def shifted(k, m):
+            # the shifted error has no zero in the disk; the first secant step
+            # lands near |beta| = 2, where the error must not be evaluated
+            e, curve, sc = real(k, m)
+            return ErrorVector(e.e + 10.0), curve, sc
+
+        monkeypatch.setattr(solver, "error_at_beta", shifted)
+        with pytest.raises(PolishDiverged, match="unit disk"):
+            find_zero_beta(k1, 0.2)
+
+    def test_uncertified_root_rejected(self, monkeypatch, warped):
+        k1, _ = warped
+        monkeypatch.setattr(solver, "_boundary_winding", lambda *args, **kwargs: 0)
+        with pytest.raises(NoWindingAtRadius, match="no winding"):
+            find_zero_beta(k1, 0.2)
+
+    def test_root_outside_radius_rejected(self, warped):
         k1, ref = warped
-        seen = []
-
-        def shifted(real, err, x0, tol):
-            # the shifted error has no zero in the disk; its first step lands near
-            # |beta| = 2, where error_at_beta would raise ValueError if evaluated
-            try:
-                return real(lambda b: err(b) + 10.0, x0, tol)
-            except PolishDiverged as ex:
-                seen.append(ex)
-                raise
-
-        _failing_first_polish(monkeypatch, shifted)
-        stats = {}
-        beta = find_zero_beta(k1, 0.2, stats)
-        assert "unit disk" in str(seen[0])
-        assert stats["root_finder"] == "quadtree"
-        assert abs(beta.beta - ref) < 1e-9
+        with pytest.raises(NoWindingAtRadius, match="outside radius"):
+            find_zero_beta(k1, 0.5 * abs(ref))
 
     def test_certificate_winds_once_around_root_only(self, warped):
         k1, ref = warped
@@ -274,8 +254,7 @@ class TestSynthesize:
     def test_evaluation_budget(self):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.root_finder == "polish"
-        assert res.diagnostics.error_evaluations <= 150
+        assert res.diagnostics.error_evaluations <= 40
         assert abs(res.beta_star.beta - QUADTREE_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
@@ -322,6 +301,13 @@ class TestSynthesize:
          coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
 # every round of the profile's own small window fails the reference distance
 @example(c0=-0.75, coefs=[0.0625, -0.0625, 0.0, -0.0625] + [0.0] * 6)
+# the round-2 polished root has residual 9e-11 but its certificate square does
+# not wind, so the round fails and round 3 realizes the profile
+@example(c0=-0.9613271687264575,
+         coefs=[0.04715460183288206, -0.016058629312449363, -0.04739056963357602,
+                0.08613005063944362, 0.06862766902158604, -0.028922248937526776,
+                0.00990768227732755, 0.08583842886759113, -0.056688523572198606,
+                0.08182736065324661])
 def test_synthesis_realizes_random_admissible_profiles(c0, coefs):
     """c0 + cos 2t plus a trig polynomial of degree <= 5, end to end."""
     n = 4096
