@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import TWO_PI, plateau_extrema
-from .integrator import PlanarCurve, _ring, curvature_samples, is_simple
+from .integrator import PlanarCurve, _orient, _ring, curvature_samples, is_simple
 
 
 class NotSimple(ValueError):
@@ -110,10 +110,6 @@ def _circumcircle(a: complex, b: complex, c: complex) -> tuple[complex, float] |
     return center, max(abs(center - a), abs(center - b), abs(center - c))
 
 
-def _cross(p: complex, q: complex, r: complex) -> float:
-    return (q.real - p.real) * (r.imag - p.imag) - (q.imag - p.imag) * (r.real - p.real)
-
-
 def _mec_two_points(points, p: complex, q: complex) -> tuple[complex, float]:
     circ = _diameter(p, q)
     left = None
@@ -121,15 +117,15 @@ def _mec_two_points(points, p: complex, q: complex) -> tuple[complex, float]:
     for r in points:
         if _inside(circ, r):
             continue
-        cross = _cross(p, q, r)
+        cross = _orient(p, q, r)
         c = _circumcircle(p, q, r)
         if c is None:
             continue
         if cross > 0.0 and (left is None
-                            or _cross(p, q, c[0]) > _cross(p, q, left[0])):
+                            or _orient(p, q, c[0]) > _orient(p, q, left[0])):
             left = c
         elif cross < 0.0 and (right is None
-                              or _cross(p, q, c[0]) < _cross(p, q, right[0])):
+                              or _orient(p, q, c[0]) < _orient(p, q, right[0])):
             right = c
     if left is None and right is None:
         return circ
@@ -250,7 +246,7 @@ def contact_angular_gap(
     return float(np.max(gaps))
 
 
-def detect_vertices(c: PlanarCurve, plateau_tol: float = 1e-9) -> VertexReport:
+def detect_vertices(c: PlanarCurve) -> VertexReport:
     """Curvature extrema of a closed curve, plateau-collapsed.
 
     Raises :class:`ConstantCurvature` for circles, whose curvature has no
@@ -259,7 +255,7 @@ def detect_vertices(c: PlanarCurve, plateau_tol: float = 1e-9) -> VertexReport:
     if not c.closes:
         raise NotClosed("vertex detection needs a closed curve")
     values = curvature_samples(c)
-    plateaus = plateau_extrema(values, plateau_tol)
+    plateaus = plateau_extrema(values)
     if not plateaus:
         raise ConstantCurvature("curvature has no extrema")
     params = _params(c, values.size)
@@ -277,7 +273,6 @@ def detect_vertices(c: PlanarCurve, plateau_tol: float = 1e-9) -> VertexReport:
 def osserman_check(
     c: PlanarCurve,
     band: float | None = None,
-    plateau_tol: float = 1e-9,
     seed: int = 0,
 ) -> OssermanReport:
     """Vertex-count bounds against the circumscribed circle.
@@ -301,7 +296,7 @@ def osserman_check(
     circle = min_enclosing_circle(pos, seed=seed)
     comps = contact_components(c, circle, band=band)
     gap = contact_angular_gap(c, circle, band=band)
-    report = detect_vertices(c, plateau_tol)
+    report = detect_vertices(c)
     kappa = curvature_samples(c)
     params = _params(c, m)
     K = circle.curvature

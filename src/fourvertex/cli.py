@@ -53,6 +53,8 @@ def read_curvature_file(path: Path, n: int) -> CurvatureProfile:
         a, b = ln.split(",")
         ts.append(float(a))
         ks.append(float(b))
+    if not ts:
+        raise ValueError("curvature CSV has no data rows")
     ts = np.asarray(ts)
     ks = np.asarray(ks)
     if np.any(np.diff(ts) <= 0) or ts[0] < 0 or ts[-1] >= TWO_PI:
@@ -99,9 +101,10 @@ def read_curve_file(path: Path) -> PlanarCurve:
     if not lines or lines[0].replace(" ", "") != "s,x,y,theta":
         raise ValueError("curve CSV must start with header 's,x,y,theta'")
     cols = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    curve = PlanarCurve(s=cols[:, 0], pos=cols[:, 1] + 1j * cols[:, 2],
-                        theta=cols[:, 3])
-    return curve
+    if cols.ndim != 2 or cols.shape[1] != 4:
+        raise ValueError("curve CSV needs data rows of four columns")
+    return PlanarCurve(s=cols[:, 0], pos=cols[:, 1] + 1j * cols[:, 2],
+                       theta=cols[:, 3])
 
 
 def _curve_svg(curve: PlanarCurve, circle=None, vertices=None) -> str:
@@ -321,15 +324,6 @@ def cmd_demo(args) -> int:
     return _demo_tetrahedron(args, out_dir)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--grid", type=int, default=4096,
-                   help="profile grid size (power of two, at least 512)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--svg", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fourvertex",
@@ -342,26 +336,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--r0", type=float, default=0.2)
     p.add_argument("--max-rounds", type=int, default=20)
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=4096,
+                   help="profile grid size (power of two, at least 512)")
+    p.add_argument("--out-dir", default="out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("analyze", help="vertex and enclosing-circle report")
     p.add_argument("curve_file")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default="out")
+    p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("demo", help="figure demos")
     p.add_argument("which", choices=("bicircle", "compass", "tetrahedron"))
     p.add_argument("--panels", type=int, default=8)
     p.add_argument("--radius", type=float, default=0.2)
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=4096, help="profile grid size")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.grid < 512 or args.grid & (args.grid - 1):
+    if "grid" in args and (args.grid < 512 or args.grid & (args.grid - 1)):
         print("error: --grid must be a power of two, at least 512",
               file=sys.stderr)
         return EXIT_INPUT

@@ -23,6 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 # |integral| below this fraction of max|kappa| * 2*pi counts as zero.
 ZERO_TOTAL_REL = 1e-8
+PLATEAU_TOL = 1e-9        # samples this close to a plateau's running mean join it
+CHECK_GRID_MIN = 10_000   # fewest samples build_h1 verifies its measure bound on
 
 
 class ZeroTotalCurvature(ValueError):
@@ -220,10 +222,10 @@ def compose(k: CurvatureProfile, d: CircleDiffeo) -> CurvatureProfile:
     return CurvatureProfile(np.asarray(k(d(k.grid)), dtype=float), k.interp)
 
 
-def plateau_extrema(values, tol: float = 1e-9) -> list[Plateau]:
+def plateau_extrema(values) -> list[Plateau]:
     """Strict local extrema of a cyclic sequence after collapsing plateaus.
 
-    Consecutive entries within ``tol`` of the running plateau mean are
+    Consecutive entries within ``PLATEAU_TOL`` of the running plateau mean are
     grouped; a plateau is reported iff its value is strictly above (max) or
     strictly below (min) both neighbouring plateau values.  ``start`` is the
     first index of the run and the run may wrap past the end.  A constant
@@ -235,7 +237,7 @@ def plateau_extrema(values, tol: float = 1e-9) -> list[Plateau]:
     sums: list[float] = []
     counts: list[int] = []
     for j in range(n):
-        if starts and abs(v[j] - sums[-1] / counts[-1]) <= tol:
+        if starts and abs(v[j] - sums[-1] / counts[-1]) <= PLATEAU_TOL:
             sums[-1] += v[j]
             counts[-1] += 1
         else:
@@ -243,7 +245,7 @@ def plateau_extrema(values, tol: float = 1e-9) -> list[Plateau]:
             sums.append(v[j])
             counts.append(1)
     means = [s / c for s, c in zip(sums, counts)]
-    if len(starts) > 1 and abs(means[0] - means[-1]) <= tol:
+    if len(starts) > 1 and abs(means[0] - means[-1]) <= PLATEAU_TOL:
         # cyclic wrap: the first group continues the last one
         starts[0] = starts[-1]
         counts[0] += counts[-1]
@@ -325,7 +327,7 @@ def _pick_window(plateaus: list[Plateau], samples: np.ndarray):
     return a, b, (p1, p2, p3, p4)
 
 
-def find_abab_points(k: CurvatureProfile, plateau_tol: float = 1e-9) -> AbabPoints:
+def find_abab_points(k: CurvatureProfile) -> AbabPoints:
     """Find 0 < a < b attained in the pattern a, b, a, b around the circle.
 
     The window is cut from the two largest interleaved maxima and the two
@@ -334,7 +336,7 @@ def find_abab_points(k: CurvatureProfile, plateau_tol: float = 1e-9) -> AbabPoin
     but its negation does, the search runs on the negation and
     ``sign_flipped`` is set.
     """
-    plateaus = plateau_extrema(k.samples, plateau_tol)
+    plateaus = plateau_extrema(k.samples)
     n_max = sum(1 for p in plateaus if p.kind == "max")
     n_min = sum(1 for p in plateaus if p.kind == "min")
     if n_max < 2 or n_min < 2:
@@ -370,7 +372,6 @@ def build_h1(
     abab: AbabPoints,
     step: StepSpec,
     eps: float,
-    check_grid: int = 10_000,
 ) -> CircleDiffeo:
     """Warp so that k composed with the result is eps-close in measure to the step.
 
@@ -414,7 +415,7 @@ def build_h1(
     sliver = min(eps / 32.0, 0.25 * float(np.min(arc_len)))
     dev_cap = eps / 8.0
     # the verification grid must resolve the slivers it is measuring
-    n_check = max(check_grid, int(256.0 * TWO_PI / eps) + 1)
+    n_check = max(CHECK_GRID_MIN, int(256.0 * TWO_PI / eps) + 1)
     tgrid = TWO_PI * np.arange(n_check) / n_check
     step_vals = step.value_at(tgrid)
     for _ in range(6):

@@ -19,6 +19,7 @@ from .curvature import TWO_PI, CurvatureProfile, ScaleFactor
 
 STRAIGHT_KAPPA = 1e-14  # below this a step is a straight segment
 CLOSURE_REL = 1e-9      # endpoint gap below this fraction of length closes a curve
+PAIR_CHUNK = 1 << 16    # candidate segment pairs that is_simple tests per batch
 
 
 class TooFewSamples(ValueError):
@@ -233,88 +234,72 @@ def curvature_samples(c: PlanarCurve) -> np.ndarray:
     return out
 
 
-def _orient(a: complex, b: complex, c: complex) -> float:
+def _orient(a, b, c):
     return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
 
 
-def _segments_cross(p: complex, q: complex, r: complex, w: complex) -> bool:
+def _in_box(a, b, x):
+    return ((np.minimum(a.real, b.real) <= x.real) & (x.real <= np.maximum(a.real, b.real))
+            & (np.minimum(a.imag, b.imag) <= x.imag) & (x.imag <= np.maximum(a.imag, b.imag)))
+
+
+def _segments_cross(p, q, r, w):
+    """Whether segments pq and rw meet, touching included; elementwise on arrays."""
     o1 = _orient(p, q, r)
     o2 = _orient(p, q, w)
     o3 = _orient(r, w, p)
     o4 = _orient(r, w, q)
-    if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and o1 != 0 and o2 != 0 \
-            and o3 != 0 and o4 != 0:
-        return True
-
-    def on_seg(a, b, x):
-        return (min(a.real, b.real) <= x.real <= max(a.real, b.real)
-                and min(a.imag, b.imag) <= x.imag <= max(a.imag, b.imag))
-
-    if o1 == 0 and on_seg(p, q, r):
-        return True
-    if o2 == 0 and on_seg(p, q, w):
-        return True
-    if o3 == 0 and on_seg(r, w, p):
-        return True
-    if o4 == 0 and on_seg(r, w, q):
-        return True
-    return False
+    proper = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
+    return (proper | ((o1 == 0) & _in_box(p, q, r)) | ((o2 == 0) & _in_box(p, q, w))
+            | ((o3 == 0) & _in_box(r, w, p)) | ((o4 == 0) & _in_box(r, w, q)))
 
 
 def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     """Check that no two non-adjacent polyline segments intersect.
 
-    Sweeps segments by their minimum x, keeping an active set pruned by
-    maximum x, and decides candidate pairs with orientation predicates on
-    the coordinates.  Returns (flag, witness) where the witness is a pair
-    of intersecting segment indices, or None.
+    Each segment, in order of minimum x, is paired with the later ones whose
+    x-range starts before its own ends; pairs overlapping in y are decided by
+    ``_segments_cross``, ``PAIR_CHUNK`` pairs per batch.  The witness is the
+    crossing with the smallest later, then earlier, sorted position; adjacent
+    segments folding back are reported only when nothing crosses.  Returns
+    (flag, witness), the witness a pair of segment indices or None.
     """
     _, pos, _, closed = _ring(c)
-    m = pos.size
-    if closed:
-        a = pos
-        b = np.roll(pos, -1)
-        nseg = m
-    else:
-        a = pos[:-1]
-        b = pos[1:]
-        nseg = m - 1
+    a = pos if closed else pos[:-1]
+    b = np.roll(pos, -1) if closed else pos[1:]
+    nseg = a.size
 
-    minx = np.minimum(a.real, b.real)
-    maxx = np.maximum(a.real, b.real)
-    miny = np.minimum(a.imag, b.imag)
-    maxy = np.maximum(a.imag, b.imag)
-    order = np.argsort(minx, kind="stable")
-
-    def adjacent(i: int, j: int) -> bool:
-        d = abs(i - j)
-        return d <= 1 or (closed and d == nseg - 1)
-
-    active: list[int] = []
-    for idx in order:
-        idx = int(idx)
-        x0 = minx[idx]
-        if active:
-            act = np.array(active)
-            keep = maxx[act] >= x0
-            active = [int(v) for v in act[keep]]
-            cand = act[keep]
-            hit = (minx[cand] <= maxx[idx]) & (miny[cand] <= maxy[idx]) \
-                & (maxy[cand] >= miny[idx])
-            for j in cand[hit]:
-                j = int(j)
-                if adjacent(idx, j):
-                    continue
-                if _segments_cross(a[idx], b[idx], a[j], b[j]):
-                    return False, (min(idx, j), max(idx, j))
-        active.append(idx)
+    order = np.argsort(np.minimum(a.real, b.real), kind="stable")
+    sa, sb = a[order], b[order]
+    minx = np.minimum(sa.real, sb.real)
+    maxx = np.maximum(sa.real, sb.real)
+    miny = np.minimum(sa.imag, sb.imag)
+    maxy = np.maximum(sa.imag, sb.imag)
+    # sorted position p pairs with the counts[p] positions after it; pair
+    # number k belongs to the last p with first[p] <= k
+    counts = np.searchsorted(minx, maxx, side="right") - np.arange(nseg) - 1
+    total = int(np.sum(counts))
+    first = np.cumsum(counts) - counts
+    best = nseg * nseg  # q * nseg + p of the first crossing, p < q sorted positions
+    for k0 in range(0, total, PAIR_CHUNK):
+        k = np.arange(k0, min(k0 + PAIR_CHUNK, total))
+        p = np.searchsorted(first, k, side="right") - 1
+        q = p + 1 + k - first[p]
+        d = np.abs(order[p] - order[q])
+        keep = (miny[p] <= maxy[q]) & (maxy[p] >= miny[q]) & (d > 1) \
+            & ~(closed & (d == nseg - 1))
+        p, q = p[keep], q[keep]
+        hit = _segments_cross(sa[q], sb[q], sa[p], sb[p])
+        best = int(np.min(q[hit] * nseg + p[hit], initial=best))
+    if best < nseg * nseg:
+        i, j = sorted(int(v) for v in order[list(divmod(best, nseg))])
+        return False, (i, j)
 
     # adjacent segments may only meet at their shared endpoint
-    for i in range(nseg if closed else nseg - 1):
-        j = (i + 1) % nseg
-        if _orient(a[i], b[i], b[j]) == 0.0:
-            back = (b[j] - a[j]).real * (a[i] - a[j]).real \
-                + (b[j] - a[j]).imag * (a[i] - a[j]).imag
-            if back > 0:
-                return False, (i, j)
+    i = np.arange(nseg if closed else nseg - 1)
+    j = (i + 1) % nseg
+    back = (b[j] - a[j]).real * (a[i] - a[j]).real + (b[j] - a[j]).imag * (a[i] - a[j]).imag
+    fold = np.flatnonzero((_orient(a[i], b[i], b[j]) == 0.0) & (back > 0))
+    if fold.size:
+        return False, (int(fold[0]), int(j[fold[0]]))
     return True, None

@@ -56,6 +56,8 @@ from .moebius import MoebiusParameter, _beta_value, moebius_apply, moebius_lift
 RESIDUAL_TOL = 1e-9
 ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
+CERTIFICATE_PER_EDGE = 5  # pieces per square edge before adaptive refinement
+POLISH_MAX_ITER = 80     # secant steps before the polish stops
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
 
@@ -175,7 +177,7 @@ def _refine_arc(err, z0, z1, u0, e0, u1, e1, depth):
             + _refine_arc(err, z0, z1, um, em, u1, e1, depth + 1))
 
 
-def _boundary_winding(err, center: complex, half: float, per_edge: int = 5) -> int:
+def _boundary_winding(err, center: complex, half: float) -> int:
     """Winding of the error along a square cell boundary, sampled adaptively."""
     corners = [center + half * w for w in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)]
     corner_vals = [err(z) for z in corners]
@@ -183,11 +185,11 @@ def _boundary_winding(err, center: complex, half: float, per_edge: int = 5) -> i
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
         e_prev = corner_vals[i]
-        us = np.linspace(0.0, 1.0, per_edge + 1)
+        us = np.linspace(0.0, 1.0, CERTIFICATE_PER_EDGE + 1)
         vals = [e_prev] + [err(z0 + (z1 - z0) * u) for u in us[1:-1]] \
             + [corner_vals[(i + 1) % 4]]
         loop.append(e_prev)
-        for j in range(per_edge):
+        for j in range(CERTIFICATE_PER_EDGE):
             seg = _refine_arc(err, z0, z1, us[j], vals[j], us[j + 1], vals[j + 1], 0)
             loop.extend(seg)
         loop.pop()  # the closing corner opens the next edge
@@ -197,7 +199,7 @@ def _boundary_winding(err, center: complex, half: float, per_edge: int = 5) -> i
         raise _EdgeZero from None
 
 
-def _polish(err, x0: complex, tol: float, max_iter: int = 80) -> tuple[complex, float]:
+def _polish(err, x0: complex, tol: float) -> tuple[complex, float]:
     """Two-variable secant iteration with a rank-one update and damping.
 
     An iterate on or outside the unit circle, where no Möbius parameter
@@ -220,7 +222,7 @@ def _polish(err, x0: complex, tol: float, max_iter: int = 80) -> tuple[complex, 
     fy, _ = fvec(x0 + 1j * h)
     jac = np.column_stack(((fx - f0) / h, (fy - f0) / h))
     x, f, r = x0, f0, r0
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

@@ -182,6 +182,19 @@ def test_malformed_json_rejected(tmp_path, capsys, command, text):
     assert err.startswith("error: bad curv") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    ("synth", "t,kappa"), ("synth", "t,kappa\n0,1,2"),
+    ("analyze", "s,x,y,theta"), ("analyze", "s,x,y,theta\n0,0,0\n1,1,0"),
+])
+def test_malformed_csv_rejected(tmp_path, capsys, command, text):
+    # a header without data rows, or rows of the wrong width
+    src = tmp_path / "input.csv"
+    src.write_text(text + "\n", encoding="utf-8")
+    assert cli.main([command, str(src), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad curv") and err.count("\n") == 1
+
+
 def test_curve_round_trip_formats(tmp_path):
     curve = ellipse_curve(512)
     csv_path = tmp_path / "c.csv"
@@ -202,7 +215,7 @@ def test_outputs_are_deterministic(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert cli.main(["synth", str(src), "--out-dir", str(out),
-                         "--grid", "1024", "--seed", "7"]) == 0
+                         "--grid", "1024"]) == 0
         outs.append((out / "curve.csv").read_bytes()
                     + (out / "diagnostics.json").read_bytes())
     assert outs[0] == outs[1]

@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from fourvertex import integrator
 from fourvertex.bicircle import Configuration, closed_form_error
 from fourvertex.curvature import (
     TWO_PI,
@@ -17,6 +20,9 @@ from fourvertex.curvature import (
 from fourvertex.integrator import (
     PlanarCurve,
     TooFewSamples,
+    _orient,
+    _ring,
+    _segments_cross,
     curvature_samples,
     error_vector,
     integrate_arcs,
@@ -169,23 +175,55 @@ class TestIsSimple:
         assert ok
 
 
+def grid_polygon(points, closed: bool) -> PlanarCurve | None:
+    """Polyline through integer points, consecutive repeats dropped; None if degenerate."""
+    pos = [complex(x, y) for x, y in points]
+    pos = [z for k, z in enumerate(pos) if k == 0 or z != pos[k - 1]]
+    if closed and pos[-1] != pos[0]:
+        pos.append(pos[0])
+    if len(pos) < 2:
+        return None
+    pos = np.array(pos)
+    s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)))))
+    return PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size), closed=closed)
+
+
 class TestSweepAgainstBruteForce:
     @staticmethod
-    def brute_force_simple(curve):
-        from fourvertex.integrator import _ring, _segments_cross
-
+    def segments(curve):
         _, pos, _, closed = _ring(curve)
-        m = pos.size
-        nseg = m if closed else m - 1
-        a = pos
         b = np.roll(pos, -1) if closed else pos[1:]
+        return pos[:b.size], b, closed
+
+    @classmethod
+    def brute_force_crossing(cls, curve):
+        """The first non-adjacent pair of segments that meet, or None."""
+        a, b, closed = cls.segments(curve)
+        nseg = a.size
         for i in range(nseg):
             for j in range(i + 2, nseg):
                 if closed and i == 0 and j == nseg - 1:
                     continue
                 if _segments_cross(a[i], b[i], a[j], b[j]):
-                    return False
-        return True
+                    return i, j
+        return None
+
+    @classmethod
+    def brute_force_fold(cls, curve) -> bool:
+        """Whether a segment doubles back along the one before it."""
+        a, b, closed = cls.segments(curve)
+        nseg = a.size
+        for i in range(nseg if closed else nseg - 1):
+            j = (i + 1) % nseg
+            back = (b[j] - a[j]).real * (a[i] - a[j]).real \
+                + (b[j] - a[j]).imag * (a[i] - a[j]).imag
+            if _orient(a[i], b[i], b[j]) == 0.0 and back > 0:
+                return True
+        return False
+
+    @classmethod
+    def brute_force_simple(cls, curve) -> bool:
+        return cls.brute_force_crossing(curve) is None and not cls.brute_force_fold(curve)
 
     def test_matches_on_random_star_curves(self):
         from fourvertex.analysis import random_star_curve
@@ -199,6 +237,51 @@ class TestSweepAgainstBruteForce:
         lim = limacon_curve(128)
         assert is_simple(lim)[0] is False
         assert self.brute_force_simple(lim) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=10),
+           st.booleans())
+    def test_matches_on_grid_polygons(self, points, closed):
+        # integer vertices make collinear overlaps, shared vertices and folds common
+        c = grid_polygon(points, closed)
+        assume(c is not None)
+        ok, witness = is_simple(c)
+        assert ok == self.brute_force_simple(c)
+        if ok:
+            assert witness is None
+            return
+        a, b, ring_closed = self.segments(c)
+        i, j = witness
+        if self.brute_force_crossing(c) is not None:
+            # a crossing takes precedence over a fold
+            assert j - i > 1 and not (ring_closed and (i, j) == (0, a.size - 1))
+            assert _segments_cross(a[i], b[i], a[j], b[j])
+        else:
+            assert j == (i + 1) % a.size and self.brute_force_fold(c)
+        with mock.patch.object(integrator, "PAIR_CHUNK", 3):
+            assert is_simple(c) == (ok, witness)
+
+
+@pytest.mark.parametrize("n, witness", [(128, (74, 117)), (2048, (1194, 1877)),
+                                        (8192, (4778, 7509))])
+def test_limacon_witness_pinned(n, witness):
+    # the first crossing in the order of the former per-segment sweep
+    assert is_simple(limacon_curve(n)) == (False, witness)
+
+
+def test_witness_independent_of_batch_size(monkeypatch):
+    from fourvertex.analysis import random_star_curve
+
+    rng = np.random.default_rng(17)
+    # at 3 pairs per batch, the first crossing in sweep order is not in the
+    # first batch that holds a crossing
+    pentagon = grid_polygon([(2, 3), (8, 2), (1, 1), (5, 8), (8, 0)], closed=True)
+    curves = [pentagon] + [limacon_curve(n) for n in (128, 2048, 8192)] \
+        + [random_star_curve(rng, n=96) for _ in range(25)]
+    expected = [is_simple(c) for c in curves]
+    assert expected[0] == (False, (0, 2))
+    monkeypatch.setattr(integrator, "PAIR_CHUNK", 3)
+    assert [is_simple(c) for c in curves] == expected
 
 
 class TestIntegrateArcs:
