@@ -9,6 +9,7 @@ against their circumscribed circle.
 from .analysis import (
     ConstantCurvature,
     EnclosingCircle,
+    EnclosingCircleFailed,
     NoContact,
     NotClosed,
     NotSimple,

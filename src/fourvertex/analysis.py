@@ -2,7 +2,7 @@
 
 A vertex is a strict local extremum (plateau) of the discrete curvature.
 The smallest enclosing circle of the curve's samples is computed by a
-randomized incremental construction; the contact set between curve and
+farthest-point support iteration; the contact set between curve and
 circle, split into point and arc components, drives the vertex-count
 bounds: with n contact components the curve carries at least 2n vertices,
 plus two extra for every component that is a full arc.
@@ -11,13 +11,13 @@ plus two extra for every component that is a full arc.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
 from .curvature import TWO_PI, plateau_extrema
-from .integrator import PlanarCurve, _orient, _ring, curvature_samples, is_simple
+from .integrator import PlanarCurve, _ring, curvature_samples, is_simple
 
 
 class NotSimple(ValueError):
@@ -34,6 +34,10 @@ class ConstantCurvature(ValueError):
 
 class NoContact(RuntimeError):
     """No sample lies within the contact band of the enclosing circle."""
+
+
+class EnclosingCircleFailed(RuntimeError):
+    """The support iteration hit its cap without enclosing every point."""
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,10 @@ class OssermanReport:
 
 
 _IN_CIRCLE_EPS = 1.0 + 1e-14
+_MEC_MAX_ITER = 256
 
 
-def _inside(c: tuple[complex, float], p: complex) -> bool:
-    return abs(p - c[0]) <= c[1] * _IN_CIRCLE_EPS
-
-
-def _diameter(a: complex, b: complex) -> tuple[complex, float]:
-    center = 0.5 * (a + b)
-    return center, max(abs(center - a), abs(center - b))
-
-
-def _circumcircle(a: complex, b: complex, c: complex) -> tuple[complex, float] | None:
+def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
     # shift toward the bounding-box center for conditioning
     o = complex(
         0.5 * (min(a.real, b.real, c.real) + max(a.real, b.real, c.real)),
@@ -106,68 +102,60 @@ def _circumcircle(a: complex, b: complex, c: complex) -> tuple[complex, float] |
          + (cx * cx + cy * cy) * (ay - by)) / d
     y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
          + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = o + complex(x, y)
-    return center, max(abs(center - a), abs(center - b), abs(center - c))
+    return o + complex(x, y)
 
 
-def _mec_two_points(points, p: complex, q: complex) -> tuple[complex, float]:
-    circ = _diameter(p, q)
-    left = None
-    right = None
-    for r in points:
-        if _inside(circ, r):
+def _support_circle(points: list[complex]) -> tuple[list[complex], complex, float]:
+    """Smallest circle of two to four points, by brute force.
+
+    Every pair's midpoint and every triple's circumcenter is a candidate
+    center; each is given the radius reaching its farthest point, and the
+    smallest wins.  Returns the points that define it, its center and radius.
+    """
+    best = None
+    for sub in chain(combinations(points, 2), combinations(points, 3)):
+        center = 0.5 * (sub[0] + sub[1]) if len(sub) == 2 else _circumcenter(*sub)
+        if center is None:
             continue
-        cross = _orient(p, q, r)
-        c = _circumcircle(p, q, r)
-        if c is None:
-            continue
-        if cross > 0.0 and (left is None
-                            or _orient(p, q, c[0]) > _orient(p, q, left[0])):
-            left = c
-        elif cross < 0.0 and (right is None
-                              or _orient(p, q, c[0]) < _orient(p, q, right[0])):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[1] <= right[1] else right
+        radius = max(abs(p - center) for p in points)
+        if best is None or radius < best[2]:
+            best = (list(sub), center, radius)
+    return best
 
 
-def _mec_one_point(points, p: complex) -> tuple[complex, float]:
-    c = (p, 0.0)
-    for i, q in enumerate(points):
-        if not _inside(c, q):
-            if c[1] == 0.0:
-                c = _diameter(p, q)
-            else:
-                c = _mec_two_points(points[: i + 1], p, q)
-    return c
-
-
-def min_enclosing_circle(points, seed: int = 0) -> EnclosingCircle:
+def min_enclosing_circle(points) -> EnclosingCircle:
     """Smallest circle enclosing the points.
 
-    Randomized incremental construction, expected linear time; the shuffle
-    seed makes the run deterministic.  The result is verified to contain
-    every input point.
+    Farthest-point support iteration (Elzinga and Hearn, 1972): keep at most
+    three support points, take their smallest circle, and add the input
+    point farthest from its center while that point lies outside.  The
+    radius grows strictly, so the loop ends; it is capped all the same.
+    The points are scaled by a power of two, which is exact, so that the
+    circumcenter's cubic terms neither overflow nor underflow.  The result
+    is verified to contain every input point.
     """
-    pts = [complex(p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    shuffled = list(pts)
-    random.Random(seed).shuffle(shuffled)
-    c: tuple[complex, float] | None = None
-    for i, p in enumerate(shuffled):
-        if c is None or not _inside(c, p):
-            c = _mec_one_point(shuffled[:i], p)
-    center, radius = c
-    worst = max(abs(p - center) for p in pts)
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("need a non-empty sequence of points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    extent = max(float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
+    scale = math.ldexp(1.0, math.frexp(extent)[1])
+    pts = pts / scale
+    support, center, radius = [complex(pts[0])], complex(pts[0]), 0.0
+    for _ in range(_MEC_MAX_ITER):
+        dist = np.abs(pts - center)
+        far = int(np.argmax(dist))
+        if dist[far] <= radius * _IN_CIRCLE_EPS:
+            break
+        support, center, radius = _support_circle(support + [complex(pts[far])])
+    else:
+        raise EnclosingCircleFailed(
+            f"no enclosing circle after {_MEC_MAX_ITER} support updates")
+    worst = float(np.max(np.abs(pts - center)))
     if worst > radius * (1.0 + 1e-9):
         raise RuntimeError("enclosing circle failed containment verification")
-    return EnclosingCircle(center, radius)
+    return EnclosingCircle(center * scale, radius * scale)
 
 
 def _params(c: PlanarCurve, ring_size: int) -> np.ndarray:
@@ -273,7 +261,6 @@ def detect_vertices(c: PlanarCurve) -> VertexReport:
 def osserman_check(
     c: PlanarCurve,
     band: float | None = None,
-    seed: int = 0,
 ) -> OssermanReport:
     """Vertex-count bounds against the circumscribed circle.
 
@@ -293,7 +280,7 @@ def osserman_check(
         raise NotSimple(f"curve has a self-intersection near segments {witness}")
     _, pos, _, _ = _ring(c)
     m = pos.size
-    circle = min_enclosing_circle(pos, seed=seed)
+    circle = min_enclosing_circle(pos)
     comps = contact_components(c, circle, band=band)
     gap = contact_angular_gap(c, circle, band=band)
     report = detect_vertices(c)

@@ -232,13 +232,13 @@ def cmd_analyze(args) -> int:
         print(f"error: curve has too few samples: {ex}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        oss = analysis.osserman_check(curve, seed=args.seed)
+        oss = analysis.osserman_check(curve)
         out["osserman"] = _osserman_json(oss)
         out["simple"] = True
         circle = oss.circle
     except analysis.NotSimple:
         out["simple"] = False
-        circle = analysis.min_enclosing_circle(curve.pos, seed=args.seed)
+        circle = analysis.min_enclosing_circle(curve.pos)
     except analysis.ConstantCurvature:
         out["osserman"] = {"constant_curvature": True}
         out["simple"] = True
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="vertex and enclosing-circle report")
     p.add_argument("curve_file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_analyze)

@@ -233,40 +233,42 @@ def plateau_extrema(values) -> list[Plateau]:
     """
     v = np.asarray(values, dtype=float)
     n = v.size
-    starts: list[int] = []
-    sums: list[float] = []
-    counts: list[int] = []
-    for j in range(n):
-        if starts and abs(v[j] - sums[-1] / counts[-1]) <= PLATEAU_TOL:
-            sums[-1] += v[j]
-            counts[-1] += 1
-        else:
-            starts.append(j)
-            sums.append(v[j])
-            counts.append(1)
-    means = [s / c for s, c in zip(sums, counts)]
-    if len(starts) > 1 and abs(means[0] - means[-1]) <= PLATEAU_TOL:
-        # cyclic wrap: the first group continues the last one
-        starts[0] = starts[-1]
-        counts[0] += counts[-1]
-        sums[0] += sums[-1]
-        means[0] = sums[0] / counts[0]
-        del starts[-1], sums[-1], counts[-1], means[-1]
-    m = len(starts)
-    if m < 2:
+    if n < 2:
         return []
-    out = []
-    for g in range(m):
-        prev = means[(g - 1) % m]
-        nxt = means[(g + 1) % m]
-        if means[g] > prev and means[g] > nxt:
-            kind = "max"
-        elif means[g] < prev and means[g] < nxt:
-            kind = "min"
-        else:
-            continue
-        out.append(Plateau(starts[g], counts[g], kind, means[g]))
-    return out
+    # A group's last member lies within PLATEAU_TOL of its running mean, so a
+    # step above 2*PLATEAU_TOL (plus slack for the rounding of the means)
+    # always starts a new group; the running-mean rule runs only inside runs
+    # of smaller steps.
+    big = 2.0 * PLATEAU_TOL + 16.0 * np.finfo(float).eps * np.max(np.abs(v))
+    head = np.concatenate(([True], np.abs(np.diff(v)) > big))  # first sample of a group
+    total = v.copy()  # each group's sum, kept at its first sample
+    first = np.flatnonzero(head)
+    runs = np.diff(np.append(first, n))
+    for a, length in zip(first[runs > 1].tolist(), runs[runs > 1].tolist()):
+        g, s = a, float(v[a])
+        for j, x in enumerate(v[a + 1:a + length].tolist(), a + 1):
+            if abs(x - s / (j - g)) <= PLATEAU_TOL:
+                s += x
+            else:
+                total[g], head[j], g, s = s, True, j, x
+        total[g] = s
+    start = np.flatnonzero(head)
+    count = np.diff(np.append(start, n))
+    total = total[start]
+    mean = total / count
+    if start.size > 1 and abs(mean[0] - mean[-1]) <= PLATEAU_TOL:
+        # cyclic wrap: the first group continues the last one
+        start[0] = start[-1]
+        count[0] += count[-1]
+        mean[0] = (total[0] + total[-1]) / count[0]
+        start, count, mean = start[:-1], count[:-1], mean[:-1]
+    if start.size < 2:
+        return []
+    prev, nxt = np.roll(mean, 1), np.roll(mean, -1)
+    is_max = (mean > prev) & (mean > nxt)
+    is_min = (mean < prev) & (mean < nxt)
+    return [Plateau(int(start[g]), int(count[g]), "max" if is_max[g] else "min", mean[g])
+            for g in np.flatnonzero(is_max | is_min)]
 
 
 def _cyclic_between(start: int, end: int, query: int, n: int) -> bool:

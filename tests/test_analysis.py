@@ -1,10 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fourvertex import analysis
 from fourvertex.analysis import (
     ConstantCurvature,
+    EnclosingCircleFailed,
     NoContact,
     NotClosed,
     NotSimple,
@@ -57,22 +61,119 @@ class TestMinEnclosingCircle:
         pts = list(rng.normal(size=60) + 1j * rng.normal(size=60))
         base = min_enclosing_circle(pts)
         rng.shuffle(pts)
-        permuted = min_enclosing_circle(pts, seed=99)
+        permuted = min_enclosing_circle(pts)
         assert abs(permuted.center - base.center) < 1e-12
         assert abs(permuted.radius - base.radius) < 1e-12
-        padded = min_enclosing_circle(pts + [base.center], seed=5)
+        padded = min_enclosing_circle(pts + [base.center])
         assert abs(padded.radius - base.radius) < 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=100) + 1j * rng.normal(size=100)
-        a = min_enclosing_circle(pts, seed=1)
-        b = min_enclosing_circle(pts, seed=1)
+        a = min_enclosing_circle(pts)
+        b = min_enclosing_circle(pts)
         assert a == b
 
     def test_requires_points(self):
         with pytest.raises(ValueError):
             min_enclosing_circle([])
+
+    def test_one_point(self):
+        c = min_enclosing_circle([1.5 - 2j])
+        assert c.center == 1.5 - 2j and c.radius == 0.0
+
+    def test_all_points_equal(self):
+        c = min_enclosing_circle([0.3 + 0.7j] * 40)
+        assert c.center == 0.3 + 0.7j and c.radius == 0.0
+
+    def test_exactly_collinear(self):
+        rng = np.random.default_rng(6)
+        pts = 2 + 1j + rng.permutation(np.linspace(-1.0, 3.0, 101)) * (1 + 2j)
+        c = min_enclosing_circle(pts)
+        assert abs(c.center - (3 + 3j)) < 1e-14
+        assert c.radius == pytest.approx(2 * abs(1 + 2j), rel=1e-15)
+
+    def test_regular_polygon_on_circle(self):
+        pts = 0.25 + np.exp(2j * math.pi * np.arange(2048) / 2048)
+        c = min_enclosing_circle(pts)
+        assert abs(c.center - 0.25) < 1e-15
+        assert c.radius == pytest.approx(1.0, rel=1e-15)
+        assert np.all(np.abs(pts - c.center) <= c.radius * analysis._IN_CIRCLE_EPS)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e300])
+    def test_extreme_coordinates_scale_exactly(self, scale):
+        # the circumcenter's cubic terms would overflow or underflow unscaled
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=50) + 1j * rng.normal(size=50)
+        base = min_enclosing_circle(pts)
+        c = min_enclosing_circle(pts * scale)
+        assert c.radius == pytest.approx(base.radius * scale, rel=1e-15)
+        assert abs(c.center - base.center * scale) <= 1e-15 * base.radius * scale
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            min_enclosing_circle([0j, 1 + 1j, bad, 2j])
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # two points take one support update and a check; an acute triangle
+        # needs a second update after its diameter
+        monkeypatch.setattr(analysis, "_MEC_MAX_ITER", 2)
+        assert min_enclosing_circle([0j, 2 + 0j]).radius == 1.0
+        with pytest.raises(EnclosingCircleFailed):
+            min_enclosing_circle([0j, 2 + 0j, 1 + 1.5j])
+
+
+def brute_force_circle(pts):
+    """Smallest of the circles centered on a pair's midpoint or a triple's
+    circumcenter, each grown to reach its farthest point."""
+    pts = np.asarray(pts, dtype=complex)
+    centers = [pts[0]] + [0.5 * (p + q) for p, q in combinations(pts, 2)]
+    for a, b, c in combinations(pts, 3):
+        u, v = b - a, c - a
+        det = 2.0 * (u.real * v.imag - u.imag * v.real)
+        if det != 0.0:
+            uu, vv = abs(u) ** 2, abs(v) ** 2
+            centers.append(a + complex(uu * v.imag - vv * u.imag, vv * u.real - uu * v.real) / det)
+    radii = [float(np.max(np.abs(pts - c))) for c in centers]
+    return min(radii)
+
+
+grid = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+@st.composite
+def small_point_sets(draw):
+    """At most 10 points: scattered on a grid, near a line or near a circle;
+    some duplicated."""
+    kind = draw(st.sampled_from(["scattered", "line", "circle"]))
+    if kind == "scattered":
+        pts = draw(st.lists(st.builds(complex, grid, grid), min_size=1, max_size=7))
+    elif kind == "circle":
+        ks = draw(st.lists(st.integers(0, 63), min_size=1, max_size=7, unique=True))
+        rel = draw(st.lists(st.sampled_from([0.0, -1e-11, 1e-11, 1e-6]),
+                            min_size=len(ks), max_size=len(ks)))
+        center = draw(st.builds(complex, grid, grid))
+        pts = [center + (1 + d) * complex(math.cos(k * math.pi / 32), math.sin(k * math.pi / 32))
+               for k, d in zip(ks, rel)]
+    else:
+        a = draw(st.builds(complex, grid, grid))
+        b = a + draw(st.builds(complex, grid, grid).filter(lambda d: d != 0))
+        ts = draw(st.lists(st.integers(-8, 8), min_size=2, max_size=7, unique=True))
+        off = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-4]))
+        signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(ts), max_size=len(ts)))
+        pts = [a + (t / 4) * (b - a) + s * off * 1j * (b - a) for t, s in zip(ts, signs)]
+    dups = draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))
+    return pts + [pts[i] for i in dups]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_point_sets())
+def test_enclosing_circle_matches_brute_force(pts):
+    c = min_enclosing_circle(pts)
+    ref = brute_force_circle(pts)
+    assert abs(c.radius - ref) <= 1e-12 * ref
+    assert np.all(np.abs(np.asarray(pts) - c.center) <= c.radius * (1 + 1e-12))
 
 
 class TestContactComponents:

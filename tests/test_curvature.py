@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fourvertex.curvature import (
+    PLATEAU_TOL,
     TWO_PI,
     CircleDiffeo,
     CurvatureProfile,
     HypothesisViolated,
+    Plateau,
     ScaleFactor,
     StepSpec,
     ZeroTotalCurvature,
@@ -197,6 +199,84 @@ class TestLocalExtrema:
         assert sorted(p.kind for p in ext) == ["max", "max", "min", "min"]
         assert {round(p.value, 12) for p in ext} == {1.0, 3.0}
         assert [p.length for p in ext] == [256] * 4
+
+
+def reference_plateau_extrema(values):
+    """One pass of the running-mean grouping rule, sample by sample."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    starts, sums, counts = [], [], []
+    for j in range(n):
+        if starts and abs(v[j] - sums[-1] / counts[-1]) <= PLATEAU_TOL:
+            sums[-1] += v[j]
+            counts[-1] += 1
+        else:
+            starts.append(j)
+            sums.append(v[j])
+            counts.append(1)
+    means = [s / c for s, c in zip(sums, counts)]
+    if len(starts) > 1 and abs(means[0] - means[-1]) <= PLATEAU_TOL:
+        starts[0] = starts[-1]
+        counts[0] += counts[-1]
+        sums[0] += sums[-1]
+        means[0] = sums[0] / counts[0]
+        del starts[-1], sums[-1], counts[-1], means[-1]
+    m = len(starts)
+    if m < 2:
+        return []
+    out = []
+    for g in range(m):
+        prev = means[(g - 1) % m]
+        nxt = means[(g + 1) % m]
+        if means[g] > prev and means[g] > nxt:
+            kind = "max"
+        elif means[g] < prev and means[g] < nxt:
+            kind = "min"
+        else:
+            continue
+        out.append(Plateau(starts[g], counts[g], kind, means[g]))
+    return out
+
+
+@st.composite
+def plateau_sequences(draw):
+    """Step, plateau, noisy and smooth cyclic sequences, rolled across index 0."""
+    kind = draw(st.sampled_from(["step", "plateau", "noisy", "smooth"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    if kind == "step":
+        levels = rng.choice(draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4)), size=n)
+        v = levels[np.sort(rng.integers(0, n, size=n))]
+    elif kind == "plateau":
+        # runs of sub-tolerance jitter and drift, some steps just above 2 tol
+        spread = draw(st.sampled_from([0.3, 0.9, 1.0, 1.5, 2.0, 2.5]))
+        levels = rng.integers(-2, 3, size=n) * draw(st.sampled_from([1.0, 3e-9, 1e-3]))
+        v = (levels[np.sort(rng.integers(0, n, size=n))] + draw(st.floats(-50, 50))
+             + np.cumsum(rng.uniform(-spread, spread, size=n)) * PLATEAU_TOL
+             * draw(st.sampled_from([0.0, 1.0])))
+        v = v + rng.uniform(-spread, spread, size=n) * PLATEAU_TOL
+    elif kind == "noisy":
+        t = TWO_PI * np.arange(n) / n
+        v = np.cos(draw(st.integers(1, 4)) * t) + rng.normal(size=n) * PLATEAU_TOL * draw(
+            st.sampled_from([0.1, 1.0, 10.0, 1e6]))
+    else:
+        t = TWO_PI * np.arange(n) / n
+        v = draw(st.floats(1e-6, 1e3)) * np.cos(draw(st.integers(1, 6)) * t + draw(st.floats(0, 7)))
+    return np.roll(v, draw(st.integers(0, n)))
+
+
+class TestPlateauExtremaOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(plateau_sequences())
+    @example(np.array([1.0 + 0.4e-9, 2.0, 2.0, 0.0, 1.0 - 0.4e-9, 1.0]))  # plateau wraps index 0
+    @example(np.array([0.0, 1e-9, 3e-9, 3e-9 + 2e-9, 0.5, 0.5, -1.0]))
+    def test_matches_running_mean_loop(self, v):
+        assert plateau_extrema(v) == reference_plateau_extrema(v)
+
+    def test_pinned_profiles(self):
+        step = profile_from_step(StepSpec(1.0, 3.0), 1024).samples
+        for v in (ridge().samples, cos2t().samples, step, np.roll(step, 100), np.ones(7), [2.0]):
+            assert plateau_extrema(v) == reference_plateau_extrema(v)
 
 
 class TestFindAbab:
