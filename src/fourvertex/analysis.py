@@ -194,30 +194,18 @@ def contact_components(
     m = pos.size
     params = _params(c, m)
 
-    runs: list[tuple[int, int]] = []
-    j = 0
-    while j < m:
-        if near[j]:
-            j0 = j
-            while j < m and near[j]:
-                j += 1
-            runs.append((j0, j - j0))
-        else:
-            j += 1
-    if len(runs) > 1 and near[0] and near[m - 1]:
-        first, last = runs[0], runs.pop()
-        runs[0] = (last[0], last[1] + first[1])
-    if len(runs) == 1 and runs[0][1] == m:
-        comp = ContactComponent((float(params[0]), float(params[m - 1])), "arc", 0, m)
-        return [comp]
-
-    out = []
-    for start, count in runs:
-        end = (start + count - 1) % m
-        kind = "point" if count <= 2 else "arc"
-        out.append(ContactComponent(
-            (float(params[start]), float(params[end])), kind, start, count))
-    return out
+    edges = np.diff(near.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    counts = np.flatnonzero(edges == -1) - starts
+    if starts.size > 1 and near[0] and near[m - 1]:
+        # cyclic wrap: the last run continues into the first
+        starts[0] = starts[-1]
+        counts[0] += counts[-1]
+        starts, counts = starts[:-1], counts[:-1]
+    ends = (starts + counts - 1) % m
+    return [ContactComponent((float(params[a]), float(params[e])),
+                             "arc" if n > 2 or n == m else "point", a, n)
+            for a, e, n in zip(starts.tolist(), ends.tolist(), counts.tolist())]
 
 
 def contact_angular_gap(

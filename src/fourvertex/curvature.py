@@ -207,14 +207,17 @@ def total_curvature(k: CurvatureProfile) -> float:
     return float(np.mean(k.samples) * TWO_PI)
 
 
+def normalizing_scale(total: float, samples: np.ndarray) -> ScaleFactor:
+    """Factor taking a total curvature of ``total`` to 2*pi; rejects a near-zero total."""
+    if abs(total) < ZERO_TOTAL_REL * float(np.max(np.abs(samples))) * TWO_PI:
+        raise ZeroTotalCurvature(f"total curvature {total:.3e} below threshold")
+    return ScaleFactor(TWO_PI / total)
+
+
 def normalize_total(k: CurvatureProfile) -> tuple[CurvatureProfile, ScaleFactor]:
     """Rescale so the total curvature equals 2*pi."""
-    total = total_curvature(k)
-    peak = float(np.max(np.abs(k.samples)))
-    if abs(total) < ZERO_TOTAL_REL * peak * TWO_PI:
-        raise ZeroTotalCurvature(f"total curvature {total:.3e} below threshold")
-    c = TWO_PI / total
-    return CurvatureProfile(c * k.samples, k.interp), ScaleFactor(c)
+    sc = normalizing_scale(total_curvature(k), k.samples)
+    return CurvatureProfile(sc.c * k.samples, k.interp), sc
 
 
 def compose(k: CurvatureProfile, d: CircleDiffeo) -> CurvatureProfile:

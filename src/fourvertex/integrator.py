@@ -95,7 +95,7 @@ class ErrorVector:
         return abs(self.e)
 
 
-def _integrate(kappa: np.ndarray, ds: np.ndarray, t: np.ndarray | None = None) -> PlanarCurve:
+def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
     turn = kappa * ds
     if np.any(np.abs(turn) >= math.pi):
         raise TooFewSamples("a grid step turns by half a turn or more")
@@ -117,19 +117,18 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray, t: np.ndarray | None = None) -
     s[0] = 0.0
     np.cumsum(ds, out=s[1:])
     closed = abs(pos[-1] - pos[0]) < CLOSURE_REL * s[-1]
-    return PlanarCurve(s=s, pos=pos, theta=theta, closed=closed, t=t)
+    return PlanarCurve(s=s, pos=pos, theta=theta, closed=closed)
 
 
-def integrate_curve(k: CurvatureProfile) -> PlanarCurve:
+def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:
     """Curve starting at the origin heading along +x with curvature k(s).
 
-    Within each grid step the curvature is held at the step's left sample
-    and the position advances along the exact circular arc, so a
-    grid-aligned step profile integrates without modeling error.
+    Sample j's curvature is held over the j-th arc-length step ``ds[j]``
+    (uniform 2*pi/n by default) and the position advances along the exact
+    circular arc, so a grid-aligned step profile integrates without
+    modeling error.
     """
-    n = k.n
-    ds = np.full(n, TWO_PI / n)
-    return _integrate(k.samples, ds, t=None)
+    return _integrate(k.samples, np.full(k.n, TWO_PI / k.n) if ds is None else ds)
 
 
 def integrate_arcs(curvatures, lengths, max_step: float = 3e-3) -> PlanarCurve:

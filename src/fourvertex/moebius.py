@@ -62,12 +62,14 @@ def moebius_on_config(m, c: Configuration) -> Configuration:
 def moebius_lift(m, n: int = 4096) -> CircleDiffeo:
     """Restriction to the unit circle as a sampled monotone lift.
 
-    The sample count is raised automatically if the map is steep enough
-    that unwrapping could miss a turn.
+    The sample count is raised to a multiple of n if the map is steep
+    enough that unwrapping could miss a turn, so the lift still samples
+    the n-point grid.
     """
     beta = _beta_value(m)
     slope = (1.0 + abs(beta)) / (1.0 - abs(beta))
-    n = max(int(n), int(8 * slope) + 8)
+    n = int(n)
+    n *= max(1, math.ceil((int(8 * slope) + 8) / n))
     grid = TWO_PI * np.arange(n + 1) / n
     values = np.unwrap(np.angle(moebius_apply(beta, np.exp(1j * grid))))
     values[-1] = values[0] + TWO_PI

@@ -2,14 +2,17 @@
 
 The endpoint error of a normalized curvature profile, precomposed with the
 disk of special Möbius maps, winds once around the origin along small
-parameter circles, so it vanishes somewhere inside.  The zero search
-polishes from the disk center with a two-variable secant iteration and
-certifies the polished root by a nonzero winding along a small square
-around it, counted by :func:`fourvertex.integrator.winding_number`.  A
-root that fails the certificate fails the synthesis round, which retries
-with a finer warp.  The synthesis pipeline warps an admissible profile
-onto a two-value step function, closes the curve by that root, and
-reparameterizes the result back to the original parameter.
+parameter circles, so it vanishes somewhere inside.  Each evaluation
+integrates the profile on its own grid, with arc-length steps given by the
+inverse map's boundary lift, so the error is smooth in the parameter.  The
+zero search polishes from the disk center with a two-variable secant
+iteration and certifies the polished root by a nonzero winding along a
+small square around it, counted by
+:func:`fourvertex.integrator.winding_number`.  A root that fails the
+certificate fails the synthesis round, which retries with a finer warp.
+The synthesis pipeline warps an admissible profile onto a two-value step
+function, closes the curve by that root, and tags each sample with the
+original parameter the warp sends it to.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .curvature import (
     compose,
     find_abab_points,
     normalize_total,
+    normalizing_scale,
     profile_from_step,
     reflect_negate,
 )
@@ -44,14 +48,13 @@ from .integrator import (
     TooFewSamples,
     curvature_samples,
     error_vector,
-    integrate_arcs,
     integrate_curve,
     is_simple,
     reverse_curve,
     scale_curve,
     winding_number,
 )
-from .moebius import MoebiusParameter, _beta_value, moebius_apply, moebius_lift
+from .moebius import MoebiusParameter, _beta_value, moebius_lift
 
 RESIDUAL_TOL = 1e-9
 ZERO_ON_EDGE = 1e-12
@@ -115,48 +118,25 @@ class SynthesisResult:
     diagnostics: SynthesisDiagnostics
 
 
-def _two_value_runs(k: CurvatureProfile):
-    """(values, breakpoints) when k is a four-run two-value step profile."""
-    if k.interp != "step":
-        return None
-    s = k.samples
-    change = np.nonzero(s != np.roll(s, 1))[0]
-    if change.size != 4:
-        return None
-    vals = s[change]
-    if not (vals[0] == vals[2] and vals[1] == vals[3] and vals[0] != vals[1]):
-        return None
-    return vals.astype(float), TWO_PI * change / k.n
-
-
 def error_at_beta(
     k1: CurvatureProfile, m
 ) -> tuple[ErrorVector, PlanarCurve, ScaleFactor]:
     """Endpoint error of k1 precomposed with the Möbius map, normalized.
 
-    Two-value step profiles take an exact path: their breakpoints are
-    pulled back through the map in closed form and the four arcs integrate
-    without grid error.  Other profiles are composed through the sampled
-    lift and integrated on the grid.
+    Substituting u = g_beta(s), the curve's curvature is c * k1(u) on k1's
+    own grid u_j: sample j holds over the arc-length step
+    ds_j = L(u_{j+1}) - L(u_j), where L is the boundary lift of the inverse
+    map g_{-beta}, and c = 2*pi / sum_j k1_j ds_j normalizes the total
+    curvature.  The steps are smooth in beta, and so is the error; the curve
+    starts at u = 0, which only rotates the error of a curve cut at s = 0.
+    Raises ZeroTotalCurvature when the weighted total nearly vanishes.
     """
     beta = _beta_value(m)
-    runs = _two_value_runs(k1)
-    if runs is not None:
-        vals, bps = runs
-        mapped = np.mod(np.angle(moebius_apply(-beta, np.exp(1j * bps))), TWO_PI)
-        order = np.argsort(mapped)
-        tm = mapped[order]
-        vm = vals[order]
-        lengths = np.concatenate(([tm[0]], np.diff(tm), [TWO_PI - tm[-1]]))
-        values = np.concatenate(([vm[-1]], vm))
-        total = float(np.sum(values * lengths))
-        c = TWO_PI / total
-        curve = integrate_arcs(c * values, lengths, max_step=TWO_PI / k1.n)
-        return error_vector(curve), curve, ScaleFactor(c)
-    lift = moebius_lift(beta, n=k1.n)
-    k2 = compose(k1, lift)
-    k3, sc = normalize_total(k2)
-    curve = integrate_curve(k3)
+    lift = moebius_lift(-beta, n=k1.n)
+    # a steep map raises the lift's sample count to a multiple of k1.n
+    ds = np.diff(lift.values[::(lift.values.size - 1) // k1.n])
+    sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
+    curve = integrate_curve(CurvatureProfile(sc.c * k1.samples, k1.interp), ds)
     return error_vector(curve), curve, sc
 
 
@@ -280,11 +260,6 @@ def find_zero_beta(
     return MoebiusParameter(beta)
 
 
-def _reparameterize(curve: PlanarCurve, h1: CircleDiffeo, beta: complex) -> np.ndarray:
-    lift = moebius_lift(beta, n=curve.s.size - 1)
-    return np.mod(np.asarray(h1(lift(curve.s))), TWO_PI)
-
-
 def synthesize(
     k: CurvatureProfile,
     eps0: float = 0.1,
@@ -303,11 +278,15 @@ def synthesize(
     -k(2*pi - t) runs a schedule of its own and the finished curve is
     reversed; max_rounds bounds each schedule.
 
-    The grid must resolve the warp's sliver arcs for the final curvature
-    check to pass; profiles coarser than about 2048 samples fail the
-    schedule at the default eps0.  Once eps drops below the grid step
-    2*pi/n, the n-sample curvature check could pass only with no mismatched
-    sample at all, so the schedule stops there and raises SynthesisFailed.
+    The final check measures the curvature mismatch as 2*pi times the
+    share of mismatched curve samples, as ``bench/worker.py`` counts it;
+    the samples are uniform in the warp parameter u, not in arc length.
+    The mismatch sits at the four step jumps, where k(h1(u)) changes by a
+    large step between neighbouring samples; one sample at each already
+    has measure 8*pi/n, so profiles of fewer than 8*pi/eps0 samples (251
+    at the default eps0) fail every round.  Once eps drops below the grid
+    step 2*pi/n, the check could pass only with no mismatched sample at
+    all, so the schedule stops there and raises SynthesisFailed.
     Step-interpolated input is realized through its continuous
     piecewise-linear envelope.  Raises BadParameter unless 0 < r0 < 1, eps0
     is finite and positive, and max_rounds >= 1.
@@ -347,7 +326,10 @@ def synthesize(
         if abab.sign_flipped:
             continue  # work admits no positive value window
 
-        step = StepSpec(abab.a, abab.b)
+        # breakpoints half a grid step off the grid keep k1's samples off the
+        # sliver midpoints, around which h1 sweeps most of k's domain
+        step = StepSpec(abab.a, abab.b,
+                        tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
         k0 = profile_from_step(step, n=k.n)
         ref_curve = integrate_curve(normalize_total(k0)[0])
         tol_kappa = 0.05 * (abab.b - abab.a)
@@ -393,7 +375,8 @@ def synthesize(
                 eps *= 0.5
                 continue
 
-            tags = _reparameterize(curve, h1, beta_star.beta)
+            # sample j of the curve carries k1(u_j) = k(h1(u_j))
+            tags = np.mod(h1(TWO_PI * np.arange(k.n + 1) / k.n), TWO_PI)
             final = replace(scale_curve(curve, sc), t=tags)
             if flipped:
                 final = reverse_curve(final)

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fourvertex import analysis
 from fourvertex.analysis import (
     ConstantCurvature,
+    ContactComponent,
+    EnclosingCircle,
     EnclosingCircleFailed,
     NoContact,
     NotClosed,
@@ -176,6 +178,56 @@ def test_enclosing_circle_matches_brute_force(pts):
     assert np.all(np.abs(np.asarray(pts) - c.center) <= c.radius * (1 + 1e-12))
 
 
+def reference_contact_components(near, params):
+    """The former sample loop: maximal runs of the mask, merged cyclically."""
+    m = len(near)
+    runs = []
+    j = 0
+    while j < m:
+        if near[j]:
+            j0 = j
+            while j < m and near[j]:
+                j += 1
+            runs.append((j0, j - j0))
+        else:
+            j += 1
+    if len(runs) > 1 and near[0] and near[m - 1]:
+        first, last = runs[0], runs.pop()
+        runs[0] = (last[0], last[1] + first[1])
+    if len(runs) == 1 and runs[0][1] == m:
+        return [ContactComponent((float(params[0]), float(params[m - 1])), "arc", 0, m)]
+    out = []
+    for start, count in runs:
+        end = (start + count - 1) % m
+        kind = "point" if count <= 2 else "arc"
+        out.append(ContactComponent(
+            (float(params[start]), float(params[end])), kind, start, count))
+    return out
+
+
+def masked_arc(near):
+    """Open polyline over half the unit circle: masked samples on it, others at radius 0.5."""
+    near = np.asarray(near, dtype=bool)
+    m = near.size
+    pos = np.where(near, 1.0, 0.5) * np.exp(1j * math.pi * np.arange(m) / m)
+    s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)) + 1e-3)))
+    return PlanarCurve(s=s, pos=pos, theta=np.zeros(m), t=0.1 * np.arange(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=40).filter(any))
+@example([True] * 2)
+@example([True] * 7)
+@example([True, False, True])
+@example([True, True, False, False, True])
+@example([False, True, True, True, False])
+def test_contact_components_match_sample_loop(near):
+    c = masked_arc(near)
+    comps = contact_components(c, EnclosingCircle(0j, 1.0))
+    assert comps == reference_contact_components(near, c.t)
+    assert all(type(x.index_start) is int and type(x.index_count) is int for x in comps)
+
+
 class TestContactComponents:
     def test_circle_touches_everywhere(self):
         c = unit_circle_curve()
@@ -203,8 +255,6 @@ class TestContactComponents:
         assert all(comp.kind == "point" for comp in comps)
 
     def test_no_contact_when_band_misses_curve(self):
-        from fourvertex.analysis import EnclosingCircle
-
         c = unit_circle_curve()
         mec = min_enclosing_circle(c.pos)
         inflated = EnclosingCircle(mec.center, mec.radius * (1 + 1e-3))

@@ -56,11 +56,12 @@ def test_synth_hypothesis_violated(tmp_path):
 
 
 def test_synth_failure_exit_code(tmp_path, capsys):
-    # a 512-sample grid cannot resolve the warp slivers, so every round fails
+    # the curvature check mismatches about four samples at the step jumps,
+    # measure 8*pi/n, so below n = 8*pi/eps0 (628 at eps0 = 0.04) every round fails
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
-                     "--grid", "512", "--max-rounds", "4"])
+                     "--grid", "512", "--eps0", "0.04", "--max-rounds", "4"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
@@ -68,7 +69,8 @@ def test_synth_failure_exit_code(tmp_path, capsys):
 
 def test_synth_default_rounds_stop_below_grid_step(tmp_path):
     # eps halves each failed round; once it drops below 2*pi/512 the schedule
-    # stops instead of growing the warp's check grid without bound
+    # stops instead of growing the warp's check grid without bound (512
+    # samples fail every round at eps0 = 0.04, see above)
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     limit = 1 << 30
@@ -80,11 +82,11 @@ def test_synth_default_rounds_stop_below_grid_step(tmp_path):
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "fourvertex", "synth", str(src),
-         "--out-dir", str(tmp_path / "o"), "--grid", "512"],
+         "--out-dir", str(tmp_path / "o"), "--grid", "512", "--eps0", "0.04"],
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=cap_address_space)
     assert proc.returncode == 3, proc.stderr
-    assert "round 5 (eps=0.00625" in proc.stderr
+    assert "round 3 (eps=0.01" in proc.stderr
     assert proc.stderr.rstrip().endswith("schedule stopped")
 
 

@@ -80,9 +80,11 @@ class TestOnConfig:
         assert np.max(diff) < 1e-4
 
     def test_lift_density_guard_near_boundary(self):
-        # the sample count is raised so unwrapping cannot skip a turn
+        # the sample count is raised so unwrapping cannot skip a turn, to a
+        # multiple of n so the lift still samples the n-point grid
         lift = moebius_lift(0.998, n=16)
         assert lift.knots.size > 16
+        assert (lift.knots.size - 1) % 16 == 0
         assert np.all(np.diff(lift.values) > 0)
 
 

@@ -30,7 +30,6 @@ from fourvertex.solver import (
     OriginOnLoop,
     PolishDiverged,
     _boundary_winding,
-    _two_value_runs,
     compass_demo,
     error_at_beta,
     find_zero_beta,
@@ -39,8 +38,18 @@ from fourvertex.solver import (
 )
 
 P0 = Configuration(1, 1j, -1, -1j)
-# beta* of 1.5 + cos 2t at n=4096 as the quadtree-first search found it (1159 evaluations)
-QUADTREE_BETA = -0.0009879729773802923 + 0.0009693498726319181j
+# beta* of 1.5 + cos 2t at n=4096, with the error integrated on the warp's grid
+# and the step breakpoints half a grid step off the grid
+PINNED_BETA = -0.0010132916146635322 + 0.0009912952274839903j
+
+
+def step_breakpoints(k):
+    """Grid breakpoints of a four-run two-value step profile, else None."""
+    s = k.samples
+    change = np.flatnonzero(s != np.roll(s, 1))
+    if change.size != 4 or not (s[change[0]] == s[change[2]] != s[change[1]] == s[change[3]]):
+        return None
+    return TWO_PI * change / k.n
 
 
 def ray_crossing_winding(points):
@@ -114,6 +123,22 @@ class TestErrorAtBeta:
         e_num = error_at_beta(k0, beta)[0].e
         cfg = moebius_on_config(-beta, P0)
         assert abs(e_num - closed_form_error(cfg, 0.5, 2.0).e) < 1e-9
+        # off the real axis too: the curve starts at u = 0, the image of the
+        # cut point 1, so E itself matches, not only |E|
+        for r in (0.05, 0.2, 0.6):
+            for phi in np.linspace(0.0, TWO_PI, 7)[:-1] + 0.3:
+                beta = r * cmath.exp(1j * phi)
+                e_num = error_at_beta(k0, beta)[0].e
+                e_ref = closed_form_error(moebius_on_config(-beta, P0), 0.5, 2.0).e
+                assert abs(e_num - e_ref) < 1e-9
+
+    def test_steep_map_matches_closed_form(self):
+        # past |beta| ~ 0.97 a 512 grid makes moebius_lift raise its sample count
+        k0 = profile_from_step(StepSpec(0.5, 2.0), 512)
+        for r in (0.985, 0.995):
+            beta = r * cmath.exp(0.7j)
+            e_ref = closed_form_error(moebius_on_config(-beta, P0), 0.5, 2.0).e
+            assert abs(error_at_beta(k0, beta)[0].e - e_ref) < 1e-9
 
     def test_winding_consistent_across_radii(self):
         k0 = profile_from_step(StepSpec(0.5, 2.0), 2048)
@@ -126,7 +151,7 @@ class TestErrorAtBeta:
 
     def test_smooth_profile_uses_sampled_route(self):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=2048)
-        assert _two_value_runs(k) is None
+        assert step_breakpoints(k) is None
         err, curve, _ = error_at_beta(k, 0.1 + 0.05j)
         assert curve.s.size == 2049
         assert np.isfinite(err.magnitude)
@@ -148,7 +173,7 @@ class TestFindZero:
         assert error_at_beta(kp, beta)[0].magnitude < 1e-9
         # independent route: the grid-snapped step pattern factors through a
         # unique disk parameter
-        _, bps = _two_value_runs(kp)
+        bps = step_breakpoints(kp)
         _, m = evaluation_inverse(Configuration(*np.exp(1j * bps)))
         assert abs(beta.beta - m.beta) < 1e-9
 
@@ -255,7 +280,7 @@ class TestSynthesize:
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
         assert res.diagnostics.error_evaluations <= 40
-        assert abs(res.beta_star.beta - QUADTREE_BETA) < 1e-9
+        assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
         {"r0": 0.0}, {"r0": 1.0}, {"r0": -0.2}, {"r0": math.nan},
@@ -290,6 +315,23 @@ class TestSynthesize:
         assert float(np.mean(bad)) * TWO_PI < res.eps_used
 
 
+SMALL_WINDOW = (-0.75, [0.0625, -0.0625, 0.0, -0.0625] + [0.0] * 6)
+CERTIFICATE_CASE = (-0.9613271687264575,
+                    [0.04715460183288206, -0.016058629312449363, -0.04739056963357602,
+                     0.08613005063944362, 0.06862766902158604, -0.028922248937526776,
+                     0.00990768227732755, 0.08583842886759113, -0.056688523572198606,
+                     0.08182736065324661])
+
+
+def trig_profile(c0, coefs, n=4096):
+    """c0 + cos 2t plus the degree-<=5 trig polynomial with cosine then sine coefs."""
+    t = TWO_PI * np.arange(n) / n
+    degrees = np.arange(1, 6)[:, None]
+    poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
+            + np.asarray(coefs[5:]) @ np.sin(degrees * t))
+    return CurvatureProfile(c0 + np.cos(2 * t) + poly, "linear")
+
+
 @settings(max_examples=10, deadline=None)
 @given(c0=st.floats(min_value=-2.5, max_value=2.5),
        coefs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=10, max_size=10))
@@ -299,23 +341,15 @@ class TestSynthesize:
 # the normalized error evaluation turned a grid step by more than half a turn
 @example(c0=-0.7284428043915223,
          coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
-# every round of the profile's own small window fails the reference distance
-@example(c0=-0.75, coefs=[0.0625, -0.0625, 0.0, -0.0625] + [0.0] * 6)
-# the round-2 polished root has residual 9e-11 but its certificate square does
-# not wind, so the round fails and round 3 realizes the profile
-@example(c0=-0.9613271687264575,
-         coefs=[0.04715460183288206, -0.016058629312449363, -0.04739056963357602,
-                0.08613005063944362, 0.06862766902158604, -0.028922248937526776,
-                0.00990768227732755, 0.08583842886759113, -0.056688523572198606,
-                0.08182736065324661])
+# a small own window: eps 0.1 and 0.05 fail the reference distance, round 3
+# realizes it (with grid-aligned step breakpoints only the flipped pass did)
+@example(*SMALL_WINDOW)
+# the sampled error route did not wind on this profile's round-2 certificate
+# square; see test_error_is_continuous_at_certificate_scale
+@example(*CERTIFICATE_CASE)
 def test_synthesis_realizes_random_admissible_profiles(c0, coefs):
     """c0 + cos 2t plus a trig polynomial of degree <= 5, end to end."""
-    n = 4096
-    t = TWO_PI * np.arange(n) / n
-    degrees = np.arange(1, 6)[:, None]
-    poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
-            + np.asarray(coefs[5:]) @ np.sin(degrees * t))
-    k = CurvatureProfile(c0 + np.cos(2 * t) + poly, "linear")
+    k = trig_profile(c0, coefs)
     try:
         find_abab_points(k)
     except (HypothesisViolated, NoPositiveWindow):
@@ -325,6 +359,37 @@ def test_synthesis_realizes_random_admissible_profiles(c0, coefs):
     assert is_simple(res.curve)[0]
     TestSynthesize._check_round_trip(k, res)
     assert osserman_check(res.curve).vertex_count >= 4
+
+
+@pytest.mark.parametrize("case", [SMALL_WINDOW, CERTIFICATE_CASE])
+def test_own_window_realized_without_flip(case):
+    res = synthesize(trig_profile(*case))
+    assert not res.sign_flipped
+    assert res.diagnostics.rounds <= 3
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
+def test_error_is_continuous_at_certificate_scale(eps, offset):
+    # the certificate counts how E winds, so it needs E continuous in beta at
+    # the square's scale: the same winding on every square around the root,
+    # and small phase steps between close neighbours; for step breakpoints on
+    # the grid and half a grid step off it (as synthesize places them)
+    k = trig_profile(*CERTIFICATE_CASE)
+    ab = find_abab_points(k)
+    shift = offset * TWO_PI / k.n
+    step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + shift for q in range(4)))
+    k1 = compose(k, build_h1(k, ab, step, eps))
+
+    def err(b):
+        return error_at_beta(k1, b)[0].e
+
+    root, _ = solver._polish(err, 0j, solver.RESIDUAL_TOL)
+    winds = {_boundary_winding(err, root, half)
+             for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
+    assert len(winds) == 1 and winds != {0}
+    loop = np.array([err(root + 1e-4 * cmath.exp(2j * math.pi * j / 32)) for j in range(32)])
+    assert np.max(np.abs(np.angle(np.roll(loop, -1) / loop))) < 0.5
 
 
 def test_estimated_curvature_tracks_profile_away_from_slivers():
