@@ -282,20 +282,16 @@ def _cyclic_between(start: int, end: int, query: int, n: int) -> bool:
 def _first_crossing(
     w: np.ndarray, j0: int, j1: int, level: float, upward: bool
 ) -> tuple[float, int]:
-    """First grid-cell crossing of ``level`` scanning cells j0 -> j1 cyclically."""
+    """First grid-cell crossing of ``level`` in cells j0 -> j1, both included, cyclically."""
     n = w.size
-    dt = TWO_PI / n
-    j = j0 % n
-    for _ in range(n + 1):
-        jn = (j + 1) % n
-        hit = (w[j] < level <= w[jn]) if upward else (w[jn] < level <= w[j])
-        if hit:
-            frac = (level - w[j]) / (w[jn] - w[j])
-            return (TWO_PI * j / n + frac * dt) % TWO_PI, j
-        if j == j1 % n:
-            break
-        j = jn
-    raise ConstructionFailed("level crossing not found")
+    cells = (j0 + np.arange((j1 - j0) % n + 1)) % n
+    w0, w1 = w[cells], w[(cells + 1) % n]
+    hit = (w0 < level) & (level <= w1) if upward else (w1 < level) & (level <= w0)
+    if not hit.any():
+        raise ConstructionFailed("level crossing not found")
+    j = int(cells[np.argmax(hit)])
+    frac = (level - w[j]) / (w[(j + 1) % n] - w[j])
+    return (TWO_PI * j / n + frac * (TWO_PI / n)) % TWO_PI, j
 
 
 def _pick_window(plateaus: list[Plateau], samples: np.ndarray):

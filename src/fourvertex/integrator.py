@@ -102,14 +102,13 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
     theta = np.empty(kappa.size + 1)
     theta[0] = 0.0
     np.cumsum(turn, out=theta[1:])
-    rot0 = np.exp(1j * theta[:-1])
-    rot1 = np.exp(1j * theta[1:])
+    rot = np.exp(1j * theta)
     arcs = np.empty(kappa.size, dtype=complex)
-    np.divide(rot1 - rot0, 1j * kappa, out=arcs,
+    np.divide(np.diff(rot), 1j * kappa, out=arcs,
               where=np.abs(kappa) >= STRAIGHT_KAPPA)
     straight = np.abs(kappa) < STRAIGHT_KAPPA
     if np.any(straight):
-        arcs[straight] = (ds * rot0)[straight]
+        arcs[straight] = (ds * rot[:-1])[straight]
     pos = np.empty(kappa.size + 1, dtype=complex)
     pos[0] = 0.0
     np.cumsum(arcs, out=pos[1:])

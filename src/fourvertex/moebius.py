@@ -60,18 +60,15 @@ def moebius_on_config(m, c: Configuration) -> Configuration:
 
 
 def moebius_lift(m, n: int = 4096) -> CircleDiffeo:
-    """Restriction to the unit circle as a sampled monotone lift.
+    """Restriction to the unit circle as a lift sampled on the n-point grid.
 
-    The sample count is raised to a multiple of n if the map is steep
-    enough that unwrapping could miss a turn, so the lift still samples
-    the n-point grid.
+    On z = e^{it}, g(z) = z * w / conj(w) with w = 1 - beta * e^{-it}, and
+    Re w > 0, so the lift is t + 2 arg w in closed form: exact at every
+    knot, however steep the map, with no unwrapping.
     """
     beta = _beta_value(m)
-    slope = (1.0 + abs(beta)) / (1.0 - abs(beta))
-    n = int(n)
-    n *= max(1, math.ceil((int(8 * slope) + 8) / n))
     grid = TWO_PI * np.arange(n + 1) / n
-    values = np.unwrap(np.angle(moebius_apply(beta, np.exp(1j * grid))))
+    values = grid + 2.0 * np.angle(1.0 - beta * np.exp(-1j * grid))
     values[-1] = values[0] + TWO_PI
     return CircleDiffeo(grid, values)
 

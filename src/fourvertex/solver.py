@@ -59,7 +59,8 @@ from .moebius import MoebiusParameter, _beta_value, moebius_lift
 RESIDUAL_TOL = 1e-9
 ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
-CERTIFICATE_PER_EDGE = 5  # pieces per square edge before adaptive refinement
+CERTIFICATE_PER_EDGE = 2  # pieces per square edge before adaptive refinement;
+# E is smooth at the square's scale, so 8 samples start the loop
 POLISH_MAX_ITER = 80     # secant steps before the polish stops
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
@@ -132,9 +133,7 @@ def error_at_beta(
     Raises ZeroTotalCurvature when the weighted total nearly vanishes.
     """
     beta = _beta_value(m)
-    lift = moebius_lift(-beta, n=k1.n)
-    # a steep map raises the lift's sample count to a multiple of k1.n
-    ds = np.diff(lift.values[::(lift.values.size - 1) // k1.n])
+    ds = np.diff(moebius_lift(-beta, n=k1.n).values)
     sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
     curve = integrate_curve(CurvatureProfile(sc.c * k1.samples, k1.interp), ds)
     return error_vector(curve), curve, sc
@@ -179,10 +178,11 @@ def _boundary_winding(err, center: complex, half: float) -> int:
         raise _EdgeZero from None
 
 
-def _polish(err, x0: complex, tol: float) -> tuple[complex, float]:
+def _polish(err, x0: complex, tol) -> tuple[complex, float]:
     """Two-variable secant iteration with a rank-one update and damping.
 
-    An iterate on or outside the unit circle, where no Möbius parameter
+    It stops once |err| < ``tol()``, read after the latest evaluation.  An
+    iterate on or outside the unit circle, where no Möbius parameter
     exists, ends the iteration as a divergence without being evaluated.
     """
     best_x, best_r = x0, math.inf
@@ -196,7 +196,7 @@ def _polish(err, x0: complex, tol: float) -> tuple[complex, float]:
     h = 1e-7
     f0, r0 = fvec(x0)
     best_r = r0
-    if r0 < tol:
+    if r0 < tol():
         return x0, r0
     fx, _ = fvec(x0 + h)
     fy, _ = fvec(x0 + 1j * h)
@@ -222,7 +222,7 @@ def _polish(err, x0: complex, tol: float) -> tuple[complex, float]:
         x, f, r = xn, fn, rn
         if r < best_r:
             best_x, best_r = x, r
-        if r < tol:
+        if r < tol():
             return x, r
     raise PolishDiverged(best_x, best_r)
 
@@ -232,23 +232,28 @@ def find_zero_beta(
 ) -> MoebiusParameter:
     """Parameter inside the disk of radius r0 at which the error vanishes.
 
-    The root is polished from beta = 0 to a residual below 1e-9 and
-    accepted when a square of half-width CERTIFICATE_HALF around it lies
-    inside the disk and the error winds along its boundary, which
-    certifies a zero there.  A root outside the disk, a square along which
-    the error does not wind, or an error vanishing on the square raises
-    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
-    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations.
-    The search is deterministic.
+    The root is polished from beta = 0 until |E| < RESIDUAL_TOL and the
+    curve scaled by the normalizing factor c closes too, |E| * |c| <
+    2*pi*RESIDUAL_TOL.  It is accepted when a square of half-width
+    CERTIFICATE_HALF around it lies inside the disk and the error winds
+    along its boundary, which certifies a zero there.  A root outside the
+    disk, a square along which the error does not wind, or an error
+    vanishing on the square raises NoWindingAtRadius; a polish that stalls
+    or leaves the unit disk raises PolishDiverged.  ``stats["evaluations"]``
+    counts the error evaluations.  The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
 
+    scale = [1.0]  # |c| of the latest evaluation
+
     def err(b: complex) -> complex:
         counter["evaluations"] += 1
-        return error_at_beta(k1, b)[0].e
+        e, _, sc = error_at_beta(k1, b)
+        scale[0] = abs(sc.c)
+        return e.e
 
-    beta, _residual = _polish(err, 0j, RESIDUAL_TOL)
+    beta, _residual = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]))
     if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= r0:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {r0}")
     try:

@@ -8,6 +8,7 @@ from fourvertex.curvature import (
     PLATEAU_TOL,
     TWO_PI,
     CircleDiffeo,
+    ConstructionFailed,
     CurvatureProfile,
     HypothesisViolated,
     Plateau,
@@ -24,7 +25,7 @@ from fourvertex.curvature import (
     reflect_negate,
     total_curvature,
 )
-from fourvertex.curvature import AbabPoints
+from fourvertex.curvature import AbabPoints, _first_crossing
 
 
 def cos2t(n=1024):
@@ -277,6 +278,66 @@ class TestPlateauExtremaOracle:
         step = profile_from_step(StepSpec(1.0, 3.0), 1024).samples
         for v in (ridge().samples, cos2t().samples, step, np.roll(step, 100), np.ones(7), [2.0]):
             assert plateau_extrema(v) == reference_plateau_extrema(v)
+
+
+def reference_first_crossing(w, j0, j1, level, upward):
+    """Cell-by-cell scan of cells j0 -> j1: the reference for _first_crossing."""
+    n = w.size
+    dt = TWO_PI / n
+    j = j0 % n
+    for _ in range(n + 1):
+        jn = (j + 1) % n
+        hit = (w[j] < level <= w[jn]) if upward else (w[jn] < level <= w[j])
+        if hit:
+            frac = (level - w[j]) / (w[jn] - w[j])
+            return (TWO_PI * j / n + frac * dt) % TWO_PI, j
+        if j == j1 % n:
+            break
+        j = jn
+    raise ConstructionFailed("level crossing not found")
+
+
+@st.composite
+def crossing_queries(draw):
+    """Cyclic step or smooth samples, a cell range and a level, often a sample value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        v = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        v = np.cos(draw(st.integers(1, 4)) * TWO_PI * np.arange(n) / n + draw(st.floats(0, 7)))
+    level = v[draw(st.integers(0, n - 1))] if draw(st.booleans()) else draw(st.floats(-2.5, 2.5))
+    return v, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), level, draw(st.booleans())
+
+
+def crossing_or_none(w, j0, j1, level, upward, fn):
+    try:
+        return fn(w, j0, j1, level, upward)
+    except ConstructionFailed:
+        return None
+
+
+class TestFirstCrossingOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(crossing_queries())
+    # a step jump in the cell right after the plateau's last sample
+    @example((np.array([1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 1.0, 1.0]), 2, 5, 2.0, True))
+    # the range wraps across index 0 and the crossing is in the wrapping cell
+    @example((np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]), 6, 2, 2.5, True))
+    @example((np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]), 6, 2, 1.5, False))
+    # nothing crosses in the range
+    @example((np.array([0.0, 1.0, 2.0, 3.0]), 0, 1, 2.5, True))
+    def test_matches_cell_scan(self, query):
+        ref = crossing_or_none(*query, reference_first_crossing)
+        assert crossing_or_none(*query, _first_crossing) == ref
+
+    def test_pinned_cases(self):
+        w = np.array([1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 1.0, 1.0])
+        assert _first_crossing(w, 2, 5, 2.0, True) == (TWO_PI * 2.5 / 8, 2)
+        wrap = np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+        assert _first_crossing(wrap, 6, 2, 2.5, True)[1] == 7
+        with pytest.raises(ConstructionFailed):
+            _first_crossing(np.array([0.0, 1.0, 2.0, 3.0]), 0, 1, 2.5, True)
 
 
 class TestFindAbab:

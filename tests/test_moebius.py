@@ -80,12 +80,27 @@ class TestOnConfig:
         assert np.max(diff) < 1e-4
 
     def test_lift_density_guard_near_boundary(self):
-        # the sample count is raised so unwrapping cannot skip a turn, to a
-        # multiple of n so the lift still samples the n-point grid
+        # at |beta| = 0.998 the map turns by nearly a full turn within one of
+        # 16 grid cells; the closed form still samples exactly the n-point
+        # grid, stays monotone of degree one and hits the map at every knot
         lift = moebius_lift(0.998, n=16)
-        assert lift.knots.size > 16
-        assert (lift.knots.size - 1) % 16 == 0
+        assert lift.knots.size == 17
         assert np.all(np.diff(lift.values) > 0)
+        assert lift.values[-1] - lift.values[0] == pytest.approx(TWO_PI, abs=1e-12)
+        direct = moebius_apply(0.998, np.exp(1j * lift.knots))
+        assert np.max(np.abs(np.exp(1j * lift.values) - direct)) < 1e-12
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_lift_matches_unwrapped_map(self, r):
+        # oracle: the unwrapped argument of the map on a grid dense enough
+        # that no step between neighbours reaches half a turn
+        grid = TWO_PI * np.arange(4097) / 4096
+        for phi in TWO_PI * np.arange(6) / 6 + 0.1:
+            beta = r * cmath.exp(1j * phi)
+            ref = np.unwrap(np.angle(moebius_apply(beta, np.exp(1j * grid))))
+            lift = moebius_lift(beta, n=4096)
+            assert np.array_equal(lift.knots, grid)
+            assert np.max(np.abs(lift.values - ref)) < 1e-12
 
 
 class TestEvaluationInverse:

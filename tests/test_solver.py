@@ -133,7 +133,8 @@ class TestErrorAtBeta:
                 assert abs(e_num - e_ref) < 1e-9
 
     def test_steep_map_matches_closed_form(self):
-        # past |beta| ~ 0.97 a 512 grid makes moebius_lift raise its sample count
+        # steep maps: the closed-form lift is exact at every knot of the
+        # 512 grid, however fast the boundary map turns between knots
         k0 = profile_from_step(StepSpec(0.5, 2.0), 512)
         for r in (0.985, 0.995):
             beta = r * cmath.exp(0.7j)
@@ -238,6 +239,38 @@ class TestCertifiedPolish:
         assert _boundary_winding(err, ref + 10 * CERTIFICATE_HALF, CERTIFICATE_HALF) == 0
 
 
+def dense_square_winding(err, center, half, per_edge=64):
+    """Winding of err along a square sampled uniformly, per_edge points an edge."""
+    corners = [center + half * w for w in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)]
+    u = np.arange(per_edge) / per_edge
+    loop = [err(z0 + (z1 - z0) * uj)
+            for z0, z1 in zip(corners, corners[1:] + corners[:1]) for uj in u]
+    return winding_number(loop)
+
+
+@pytest.mark.parametrize("case", ["warped", "certificate"])
+def test_sparse_certificate_agrees_with_dense_loop(case, warped):
+    # the certificate starts from CERTIFICATE_PER_EDGE samples an edge and
+    # refines only where neighbours turn by a quarter turn; it must count the
+    # winding a uniformly dense loop counts, on every square size
+    if case == "warped":
+        k1, root = warped
+    else:
+        k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
+        root = find_zero_beta(k1, 0.2).beta
+
+    def err(b):
+        return error_at_beta(k1, b)[0].e
+
+    for half in (1e-3, 1e-4, 1e-5, 1e-6):
+        sparse = _boundary_winding(err, root, half)
+        assert sparse == dense_square_winding(err, root, half)
+        assert abs(sparse) == 1
+    off = root + 10 * CERTIFICATE_HALF
+    assert _boundary_winding(err, off, CERTIFICATE_HALF) == 0
+    assert dense_square_winding(err, off, CERTIFICATE_HALF) == 0
+
+
 class TestSynthesize:
     def test_constant_gives_circle(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=1024)
@@ -279,7 +312,7 @@ class TestSynthesize:
     def test_evaluation_budget(self):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.error_evaluations <= 40
+        assert res.diagnostics.error_evaluations <= 20
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
@@ -321,6 +354,9 @@ CERTIFICATE_CASE = (-0.9613271687264575,
                      0.08613005063944362, 0.06862766902158604, -0.028922248937526776,
                      0.00990768227732755, 0.08583842886759113, -0.056688523572198606,
                      0.08182736065324661])
+# normalized by a scale factor |c| near 300 when warped onto its step
+LARGE_SCALE = (-0.7284428043915223,
+               [0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
 
 
 def trig_profile(c0, coefs, n=4096):
@@ -332,6 +368,14 @@ def trig_profile(c0, coefs, n=4096):
     return CurvatureProfile(c0 + np.cos(2 * t) + poly, "linear")
 
 
+def warp_onto_step(k, eps, offset=0.5):
+    """k warped onto its step at eps, the breakpoints ``offset`` grid steps off the grid."""
+    ab = find_abab_points(k)
+    shift = offset * TWO_PI / k.n
+    step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + shift for q in range(4)))
+    return compose(k, build_h1(k, ab, step, eps))
+
+
 @settings(max_examples=10, deadline=None)
 @given(c0=st.floats(min_value=-2.5, max_value=2.5),
        coefs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=10, max_size=10))
@@ -339,8 +383,7 @@ def trig_profile(c0, coefs, n=4096):
 @example(c0=-0.7284428043915223,
          coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, -0.0625] + [0.0] * 5)
 # the normalized error evaluation turned a grid step by more than half a turn
-@example(c0=-0.7284428043915223,
-         coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
+@example(*LARGE_SCALE)
 # a small own window: eps 0.1 and 0.05 fail the reference distance, round 3
 # realizes it (with grid-aligned step breakpoints only the flipped pass did)
 @example(*SMALL_WINDOW)
@@ -368,6 +411,17 @@ def test_own_window_realized_without_flip(case):
     assert res.diagnostics.rounds <= 3
 
 
+@pytest.mark.parametrize("eps", [0.025, 0.00625, 0.0015625])
+def test_polished_root_closes_the_scaled_curve(eps):
+    # synthesize returns the curve scaled by c and requires |E|*|c| below
+    # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
+    # not enough, so the polish must go on until the scaled bound holds
+    k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
+    err, _, sc = error_at_beta(k1, find_zero_beta(k1, 0.2))
+    assert abs(sc.c) > 100.0
+    assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.05])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
 def test_error_is_continuous_at_certificate_scale(eps, offset):
@@ -375,16 +429,12 @@ def test_error_is_continuous_at_certificate_scale(eps, offset):
     # the square's scale: the same winding on every square around the root,
     # and small phase steps between close neighbours; for step breakpoints on
     # the grid and half a grid step off it (as synthesize places them)
-    k = trig_profile(*CERTIFICATE_CASE)
-    ab = find_abab_points(k)
-    shift = offset * TWO_PI / k.n
-    step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + shift for q in range(4)))
-    k1 = compose(k, build_h1(k, ab, step, eps))
+    k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
 
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    root, _ = solver._polish(err, 0j, solver.RESIDUAL_TOL)
+    root, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL)
     winds = {_boundary_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
     assert len(winds) == 1 and winds != {0}
