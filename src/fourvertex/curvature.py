@@ -25,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 ZERO_TOTAL_REL = 1e-8
 PLATEAU_TOL = 1e-9        # samples this close to a plateau's running mean join it
 CHECK_GRID_MIN = 10_000   # fewest samples build_h1 verifies its measure bound on
+RADIUS_BLOCK = 16         # window radii _window_radius probes per profile call
 
 
 class ZeroTotalCurvature(ValueError):
@@ -368,6 +369,28 @@ def _unwrap_cyclic(params) -> np.ndarray:
     return np.array(u)
 
 
+def _window_radius(k: CurvatureProfile, centre: float, target: float,
+                   start: float, cap: float) -> float:
+    """First radius of start, 0.6 * start, ... above 1e-11 on which k stays near target.
+
+    A radius d passes when |k - target| <= cap at 201 points spread evenly
+    over [centre - d, centre + d]; the radii are probed RADIUS_BLOCK per
+    call of k.  When none passes, the result is the 1e-11 floor.
+    """
+    radii = []
+    while start > 1e-11:
+        radii.append(start)
+        start *= 0.6
+    probe = np.linspace(-1.0, 1.0, 201)
+    for b in range(0, len(radii), RADIUS_BLOCK):
+        d = np.array(radii[b:b + RADIUS_BLOCK])
+        dev = np.max(np.abs(k(centre + d[:, None] * probe) - target), axis=1)
+        ok = np.flatnonzero(dev <= cap)
+        if ok.size:
+            return float(d[ok[0]])
+    return 1e-11
+
+
 def build_h1(
     k: CurvatureProfile,
     abab: AbabPoints,
@@ -402,16 +425,7 @@ def build_h1(
     bps = np.asarray(step.breakpoints)
     arc_len = np.diff(np.append(bps, bps[0] + TWO_PI))
     gaps = np.diff(np.append(u, u[0] + TWO_PI))
-
-    def neighbourhood(i: int, dev_cap: float) -> float:
-        delta = 0.4 * min(gaps[i - 1] if i > 0 else gaps[3], gaps[i])
-        probe = np.linspace(-1.0, 1.0, 201)
-        while delta > 1e-11:
-            dev = np.max(np.abs(np.asarray(k(u[i] + delta * probe)) - targets[i]))
-            if dev <= dev_cap:
-                return delta
-            delta *= 0.6
-        return 1e-11
+    starts = 0.4 * np.minimum(np.roll(gaps, 1), gaps)  # window radii before shrinking
 
     sliver = min(eps / 32.0, 0.25 * float(np.min(arc_len)))
     dev_cap = eps / 8.0
@@ -420,7 +434,8 @@ def build_h1(
     tgrid = TWO_PI * np.arange(n_check) / n_check
     step_vals = step.value_at(tgrid)
     for _ in range(6):
-        deltas = np.array([neighbourhood(i, dev_cap) for i in range(4)])
+        deltas = np.array([_window_radius(k, u[i], targets[i], starts[i], dev_cap)
+                           for i in range(4)])
         end_mid = 0.5 * ((u[3] + deltas[3]) + (u[0] + TWO_PI - deltas[0]))
         knots = [bps[0]]
         vals = [end_mid - TWO_PI]

@@ -95,7 +95,8 @@ class ErrorVector:
         return abs(self.e)
 
 
-def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
+def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent angles at the n + 1 samples and the n chords of the exact arcs."""
     turn = kappa * ds
     if np.any(np.abs(turn) >= math.pi):
         raise TooFewSamples("a grid step turns by half a turn or more")
@@ -109,6 +110,11 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
     straight = np.abs(kappa) < STRAIGHT_KAPPA
     if np.any(straight):
         arcs[straight] = (ds * rot[:-1])[straight]
+    return theta, arcs
+
+
+def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
+    theta, arcs = _arcs(kappa, ds)
     pos = np.empty(kappa.size + 1, dtype=complex)
     pos[0] = 0.0
     np.cumsum(arcs, out=pos[1:])
@@ -155,6 +161,15 @@ def integrate_arcs(curvatures, lengths, max_step: float = 3e-3) -> PlanarCurve:
 def error_vector(c: PlanarCurve) -> ErrorVector:
     """Final position minus initial position."""
     return ErrorVector(complex(c.pos[-1] - c.pos[0]))
+
+
+def endpoint_error(k: CurvatureProfile, ds: np.ndarray) -> ErrorVector:
+    """``error_vector(integrate_curve(k, ds))``, bit for bit, without building the curve.
+
+    The chords are summed by the same sequential cumulative sum that places
+    the curve's positions, so the two routes round alike.
+    """
+    return ErrorVector(complex(np.cumsum(_arcs(k.samples, ds)[1])[-1]))
 
 
 def winding_number(points) -> int:
@@ -255,14 +270,20 @@ def _segments_cross(p, q, r, w):
 def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     """Check that no two non-adjacent polyline segments intersect.
 
-    Each segment, in order of minimum x, is paired with the later ones whose
-    x-range starts before its own ends; pairs overlapping in y are decided by
-    ``_segments_cross``, ``PAIR_CHUNK`` pairs per batch.  The witness is the
-    crossing with the smallest later, then earlier, sorted position; adjacent
-    segments folding back are reported only when nothing crosses.  Returns
-    (flag, witness), the witness a pair of segment indices or None.
+    The sweep runs along the longer side of the bounding box, x unless the
+    y-extent is larger, when x and y are swapped first; the swap is exact
+    and no crossing test depends on it.  Each segment, in order of its
+    minimum along the sweep axis, is paired with the later ones whose range
+    on that axis starts before its own ends; pairs that overlap on the other
+    axis are decided by ``_segments_cross``, ``PAIR_CHUNK`` pairs per batch.
+    The witness is the crossing with the smallest later, then earlier,
+    sorted position; adjacent segments folding back are reported only when
+    nothing crosses.  Returns (flag, witness), the witness a pair of segment
+    indices or None.
     """
     _, pos, _, closed = _ring(c)
+    if np.ptp(pos.imag) > np.ptp(pos.real):
+        pos = pos.imag + 1j * pos.real
     a = pos if closed else pos[:-1]
     b = np.roll(pos, -1) if closed else pos[1:]
     nseg = a.size

@@ -11,8 +11,8 @@ geodesics joining opposite configuration points.
 
 from __future__ import annotations
 
+import functools
 import math
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +59,33 @@ def moebius_on_config(m, c: Configuration) -> Configuration:
     return Configuration(*(moebius_apply(m, p) for p in c.points()))
 
 
+@functools.lru_cache(maxsize=4)
+def _circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point grid t_j = 2*pi*j/n, j = 0..n, and e^{-i t_j}; both read-only."""
+    grid = TWO_PI * np.arange(n + 1) / n
+    conj_circle = np.exp(-1j * grid)
+    grid.flags.writeable = False
+    conj_circle.flags.writeable = False
+    return grid, conj_circle
+
+
 def moebius_lift(m, n: int = 4096) -> CircleDiffeo:
     """Restriction to the unit circle as a lift sampled on the n-point grid.
 
     On z = e^{it}, g(z) = z * w / conj(w) with w = 1 - beta * e^{-it}, and
     Re w > 0, so the lift is t + 2 arg w in closed form: exact at every
-    knot, however steep the map, with no unwrapping.
+    knot, however steep the map, with no unwrapping.  Raises
+    NumericallyDegenerate when |beta| is so close to 1 that some lift step
+    rounds to zero or below.
     """
     beta = _beta_value(m)
-    grid = TWO_PI * np.arange(n + 1) / n
-    values = grid + 2.0 * np.angle(1.0 - beta * np.exp(-1j * grid))
+    grid, conj_circle = _circle(n)
+    values = grid + 2.0 * np.angle(1.0 - beta * conj_circle)
     values[-1] = values[0] + TWO_PI
-    return CircleDiffeo(grid, values)
+    try:
+        return CircleDiffeo(grid, values)
+    except ValueError as ex:  # the only check a closed-form lift can fail
+        raise NumericallyDegenerate(f"lift at |beta| = {abs(beta)!r}: {ex}") from None
 
 
 def _geodesic(u: complex, v: complex):

@@ -47,14 +47,14 @@ from .integrator import (
     PlanarCurve,
     TooFewSamples,
     curvature_samples,
-    error_vector,
+    endpoint_error,
     integrate_curve,
     is_simple,
     reverse_curve,
     scale_curve,
     winding_number,
 )
-from .moebius import MoebiusParameter, _beta_value, moebius_lift
+from .moebius import MoebiusParameter, NumericallyDegenerate, _beta_value, moebius_lift
 
 RESIDUAL_TOL = 1e-9
 ZERO_ON_EDGE = 1e-12
@@ -121,7 +121,7 @@ class SynthesisResult:
 
 def error_at_beta(
     k1: CurvatureProfile, m
-) -> tuple[ErrorVector, PlanarCurve, ScaleFactor]:
+) -> tuple[ErrorVector, np.ndarray, ScaleFactor]:
     """Endpoint error of k1 precomposed with the Möbius map, normalized.
 
     Substituting u = g_beta(s), the curve's curvature is c * k1(u) on k1's
@@ -130,13 +130,17 @@ def error_at_beta(
     map g_{-beta}, and c = 2*pi / sum_j k1_j ds_j normalizes the total
     curvature.  The steps are smooth in beta, and so is the error; the curve
     starts at u = 0, which only rotates the error of a curve cut at s = 0.
-    Raises ZeroTotalCurvature when the weighted total nearly vanishes.
+    Returns (E, ds, c) without building the curve;
+    ``integrate_curve(CurvatureProfile(c * k1.samples, k1.interp), ds)``
+    builds it, and its endpoint error is E bit for bit.  Raises
+    ZeroTotalCurvature when the weighted total nearly vanishes, and
+    NumericallyDegenerate when beta lies too near the unit circle for the
+    lift to resolve on k1's grid.
     """
     beta = _beta_value(m)
     ds = np.diff(moebius_lift(-beta, n=k1.n).values)
     sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
-    curve = integrate_curve(CurvatureProfile(sc.c * k1.samples, k1.interp), ds)
-    return error_vector(curve), curve, sc
+    return endpoint_error(CurvatureProfile(sc.c * k1.samples, k1.interp), ds), ds, sc
 
 
 class _EdgeZero(Exception):
@@ -288,10 +292,9 @@ def synthesize(
     the samples are uniform in the warp parameter u, not in arc length.
     The mismatch sits at the four step jumps, where k(h1(u)) changes by a
     large step between neighbouring samples; one sample at each already
-    has measure 8*pi/n, so profiles of fewer than 8*pi/eps0 samples (251
-    at the default eps0) fail every round.  Once eps drops below the grid
-    step 2*pi/n, the check could pass only with no mismatched sample at
-    all, so the schedule stops there and raises SynthesisFailed.
+    has measure 8*pi/n, so a round with eps <= 8*pi/n cannot pass.  The
+    schedule stops there, and profiles of at most 8*pi/eps0 samples (251
+    at the default eps0) end in SynthesisFailed without a round.
     Step-interpolated input is realized through its continuous
     piecewise-linear envelope.  Raises BadParameter unless 0 < r0 < 1, eps0
     is finite and positive, and max_rounds >= 1.
@@ -341,9 +344,10 @@ def synthesize(
 
         eps = float(eps0)
         for round_no in range(len(history) + 1, len(history) + max_rounds + 1):
-            if eps < TWO_PI / k.n:
+            if eps <= 4.0 * TWO_PI / k.n:
                 history.append((round_no, eps,
-                                f"eps below the grid step 2*pi/{k.n}; schedule stopped"))
+                                f"eps at most 8*pi/{k.n}, the measure of four samples; "
+                                "schedule stopped"))
                 break
             try:
                 h1 = build_h1(work, abab, step, eps)
@@ -355,18 +359,21 @@ def synthesize(
             try:
                 beta_star = find_zero_beta(k1, r0, stats=stats)
             except (NoWindingAtRadius, PolishDiverged, TooFewSamples,
-                    ZeroTotalCurvature) as ex:
-                # the last two: the sliver mass left the normalized profile
-                # unresolvable on the grid
+                    ZeroTotalCurvature, NumericallyDegenerate) as ex:
+                # TooFewSamples and ZeroTotalCurvature: the sliver mass left
+                # the normalized profile unresolvable on the grid;
+                # NumericallyDegenerate: an iterate so near the unit circle
+                # that its boundary lift does not resolve
                 history.append((round_no, eps, f"zero search: {type(ex).__name__}: {ex}"))
                 eps *= 0.5
                 continue
-            err, curve, sc = error_at_beta(k1, beta_star)
+            err, ds, sc = error_at_beta(k1, beta_star)
             closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
             if closure >= RESIDUAL_TOL * TWO_PI:
                 history.append((round_no, eps, f"closure residual {closure:.2e}"))
                 eps *= 0.5
                 continue
+            curve = integrate_curve(CurvatureProfile(sc.c * k1.samples, k1.interp), ds)
             simple, witness = is_simple(curve)
             if not simple:
                 history.append((round_no, eps, f"self-intersection at {witness}"))
@@ -421,7 +428,8 @@ def compass_demo(
     out = []
     for j in range(n_samples):
         beta = MoebiusParameter(r * cmath.exp(2j * math.pi * j / n_samples))
-        err, curve, _ = error_at_beta(k0, beta)
+        err, ds, sc = error_at_beta(k0, beta)
+        curve = integrate_curve(CurvatureProfile(sc.c * k0.samples, k0.interp), ds)
         out.append((beta, curve, err))
     w = winding_number([e.e for _, _, e in out])
     if abs(w) != 1:

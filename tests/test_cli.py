@@ -57,7 +57,7 @@ def test_synth_hypothesis_violated(tmp_path):
 
 def test_synth_failure_exit_code(tmp_path, capsys):
     # the curvature check mismatches about four samples at the step jumps,
-    # measure 8*pi/n, so below n = 8*pi/eps0 (628 at eps0 = 0.04) every round fails
+    # measure 8*pi/n, so below n = 8*pi/eps0 (628 at eps0 = 0.04) no round can pass
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
@@ -67,10 +67,10 @@ def test_synth_failure_exit_code(tmp_path, capsys):
     assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
 
 
-def test_synth_default_rounds_stop_below_grid_step(tmp_path):
-    # eps halves each failed round; once it drops below 2*pi/512 the schedule
-    # stops instead of growing the warp's check grid without bound (512
-    # samples fail every round at eps0 = 0.04, see above)
+def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):
+    # eps halves each failed round; once it is at most 8*pi/512 no round can
+    # pass (see above), so the schedule stops instead of growing the warp's
+    # check grid without bound; at eps0 = 0.04 it stops before round 1
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     limit = 1 << 30
@@ -86,7 +86,7 @@ def test_synth_default_rounds_stop_below_grid_step(tmp_path):
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=cap_address_space)
     assert proc.returncode == 3, proc.stderr
-    assert "round 3 (eps=0.01" in proc.stderr
+    assert "round 1 (eps=0.04): eps at most 8*pi/512" in proc.stderr
     assert proc.stderr.rstrip().endswith("schedule stopped")
 
 

@@ -25,7 +25,7 @@ from fourvertex.curvature import (
     reflect_negate,
     total_curvature,
 )
-from fourvertex.curvature import AbabPoints, _first_crossing
+from fourvertex.curvature import AbabPoints, _first_crossing, _window_radius
 
 
 def cos2t(n=1024):
@@ -338,6 +338,52 @@ class TestFirstCrossingOracle:
         assert _first_crossing(wrap, 6, 2, 2.5, True)[1] == 7
         with pytest.raises(ConstructionFailed):
             _first_crossing(np.array([0.0, 1.0, 2.0, 3.0]), 0, 1, 2.5, True)
+
+
+def reference_window_radius(k, centre, target, start, cap):
+    """One profile call per radius: the reference for _window_radius."""
+    delta = start
+    probe = np.linspace(-1.0, 1.0, 201)
+    while delta > 1e-11:
+        dev = np.max(np.abs(np.asarray(k(centre + delta * probe)) - target))
+        if dev <= cap:
+            return delta
+        delta *= 0.6
+    return 1e-11
+
+
+RIDGE_64 = [float(v) for v in 1.5 + np.cos(2 * TWO_PI * np.arange(64) / 64)]
+
+
+class TestWindowRadiusOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=64),
+           centre=st.floats(-1.0, 8.0), offset=st.floats(-0.5, 0.5),
+           start=st.floats(-13.0, 0.5).map(lambda e: 10.0 ** e),
+           cap=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
+    # the first passing radius lies beyond the first block of 16
+    @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1.0, cap=1e-6)
+    # no radius passes: the 1e-11 floor
+    @example(samples=RIDGE_64, centre=1.0, offset=0.4, start=1.0, cap=1e-3)
+    # the start is at or below the floor, or the only radius above it
+    @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1e-11, cap=0.1)
+    @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1e-12, cap=0.1)
+    @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1.5e-11, cap=0.1)
+    # a deviation exactly at the cap passes
+    @example(samples=[1.0] * 8, centre=1.0, offset=0.25, start=1.0, cap=0.25)
+    def test_matches_one_call_per_radius(self, samples, centre, offset, start, cap):
+        k = CurvatureProfile(samples)
+        args = (k, centre, float(k(centre)) + offset, start, cap)
+        assert _window_radius(*args) == reference_window_radius(*args)
+
+    def test_examples_reach_their_cases(self):
+        k = CurvatureProfile(RIDGE_64)
+        target = float(k(1.0))
+        assert reference_window_radius(k, 1.0, target, 1.0, 1e-6) < 0.6 ** 16
+        assert reference_window_radius(k, 1.0, target + 0.4, 1.0, 1e-3) == 1e-11
+        assert reference_window_radius(k, 1.0, target, 1.5e-11, 0.1) == 1.5e-11
+        flat = CurvatureProfile([1.0] * 8)
+        assert reference_window_radius(flat, 1.0, 1.25, 1.0, 0.25) == 1.0
 
 
 class TestFindAbab:

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -24,6 +25,7 @@ from fourvertex.integrator import (
     _ring,
     _segments_cross,
     curvature_samples,
+    endpoint_error,
     error_vector,
     integrate_arcs,
     integrate_curve,
@@ -279,9 +281,45 @@ def test_witness_independent_of_batch_size(monkeypatch):
     curves = [pentagon] + [limacon_curve(n) for n in (128, 2048, 8192)] \
         + [random_star_curve(rng, n=96) for _ in range(25)]
     expected = [is_simple(c) for c in curves]
-    assert expected[0] == (False, (0, 2))
+    # the pentagon is taller than wide, so it is swept along y
+    assert expected[0] == (False, (1, 3))
     monkeypatch.setattr(integrator, "PAIR_CHUNK", 3)
     assert [is_simple(c) for c in curves] == expected
+
+
+@pytest.mark.parametrize("upright", [True, False], ids=["tall", "wide"])
+def test_long_collinear_sides_decided_fast(upright):
+    # two collinear sides of 65536 unit segments each: a sweep across the
+    # sides pairs every segment with every other on its side, a sweep along
+    # them only with its neighbours
+    m = 65536
+    side = np.arange(m + 1.0)
+    pos = np.concatenate((1j * side, 1.0 + 1j * side[::-1], [0.0]))
+    if not upright:
+        pos = pos.imag + 1j * pos.real
+    s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)))))
+    c = PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size), closed=True)
+    start = time.perf_counter()
+    assert is_simple(c) == (True, None)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_endpoint_error_matches_integrated_curve():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        kappa = rng.normal(0.5, 3.0, 4096)
+        kappa[rng.random(4096) < 0.1] = 0.0  # straight steps
+        kappa[rng.random(4096) < 0.05] = 1e-15
+        ds = rng.uniform(0.2, 1.8, 4096) * TWO_PI / 4096
+        k = CurvatureProfile(kappa, "step")
+        e = endpoint_error(k, ds)
+        assert np.array([e.e]).tobytes() == np.array([error_vector(integrate_curve(k, ds)).e]).tobytes()
+        kappa[rng.integers(4096)] = 4.0 * 4096  # one step turns by more than half a turn
+        ds[:] = TWO_PI / 4096
+        with pytest.raises(TooFewSamples):
+            endpoint_error(k, ds)
+        with pytest.raises(TooFewSamples):
+            integrate_curve(k, ds)
 
 
 class TestIntegrateArcs:

@@ -13,6 +13,7 @@ from fourvertex.bicircle import (
 from fourvertex.curvature import TWO_PI
 from fourvertex.moebius import (
     MoebiusParameter,
+    _circle,
     evaluation_inverse,
     moebius_apply,
     moebius_lift,
@@ -101,6 +102,20 @@ class TestOnConfig:
             lift = moebius_lift(beta, n=4096)
             assert np.array_equal(lift.knots, grid)
             assert np.max(np.abs(lift.values - ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 512, 4096])
+    def test_cached_circle_gives_the_uncached_lift(self, n):
+        grid, conj_circle = _circle(n)
+        assert _circle(n)[0] is grid
+        assert not grid.flags.writeable and not conj_circle.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        ref_grid = TWO_PI * np.arange(n + 1) / n
+        for beta in (0.0, 0.3 + 0.4j, -0.95j, 0.998):
+            ref = ref_grid + 2.0 * np.angle(1.0 - beta * np.exp(-1j * ref_grid))
+            ref[-1] = ref[0] + TWO_PI
+            lift = moebius_lift(beta, n=n)
+            assert np.array_equal(lift.knots, ref_grid) and np.array_equal(lift.values, ref)
 
 
 class TestEvaluationInverse:

@@ -19,8 +19,14 @@ from fourvertex.curvature import (
     profile_from_function,
     profile_from_step,
 )
-from fourvertex.integrator import ErrorVector, curvature_samples, error_vector, is_simple
-from fourvertex.moebius import evaluation_inverse, moebius_on_config
+from fourvertex.integrator import (
+    ErrorVector,
+    curvature_samples,
+    error_vector,
+    integrate_curve,
+    is_simple,
+)
+from fourvertex.moebius import NumericallyDegenerate, evaluation_inverse, moebius_on_config
 from fourvertex import solver
 from fourvertex.solver import (
     CERTIFICATE_HALF,
@@ -29,6 +35,7 @@ from fourvertex.solver import (
     NoWindingAtRadius,
     OriginOnLoop,
     PolishDiverged,
+    SynthesisFailed,
     _boundary_winding,
     compass_demo,
     error_at_beta,
@@ -106,8 +113,9 @@ class TestWindingNumber:
 class TestErrorAtBeta:
     def test_step_profile_closes_at_zero(self):
         k0 = profile_from_step(StepSpec(0.5, 2.0), 4096)
-        err, curve, sc = error_at_beta(k0, 0.0)
+        err, ds, sc = error_at_beta(k0, 0.0)
         assert err.magnitude < 1e-12
+        assert ds.shape == (4096,) and np.sum(ds) == pytest.approx(TWO_PI, abs=1e-12)
         assert sc.c == pytest.approx(0.8, abs=1e-12)
 
     def test_loop_winds_once(self):
@@ -153,9 +161,20 @@ class TestErrorAtBeta:
     def test_smooth_profile_uses_sampled_route(self):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=2048)
         assert step_breakpoints(k) is None
-        err, curve, _ = error_at_beta(k, 0.1 + 0.05j)
-        assert curve.s.size == 2049
+        err, ds, sc = error_at_beta(k, 0.1 + 0.05j)
+        assert ds.size == 2048
         assert np.isfinite(err.magnitude)
+        # the returned steps and scale rebuild the curve the error belongs to
+        curve = integrate_curve(CurvatureProfile(sc.c * k.samples, k.interp), ds)
+        assert curve.s.size == 2049
+        assert error_vector(curve) == err
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-16])
+    def test_unresolvable_lift_is_numerically_degenerate(self, gap):
+        # so near the unit circle some lift steps round to zero or below
+        k0 = profile_from_step(StepSpec(0.5, 2.0), 4096)
+        with pytest.raises(NumericallyDegenerate, match="strictly increasing"):
+            error_at_beta(k0, 1.0 - gap)
 
 
 class TestFindZero:
@@ -211,8 +230,8 @@ class TestCertifiedPolish:
         def shifted(k, m):
             # the shifted error has no zero in the disk; the first secant step
             # lands near |beta| = 2, where the error must not be evaluated
-            e, curve, sc = real(k, m)
-            return ErrorVector(e.e + 10.0), curve, sc
+            e, ds, sc = real(k, m)
+            return ErrorVector(e.e + 10.0), ds, sc
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(PolishDiverged, match="unit disk"):
@@ -330,6 +349,31 @@ class TestSynthesize:
         with pytest.raises(HypothesisViolated):
             synthesize(k)
 
+    def test_degenerate_lift_fails_its_round(self, monkeypatch):
+        # an iterate whose lift does not resolve fails the round like any
+        # other zero-search failure; the next round starts afresh
+        k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
+        real = solver.error_at_beta
+        calls = [0]
+
+        def degenerate_first(k1, m):
+            calls[0] += 1
+            if calls[0] == 1:
+                raise NumericallyDegenerate("lift must be strictly increasing")
+            return real(k1, m)
+
+        monkeypatch.setattr(solver, "error_at_beta", degenerate_first)
+        assert synthesize(k).diagnostics.rounds == 2
+
+        def degenerate(k1, m):
+            raise NumericallyDegenerate("lift must be strictly increasing")
+
+        monkeypatch.setattr(solver, "error_at_beta", degenerate)
+        with pytest.raises(SynthesisFailed) as info:
+            synthesize(k, max_rounds=2)
+        assert [why for _, _, why in info.value.history] == \
+            ["zero search: NumericallyDegenerate: lift must be strictly increasing"] * 2
+
     def test_step_profile_realized_through_envelope(self):
         from fourvertex.curvature import CurvatureProfile
 
@@ -417,9 +461,30 @@ def test_polished_root_closes_the_scaled_curve(eps):
     # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
     # not enough, so the polish must go on until the scaled bound holds
     k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
-    err, _, sc = error_at_beta(k1, find_zero_beta(k1, 0.2))
+    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1, 0.2))
     assert abs(sc.c) > 100.0
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
+
+
+def test_schedule_stops_at_four_sample_measure(monkeypatch):
+    # one mismatched sample at each of the four step jumps measures 8*pi/n,
+    # so no round with eps <= 8*pi/n is tried: LARGE_SCALE's own pass stops
+    # after eps 0.00625 (was: two more rounds, at 0.003125 and 0.0015625),
+    # and the flipped pass realizes it as before
+    k = trig_profile(*LARGE_SCALE)
+    tried = []
+    real = solver.build_h1
+
+    def spy(k, abab, step, eps):
+        tried.append(eps)
+        return real(k, abab, step, eps)
+
+    monkeypatch.setattr(solver, "build_h1", spy)
+    res = synthesize(k)
+    assert res.sign_flipped
+    assert res.beta_star.beta == -0.0015098197076171746 + 0.0016582204842359933j
+    assert res.diagnostics.rounds == 7
+    assert min(tried) > 8.0 * math.pi / k.n
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
