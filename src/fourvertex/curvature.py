@@ -24,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 # |integral| below this fraction of max|kappa| * 2*pi counts as zero.
 ZERO_TOTAL_REL = 1e-8
 PLATEAU_TOL = 1e-9        # samples this close to a plateau's running mean join it
-CHECK_GRID_MIN = 10_000   # fewest samples build_h1 verifies its measure bound on
 RADIUS_BLOCK = 16         # window radii _window_radius probes per profile call
 
 
@@ -391,6 +390,43 @@ def _window_radius(k: CurvatureProfile, centre: float, target: float,
     return 1e-11
 
 
+def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
+                      eps: float) -> float:
+    """Exact measure{ t in one period : |k(h1(t)) - step(t)| > eps }.
+
+    The period is cut at h1's knots, the step's breakpoints and the
+    h1-preimages of k's grid points.  On each piece h1 is linear, the step
+    is constant and k is linear (constant when step-interpolated) between
+    neighbouring grid points, so f = k(h1(t)) - step(t) is linear there and
+    the measure of {|f| > eps} on the piece has a closed form.  Time and
+    memory are O(n + number of knots).
+    """
+    lo, hi = h1.values[0], h1.values[-1]
+    n = k.n
+    grid = TWO_PI / n * np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
+    breaks = h1.knots[0] + np.mod(np.asarray(step.breakpoints) - h1.knots[0], TWO_PI)
+    # three sorted runs, which a stable sort merges in linear time; a cut
+    # that repeats only adds a piece of length zero
+    t = np.sort(np.concatenate((h1.knots, breaks, np.interp(grid, h1.values, h1.knots))),
+                kind="stable")
+    mid = 0.5 * (t[:-1] + t[1:])
+    target = step.value_at(mid)
+    if k.interp == "step":
+        fa = fb = np.asarray(k(h1(mid))) - target
+    else:
+        kt = np.asarray(k(h1(t)))
+        fa, fb = kt[:-1] - target, kt[1:] - target
+    rise = np.abs(fb - fa)
+    measure = 0.0
+    for top in (np.maximum(fa, fb) - eps, -np.minimum(fa, fb) - eps):
+        # share of the piece where f > eps (then -f > eps): f passes eps
+        # linearly, or lies wholly above or below it on a flat piece
+        share = np.divide(np.clip(top, 0.0, rise), rise, out=(top > 0.0).astype(float),
+                          where=rise > 0.0)
+        measure += float(np.diff(t) @ share)
+    return measure
+
+
 def build_h1(
     k: CurvatureProfile,
     abab: AbabPoints,
@@ -406,7 +442,9 @@ def build_h1(
 
         measure{ t : |k(h1(t)) - step(t)| > eps } < eps
 
-    is verified on a uniform grid before returning; failures retry with
+    is verified exactly before returning, piece by piece between the knots
+    of h1, the step's breakpoints and the preimages of k's grid
+    (``_mismatch_measure``, O(n) time and memory); failures retry with
     smaller neighbourhoods.  The window must be one of k itself: the points
     of a sign-flipped window do not attain its values, raising ValueError.
     """
@@ -429,10 +467,6 @@ def build_h1(
 
     sliver = min(eps / 32.0, 0.25 * float(np.min(arc_len)))
     dev_cap = eps / 8.0
-    # the verification grid must resolve the slivers it is measuring
-    n_check = max(CHECK_GRID_MIN, int(256.0 * TWO_PI / eps) + 1)
-    tgrid = TWO_PI * np.arange(n_check) / n_check
-    step_vals = step.value_at(tgrid)
     for _ in range(6):
         deltas = np.array([_window_radius(k, u[i], targets[i], starts[i], dev_cap)
                            for i in range(4)])
@@ -450,8 +484,7 @@ def build_h1(
             sliver *= 0.5
             dev_cap *= 0.5
             continue
-        bad = np.abs(np.asarray(k(h1(tgrid))) - step_vals) > eps
-        if float(np.mean(bad)) * TWO_PI < eps:
+        if _mismatch_measure(k, h1, step, eps) < eps:
             return h1
         sliver *= 0.5
         dev_cap *= 0.5

@@ -98,16 +98,17 @@ class ErrorVector:
 def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangent angles at the n + 1 samples and the n chords of the exact arcs."""
     turn = kappa * ds
-    if np.any(np.abs(turn) >= math.pi):
+    if not np.all(np.abs(turn) < math.pi):  # NaN fails too
         raise TooFewSamples("a grid step turns by half a turn or more")
     theta = np.empty(kappa.size + 1)
     theta[0] = 0.0
     np.cumsum(turn, out=theta[1:])
-    rot = np.exp(1j * theta)
-    arcs = np.empty(kappa.size, dtype=complex)
-    np.divide(np.diff(rot), 1j * kappa, out=arcs,
-              where=np.abs(kappa) >= STRAIGHT_KAPPA)
+    rot = np.empty(theta.size, dtype=complex)  # e^{i theta}, bit for bit
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
     straight = np.abs(kappa) < STRAIGHT_KAPPA
+    arcs = np.empty(kappa.size, dtype=complex)
+    np.divide(np.diff(rot), 1j * kappa, out=arcs, where=~straight)
     if np.any(straight):
         arcs[straight] = (ds * rot[:-1])[straight]
     return theta, arcs
@@ -163,13 +164,15 @@ def error_vector(c: PlanarCurve) -> ErrorVector:
     return ErrorVector(complex(c.pos[-1] - c.pos[0]))
 
 
-def endpoint_error(k: CurvatureProfile, ds: np.ndarray) -> ErrorVector:
-    """``error_vector(integrate_curve(k, ds))``, bit for bit, without building the curve.
+def endpoint_error(kappa: np.ndarray, ds: np.ndarray) -> ErrorVector:
+    """``error_vector(integrate_curve(CurvatureProfile(kappa), ds))``, bit for bit.
 
-    The chords are summed by the same sequential cumulative sum that places
-    the curve's positions, so the two routes round alike.
+    No curve and no profile is built.  The chords are summed by the same
+    sequential cumulative sum that places the curve's positions, so the two
+    routes round alike.  A non-finite curvature raises TooFewSamples, as any
+    step turning by half a turn or more does.
     """
-    return ErrorVector(complex(np.cumsum(_arcs(k.samples, ds)[1])[-1]))
+    return ErrorVector(complex(np.cumsum(_arcs(kappa, ds)[1])[-1]))
 
 
 def winding_number(points) -> int:

@@ -7,9 +7,11 @@ integrates the profile on its own grid, with arc-length steps given by the
 inverse map's boundary lift, so the error is smooth in the parameter.  The
 zero search polishes from the disk center with a two-variable secant
 iteration and certifies the polished root by a nonzero winding along a
-small square around it, counted by
-:func:`fourvertex.integrator.winding_number`.  A root that fails the
-certificate fails the synthesis round, which retries with a finer warp.
+small square around it: by Rouché's rule from the error at the square's
+four corners when the polish's linear model holds there, else counted by
+:func:`fourvertex.integrator.winding_number` along the refined boundary.
+A root that fails the certificate fails the synthesis round, which
+retries with a finer warp.
 The synthesis pipeline warps an admissible profile onto a two-value step
 function, closes the curve by that root, and tags each sample with the
 original parameter the warp sends it to.
@@ -61,6 +63,7 @@ ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
 CERTIFICATE_PER_EDGE = 2  # pieces per square edge before adaptive refinement;
 # E is smooth at the square's scale, so 8 samples start the loop
+SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)  # corners of the unit square, counterclockwise
 POLISH_MAX_ITER = 80     # secant steps before the polish stops
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
@@ -130,17 +133,18 @@ def error_at_beta(
     map g_{-beta}, and c = 2*pi / sum_j k1_j ds_j normalizes the total
     curvature.  The steps are smooth in beta, and so is the error; the curve
     starts at u = 0, which only rotates the error of a curve cut at s = 0.
-    Returns (E, ds, c) without building the curve;
+    Returns (E, ds, c) without building the curve or a scaled profile;
     ``integrate_curve(CurvatureProfile(c * k1.samples, k1.interp), ds)``
     builds it, and its endpoint error is E bit for bit.  Raises
-    ZeroTotalCurvature when the weighted total nearly vanishes, and
+    ZeroTotalCurvature when the weighted total nearly vanishes,
     NumericallyDegenerate when beta lies too near the unit circle for the
-    lift to resolve on k1's grid.
+    lift to resolve on k1's grid, and TooFewSamples when a step of the
+    scaled profile turns by half a turn or more (or c * k1 overflows).
     """
     beta = _beta_value(m)
     ds = np.diff(moebius_lift(-beta, n=k1.n).values)
     sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
-    return endpoint_error(CurvatureProfile(sc.c * k1.samples, k1.interp), ds), ds, sc
+    return endpoint_error(sc.c * k1.samples, ds), ds, sc
 
 
 class _EdgeZero(Exception):
@@ -160,10 +164,15 @@ def _refine_arc(err, z0, z1, u0, e0, u1, e1, depth):
             + _refine_arc(err, z0, z1, um, em, u1, e1, depth + 1))
 
 
-def _boundary_winding(err, center: complex, half: float) -> int:
-    """Winding of the error along a square cell boundary, sampled adaptively."""
-    corners = [center + half * w for w in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)]
-    corner_vals = [err(z) for z in corners]
+def _boundary_winding(err, center: complex, half: float, corner_vals=None) -> int:
+    """Winding of the error along a square cell boundary, sampled adaptively.
+
+    ``corner_vals`` holds the error at the corners ``center + half * SQUARE``
+    when the caller has evaluated it already.
+    """
+    corners = [center + half * w for w in SQUARE]
+    if corner_vals is None:
+        corner_vals = [err(z) for z in corners]
     loop: list[complex] = []
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
@@ -182,12 +191,15 @@ def _boundary_winding(err, center: complex, half: float) -> int:
         raise _EdgeZero from None
 
 
-def _polish(err, x0: complex, tol) -> tuple[complex, float]:
+def _polish(err, x0: complex, tol) -> tuple[complex, complex, np.ndarray | None]:
     """Two-variable secant iteration with a rank-one update and damping.
 
-    It stops once |err| < ``tol()``, read after the latest evaluation.  An
-    iterate on or outside the unit circle, where no Möbius parameter
-    exists, ends the iteration as a divergence without being evaluated.
+    It stops once |err| < ``tol()``, read after the latest evaluation, and
+    returns the root, the error there and the secant Jacobian after its
+    last update (as a real 2x2 map of (Re, Im)); the Jacobian is None when
+    x0 itself meets the tolerance.  An iterate on or outside the unit
+    circle, where no Möbius parameter exists, ends the iteration as a
+    divergence without being evaluated.
     """
     best_x, best_r = x0, math.inf
 
@@ -201,7 +213,7 @@ def _polish(err, x0: complex, tol) -> tuple[complex, float]:
     f0, r0 = fvec(x0)
     best_r = r0
     if r0 < tol():
-        return x0, r0
+        return x0, complex(f0[0], f0[1]), None
     fx, _ = fvec(x0 + h)
     fy, _ = fvec(x0 + 1j * h)
     jac = np.column_stack(((fx - f0) / h, (fy - f0) / h))
@@ -227,8 +239,34 @@ def _polish(err, x0: complex, tol) -> tuple[complex, float]:
         if r < best_r:
             best_x, best_r = x, r
         if r < tol():
-            return x, r
+            return x, complex(f[0], f[1]), jac
     raise PolishDiverged(best_x, best_r)
+
+
+def _certify(err, beta: complex, e_star: complex, jac: np.ndarray | None) -> int:
+    """Winding of the error along the square of half-width CERTIFICATE_HALF around beta.
+
+    The error is evaluated at the four corners first.  Where the polish's
+    linear model L(z) = E(beta) + J (z - beta) misses it there by less than
+    half of sigma_min(J) * CERTIFICATE_HALF, less |E(beta)|, the model's
+    zero lies inside the square and |E - L| < |L| along its boundary, as E
+    is smooth at the square's scale; by Rouché's rule E then winds as L
+    does, sign(det J) times.  Otherwise, or without a Jacobian,
+    :func:`_boundary_winding` counts the winding from the same corners.
+    """
+    offsets = CERTIFICATE_HALF * np.array(SQUARE)
+    vals = [err(beta + d) for d in offsets]
+    if jac is not None:
+        model = e_star + (jac[0, 0] + 1j * jac[1, 0]) * offsets.real \
+            + (jac[0, 1] + 1j * jac[1, 1]) * offsets.imag
+        det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+        frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; |det| = their product
+        sigma_max = 0.5 * (math.sqrt(frob + 2.0 * abs(det))
+                           + math.sqrt(max(frob - 2.0 * abs(det), 0.0)))
+        if np.max(np.abs(np.array(vals) - model)) + abs(e_star) \
+                < 0.5 * abs(det) / sigma_max * CERTIFICATE_HALF:
+            return 1 if det > 0.0 else -1
+    return _boundary_winding(err, beta, CERTIFICATE_HALF, vals)
 
 
 def find_zero_beta(
@@ -240,11 +278,14 @@ def find_zero_beta(
     curve scaled by the normalizing factor c closes too, |E| * |c| <
     2*pi*RESIDUAL_TOL.  It is accepted when a square of half-width
     CERTIFICATE_HALF around it lies inside the disk and the error winds
-    along its boundary, which certifies a zero there.  A root outside the
-    disk, a square along which the error does not wind, or an error
-    vanishing on the square raises NoWindingAtRadius; a polish that stalls
-    or leaves the unit disk raises PolishDiverged.  ``stats["evaluations"]``
-    counts the error evaluations.  The search is deterministic.
+    along its boundary, which certifies a zero there (:func:`_certify`):
+    four evaluations at the corners when the polish's linear model holds
+    there, else the corners and the adaptive boundary loop, eight
+    evaluations or more.  A root outside the disk, a square along which the
+    error does not wind, or an error vanishing on the square raises
+    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
+    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations.
+    The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
@@ -257,11 +298,11 @@ def find_zero_beta(
         scale[0] = abs(sc.c)
         return e.e
 
-    beta, _residual = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]))
+    beta, e_star, jac = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]))
     if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= r0:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {r0}")
     try:
-        winding = _boundary_winding(err, beta, CERTIFICATE_HALF)
+        winding = _certify(err, beta, e_star, jac)
     except _EdgeZero:
         raise NoWindingAtRadius("error vanishes on the certificate square") from None
     if winding == 0:

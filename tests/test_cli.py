@@ -69,8 +69,8 @@ def test_synth_failure_exit_code(tmp_path, capsys):
 
 def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):
     # eps halves each failed round; once it is at most 8*pi/512 no round can
-    # pass (see above), so the schedule stops instead of growing the warp's
-    # check grid without bound; at eps0 = 0.04 it stops before round 1
+    # pass (see above), so the schedule stops instead of trying rounds that
+    # must fail; at eps0 = 0.04 it stops before round 1
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     limit = 1 << 30

@@ -25,7 +25,7 @@ from fourvertex.curvature import (
     reflect_negate,
     total_curvature,
 )
-from fourvertex.curvature import AbabPoints, _first_crossing, _window_radius
+from fourvertex.curvature import AbabPoints, _first_crossing, _mismatch_measure, _window_radius
 
 
 def cos2t(n=1024):
@@ -463,6 +463,69 @@ class TestBuildH1:
         ab = find_abab_points(k)
         with pytest.raises(ValueError):
             build_h1(k, ab, StepSpec(ab.a, ab.b), 0.0)
+
+
+class TestMismatchMeasure:
+    # the tent 0, 1, 2, 3, 4, 3, 2, 1 on eight samples, and the step 1, 3, 1, 3
+    # on the four quarter turns
+    TENT = [0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]
+    STEP = StepSpec(1.0, 3.0)
+
+    def test_linear_tent_through_a_warp_in_closed_form(self):
+        # h1(t) = t/2 on [0, pi], then pi/2 + 3(t - pi)/2; k(h1(t)) - step(t)
+        # passes eps = 1/2 at t = pi/4 and t = 19*pi/12, and stays beyond it
+        # on [pi/2, 3*pi/2): pi/4 + pi/2 + pi/2 + 5*pi/12
+        h1 = CircleDiffeo(np.array([0.0, math.pi, TWO_PI]),
+                          np.array([0.0, 0.5 * math.pi, TWO_PI]))
+        k = CurvatureProfile(self.TENT, "linear")
+        assert _mismatch_measure(k, h1, self.STEP, 0.5) == pytest.approx(
+            5.0 * math.pi / 3.0, abs=1e-12)
+
+    def test_step_breakpoints_inside_grid_cells(self):
+        # k = 4t/pi on [0, pi], 8 - 4t/pi on [pi, 2*pi]; with breakpoints
+        # 0.3, 1.0, 2.2, 5.0, |k - step| <= 1/2 only on [pi/8, 1.0] (step 1)
+        # and [5*pi/8, 2.2] (step 3): both cut off by a breakpoint mid-cell
+        step = StepSpec(1.0, 3.0, (0.3, 1.0, 2.2, 5.0))
+        k = CurvatureProfile(self.TENT, "linear")
+        assert _mismatch_measure(k, CircleDiffeo.identity(), step, 0.5) == pytest.approx(
+            2.75 * math.pi - 3.2, abs=1e-12)
+
+    def test_period_starting_off_zero(self):
+        # the same warp as a lift over [1, 1 + 2*pi]: the measure counts one
+        # period whatever its start
+        h1 = CircleDiffeo(np.array([0.0, math.pi, TWO_PI]),
+                          np.array([0.0, 0.5 * math.pi, TWO_PI]))
+        knots = np.array([1.0, math.pi, TWO_PI, TWO_PI + 1.0])
+        lifted = CircleDiffeo(knots, h1(knots))
+        k = CurvatureProfile(self.TENT, "linear")
+        assert _mismatch_measure(k, lifted, self.STEP, 0.5) == pytest.approx(
+            5.0 * math.pi / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eps, expected", [(0.5, 1.5 * math.pi), (1.0, 0.75 * math.pi)])
+    def test_step_interpolated_k_is_constant_per_cell(self, eps, expected):
+        # each eighth of the circle has |k - step| of 1, 0, 1, 0, 3, 2, 1, 2;
+        # a cell at exactly eps is not counted
+        k = CurvatureProfile(self.TENT, "step")
+        assert _mismatch_measure(k, CircleDiffeo.identity(), self.STEP, eps) == pytest.approx(
+            expected, abs=1e-12)
+
+    @pytest.mark.parametrize("fn, eps", [
+        (lambda t: 1.5 + np.cos(2 * t), 0.1),
+        (lambda t: 1.5 + np.cos(2 * t), 0.02),
+        (lambda t: 1.2 + np.cos(2 * t) + 0.3 * np.sin(3 * t), 0.05),
+        (lambda t: np.cos(2 * t) + 0.05 + 0.1 * np.cos(5 * t + 1.0), 0.1),
+    ])
+    def test_matches_a_million_samples_on_built_warps(self, fn, eps):
+        k = profile_from_function(fn, n=4096)
+        ab = find_abab_points(k)
+        step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
+        h1 = build_h1(k, ab, step, eps)
+        m = 1_000_000
+        t = TWO_PI * (np.arange(m) + 0.5) / m
+        sampled = float(np.mean(np.abs(np.asarray(k(h1(t))) - step.value_at(t)) > eps)) * TWO_PI
+        exact = _mismatch_measure(k, h1, step, eps)
+        assert 0.0 < exact < eps
+        assert exact == pytest.approx(sampled, abs=4 * TWO_PI / m)  # 4 samples
 
 
 def test_reflect_negate_pointwise():

@@ -312,14 +312,18 @@ def test_endpoint_error_matches_integrated_curve():
         kappa[rng.random(4096) < 0.05] = 1e-15
         ds = rng.uniform(0.2, 1.8, 4096) * TWO_PI / 4096
         k = CurvatureProfile(kappa, "step")
-        e = endpoint_error(k, ds)
+        e = endpoint_error(kappa, ds)
         assert np.array([e.e]).tobytes() == np.array([error_vector(integrate_curve(k, ds)).e]).tobytes()
         kappa[rng.integers(4096)] = 4.0 * 4096  # one step turns by more than half a turn
         ds[:] = TWO_PI / 4096
         with pytest.raises(TooFewSamples):
-            endpoint_error(k, ds)
+            endpoint_error(kappa, ds)
         with pytest.raises(TooFewSamples):
             integrate_curve(k, ds)
+    for bad in (math.inf, math.nan):  # an overflowed scale times k, or worse
+        kappa[0] = bad
+        with pytest.raises(TooFewSamples):
+            endpoint_error(kappa, ds)
 
 
 class TestIntegrateArcs:

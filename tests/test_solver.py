@@ -1,5 +1,10 @@
 import cmath
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,10 +243,26 @@ class TestCertifiedPolish:
             find_zero_beta(k1, 0.2)
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
-        k1, _ = warped
-        monkeypatch.setattr(solver, "_boundary_winding", lambda *args, **kwargs: 0)
+        # a Jacobian three times too steep misses the error at the corners, so
+        # the corner test refuses; the fallback then decides alone
+        k1, root = warped
+        real_polish, real_winding = solver._polish, solver._boundary_winding
+        fallbacks = []
+
+        def steep(*args):
+            beta, e_star, jac = real_polish(*args)
+            return beta, e_star, 3.0 * jac
+
+        def refuse(*args):
+            fallbacks.append(real_winding(*args))
+            return 0
+
+        monkeypatch.setattr(solver, "_polish", steep)
+        assert find_zero_beta(k1, 0.2).beta == root
+        monkeypatch.setattr(solver, "_boundary_winding", refuse)
         with pytest.raises(NoWindingAtRadius, match="no winding"):
             find_zero_beta(k1, 0.2)
+        assert len(fallbacks) == 1 and fallbacks[0] != 0
 
     def test_root_outside_radius_rejected(self, warped):
         k1, ref = warped
@@ -290,6 +311,56 @@ def test_sparse_certificate_agrees_with_dense_loop(case, warped):
     assert dense_square_winding(err, off, CERTIFICATE_HALF) == 0
 
 
+@pytest.mark.parametrize("case", ["warped", "certificate"])
+def test_corner_certificate_agrees_with_dense_loop(case, warped, monkeypatch):
+    # where the four corners certify the root, a 256-sample loop around the
+    # same square winds sign(det J) times too
+    k1 = warped[0] if case == "warped" else warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
+    stats = {"evaluations": 0}
+    seen = []
+    real = solver._certify
+
+    def spy(err, beta, e_star, jac):
+        start = stats["evaluations"]
+        winding = real(err, beta, e_star, jac)
+        seen.append((beta, jac, winding, stats["evaluations"] - start))
+        return winding
+
+    monkeypatch.setattr(solver, "_certify", spy)
+    find_zero_beta(k1, 0.2, stats=stats)
+    [(beta, jac, winding, evaluations)] = seen
+    assert evaluations == 4
+    assert winding == int(np.sign(np.linalg.det(jac))) != 0
+    dense = dense_square_winding(lambda b: error_at_beta(k1, b)[0].e, beta, CERTIFICATE_HALF)
+    assert dense == winding
+
+
+@pytest.mark.parametrize("jac", [[[2.0, -1.0], [0.5, 1.5]], [[0.5, 1.5], [2.0, -1.0]]],
+                         ids=["det>0", "det<0"])
+@pytest.mark.parametrize("bump", [0.0, 0.5])
+def test_corner_test_falls_back_on_a_quadratic_bump(jac, bump):
+    # E = J (b - root) + C |b - root|^2 with C = bump * sigma_min / h: at
+    # bump 0.5 the remainder at the corners is sigma_min * h, twice what the
+    # corner test allows, yet below |J (b - root)| all along the boundary, so
+    # E still winds sign(det J) times, and the adaptive loop must say so
+    jac = np.array(jac)
+    root = 0.01 + 0.02j
+    h = CERTIFICATE_HALF
+    c = bump * np.linalg.svd(jac, compute_uv=False)[-1] / h
+    count = [0]
+
+    def err(b):
+        count[0] += 1
+        d = np.array([(b - root).real, (b - root).imag])
+        lin = jac @ d
+        return complex(lin[0], lin[1]) + c * float(d @ d)
+
+    winding = solver._certify(err, root, 0j, jac)
+    assert (count[0] == 4) == (bump == 0.0)  # the corners alone decide, or the loop does
+    assert winding == int(np.sign(np.linalg.det(jac)))
+    assert winding == dense_square_winding(err, root, h)
+
+
 class TestSynthesize:
     def test_constant_gives_circle(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=1024)
@@ -329,9 +400,10 @@ class TestSynthesize:
         self._check_round_trip(k, res)
 
     def test_evaluation_budget(self):
+        # 6 for the polish and 4 for the corner certificate
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.error_evaluations <= 20
+        assert res.diagnostics.error_evaluations <= 10
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
@@ -499,12 +571,32 @@ def test_error_is_continuous_at_certificate_scale(eps, offset):
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    root, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL)
+    root, _, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL)
     winds = {_boundary_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
     assert len(winds) == 1 and winds != {0}
     loop = np.array([err(root + 1e-4 * cmath.exp(2j * math.pi * j / 32)) for j in range(32)])
     assert np.max(np.abs(np.angle(np.roll(loop, -1) / loop))) < 0.5
+
+
+def test_large_grid_synthesis_in_bounded_memory():
+    # n = 2^18 at eps0 = 2e-4 under a 512 MiB address-space cap: the warp's
+    # measure check is exact and O(n), so the run peaks near 115 MiB
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    script = ("import numpy as np, fourvertex as fv\n"
+              "k = fv.profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=1 << 18)\n"
+              "res = fv.synthesize(k, eps0=2e-4)\n"
+              "print(res.diagnostics.rounds, res.curve.closed)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
 
 
 def test_estimated_curvature_tracks_profile_away_from_slivers():
