@@ -168,8 +168,7 @@ def cmd_synth(args) -> int:
         print(f"error: bad curvature file: {ex}", file=sys.stderr)
         return EXIT_IO
     try:
-        result = solver.synthesize(profile, eps0=args.eps0, r0=args.r0,
-                                   max_rounds=args.max_rounds)
+        result = solver.synthesize(profile, eps0=args.eps0)
     except (HypothesisViolated, NoPositiveWindow) as ex:
         print(f"hypothesis violated: {ex}", file=sys.stderr)
         return EXIT_INPUT
@@ -334,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="realize a curvature profile as a closed curve")
     p.add_argument("kappa_file")
     p.add_argument("--eps0", type=float, default=0.1)
-    p.add_argument("--r0", type=float, default=0.2)
-    p.add_argument("--max-rounds", type=int, default=20)
     p.add_argument("--grid", type=int, default=4096,
                    help="profile grid size (power of two, at least 512)")
     p.add_argument("--out-dir", default="out")

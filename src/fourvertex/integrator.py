@@ -39,7 +39,9 @@ class PlanarCurve:
     """Polyline with arc length, complex positions and tangent-angle lift.
 
     ``t`` optionally tags each sample with the parameter of an underlying
-    curvature function (used by synthesized and fixture curves).
+    curvature function (used by synthesized and fixture curves).  ``closed``
+    records whether the integrator found the endpoints to meet; whether a
+    curve closes is decided by :attr:`closes` from its positions alone.
     """
 
     s: np.ndarray
@@ -58,8 +60,9 @@ class PlanarCurve:
         object.__setattr__(self, "theta", theta)
         if self.t is not None:
             object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        if not (s.shape == pos.shape == theta.shape) or s.ndim != 1 or s.size < 2:
-            raise ValueError("s, pos and theta must be matching 1-d arrays")
+        t_shape = s.shape if self.t is None else self.t.shape
+        if not (s.shape == pos.shape == theta.shape == t_shape) or s.ndim != 1 or s.size < 2:
+            raise ValueError("s, pos, theta and t must be matching 1-d arrays")
         if not (np.isfinite(s).all() and np.isfinite(pos).all() and np.isfinite(theta).all()
                 and (self.t is None or np.isfinite(self.t).all())):
             raise ValueError("curve samples must be finite")
@@ -80,8 +83,8 @@ class PlanarCurve:
 
     @property
     def closes(self) -> bool:
-        """Flagged closed, or the endpoints meet within 1e-6 of the length."""
-        return self.closed or self.endpoint_gap() < 1e-6 * self.length
+        """The endpoints meet within 1e-6 of the length."""
+        return self.endpoint_gap() < 1e-6 * self.length
 
 
 @dataclass(frozen=True)
@@ -219,11 +222,10 @@ def reverse_curve(c: PlanarCurve) -> PlanarCurve:
 
 
 def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Samples with any duplicated closing sample dropped."""
-    closed = c.closes
-    if closed and c.endpoint_gap() < 1e-3 * c.length:
+    """Samples with the closing sample dropped exactly when the curve :attr:`closes`."""
+    if c.closes:
         return c.s[:-1], c.pos[:-1], c.theta[:-1], True
-    return c.s, c.pos, c.theta, closed
+    return c.s, c.pos, c.theta, False
 
 
 def curvature_samples(c: PlanarCurve) -> np.ndarray:

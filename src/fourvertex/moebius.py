@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicircle import Configuration, is_core
-from .curvature import TWO_PI, CircleDiffeo
+from .curvature import TWO_PI
 
 
 class NumericallyDegenerate(ArithmeticError):
@@ -69,23 +69,26 @@ def _circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, conj_circle
 
 
-def moebius_lift(m, n: int = 4096) -> CircleDiffeo:
-    """Restriction to the unit circle as a lift sampled on the n-point grid.
+def moebius_lift(m, n: int = 4096) -> np.ndarray:
+    """Steps of the map's boundary lift over the n cells of the n-point grid.
 
     On z = e^{it}, g(z) = z * w / conj(w) with w = 1 - beta * e^{-it}, and
     Re w > 0, so the lift is t + 2 arg w in closed form: exact at every
-    knot, however steep the map, with no unwrapping.  Raises
-    NumericallyDegenerate when |beta| is so close to 1 that some lift step
+    knot, however steep the map, with no unwrapping.  The last knot is set
+    one period above the first, so the n steps sum to 2*pi; their cumulative
+    sum from 2 arg(1 - beta) is the lift at the knots.  Raises
+    NumericallyDegenerate when |beta| is so close to 1 that some step
     rounds to zero or below.
     """
     beta = _beta_value(m)
     grid, conj_circle = _circle(n)
     values = grid + 2.0 * np.angle(1.0 - beta * conj_circle)
     values[-1] = values[0] + TWO_PI
-    try:
-        return CircleDiffeo(grid, values)
-    except ValueError as ex:  # the only check a closed-form lift can fail
-        raise NumericallyDegenerate(f"lift at |beta| = {abs(beta)!r}: {ex}") from None
+    steps = np.diff(values)
+    if not np.all(steps > 0.0):
+        raise NumericallyDegenerate(
+            f"lift at |beta| = {abs(beta)!r}: lift must be strictly increasing")
+    return steps
 
 
 def _geodesic(u: complex, v: complex):

@@ -20,6 +20,7 @@ original parameter the warp sends it to.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -65,6 +66,7 @@ CERTIFICATE_PER_EDGE = 2  # pieces per square edge before adaptive refinement;
 # E is smooth at the square's scale, so 8 samples start the loop
 SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)  # corners of the unit square, counterclockwise
 POLISH_MAX_ITER = 80     # secant steps before the polish stops
+ROOT_RADIUS = 0.2        # an accepted root lies inside this disk
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
 
@@ -141,8 +143,7 @@ def error_at_beta(
     lift to resolve on k1's grid, and TooFewSamples when a step of the
     scaled profile turns by half a turn or more (or c * k1 overflows).
     """
-    beta = _beta_value(m)
-    ds = np.diff(moebius_lift(-beta, n=k1.n).values)
+    ds = moebius_lift(-_beta_value(m), n=k1.n)
     sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
     return endpoint_error(sc.c * k1.samples, ds), ds, sc
 
@@ -269,10 +270,8 @@ def _certify(err, beta: complex, e_star: complex, jac: np.ndarray | None) -> int
     return _boundary_winding(err, beta, CERTIFICATE_HALF, vals)
 
 
-def find_zero_beta(
-    k1: CurvatureProfile, r0: float, stats: dict | None = None
-) -> MoebiusParameter:
-    """Parameter inside the disk of radius r0 at which the error vanishes.
+def find_zero_beta(k1: CurvatureProfile, stats: dict | None = None) -> MoebiusParameter:
+    """Parameter inside the disk of radius ROOT_RADIUS at which the error vanishes.
 
     The root is polished from beta = 0 until |E| < RESIDUAL_TOL and the
     curve scaled by the normalizing factor c closes too, |E| * |c| <
@@ -299,8 +298,8 @@ def find_zero_beta(
         return e.e
 
     beta, e_star, jac = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]))
-    if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= r0:
-        raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {r0}")
+    if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= ROOT_RADIUS:
+        raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
     try:
         winding = _certify(err, beta, e_star, jac)
     except _EdgeZero:
@@ -310,23 +309,17 @@ def find_zero_beta(
     return MoebiusParameter(beta)
 
 
-def synthesize(
-    k: CurvatureProfile,
-    eps0: float = 0.1,
-    r0: float = 0.2,
-    max_rounds: int = 20,
-) -> SynthesisResult:
+def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     """Build a closed simple curve whose curvature at parameter t is k(t).
 
     A nonzero constant profile returns a circle of the matching radius
     directly.  Otherwise the profile is warped close to a two-value step
     function, the winding argument closes the curve at some Möbius
     parameter, and the curve is scaled and tagged with the original
-    parameter.  The schedule halves eps each failed round; r0 bounds where
-    an accepted root may lie.  When the profile admits no positive value
-    window, or every round of its schedule fails, the reflected negation
-    -k(2*pi - t) runs a schedule of its own and the finished curve is
-    reversed; max_rounds bounds each schedule.
+    parameter.  The schedule halves eps each failed round.  When the
+    profile admits no positive value window, or every round of its schedule
+    fails, the reflected negation -k(2*pi - t) runs a schedule of its own
+    and the finished curve is reversed.
 
     The final check measures the curvature mismatch as 2*pi times the
     share of mismatched curve samples, as ``bench/worker.py`` counts it;
@@ -335,17 +328,14 @@ def synthesize(
     large step between neighbouring samples; one sample at each already
     has measure 8*pi/n, so a round with eps <= 8*pi/n cannot pass.  The
     schedule stops there, and profiles of at most 8*pi/eps0 samples (251
-    at the default eps0) end in SynthesisFailed without a round.
-    Step-interpolated input is realized through its continuous
-    piecewise-linear envelope.  Raises BadParameter unless 0 < r0 < 1, eps0
-    is finite and positive, and max_rounds >= 1.
+    at the default eps0) end in SynthesisFailed without a round.  A
+    mismatch set has measure at most 2*pi, so eps0 must lie in (0, 2*pi],
+    else BadParameter; each schedule then tries at most ceil(log2(n/4))
+    rounds.  Step-interpolated input is realized through its continuous
+    piecewise-linear envelope.
     """
-    if not 0.0 < r0 < 1.0:
-        raise BadParameter(f"r0 must lie in (0, 1), got {r0}")
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise BadParameter(f"eps0 must be finite and positive, got {eps0}")
-    if max_rounds < 1:
-        raise BadParameter(f"max_rounds must be at least 1, got {max_rounds}")
+    if not 0.0 < eps0 <= TWO_PI:
+        raise BadParameter(f"eps0 must lie in (0, 2*pi], got {eps0}")
     if k.interp == "step":
         k = CurvatureProfile(k.samples, "linear")
     peak = float(np.max(np.abs(k.samples)))
@@ -384,7 +374,7 @@ def synthesize(
         tol_kappa = 0.05 * (abab.b - abab.a)
 
         eps = float(eps0)
-        for round_no in range(len(history) + 1, len(history) + max_rounds + 1):
+        for round_no in itertools.count(len(history) + 1):
             if eps <= 4.0 * TWO_PI / k.n:
                 history.append((round_no, eps,
                                 f"eps at most 8*pi/{k.n}, the measure of four samples; "
@@ -398,7 +388,7 @@ def synthesize(
                 continue
             k1 = compose(work, h1)
             try:
-                beta_star = find_zero_beta(k1, r0, stats=stats)
+                beta_star = find_zero_beta(k1, stats=stats)
             except (NoWindingAtRadius, PolishDiverged, TooFewSamples,
                     ZeroTotalCurvature, NumericallyDegenerate) as ex:
                 # TooFewSamples and ZeroTotalCurvature: the sliver mass left

@@ -12,6 +12,7 @@ import pytest
 
 from fourvertex import cli
 from fourvertex.curvature import TWO_PI
+from fourvertex.integrator import PlanarCurve
 
 from conftest import ellipse_curve, limacon_curve
 
@@ -61,7 +62,7 @@ def test_synth_failure_exit_code(tmp_path, capsys):
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
-                     "--grid", "512", "--eps0", "0.04", "--max-rounds", "4"])
+                     "--grid", "512", "--eps0", "0.04"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
@@ -90,16 +91,17 @@ def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):
     assert proc.stderr.rstrip().endswith("schedule stopped")
 
 
-@pytest.mark.parametrize("bad", [["--r0", "1.5"], ["--r0", "-0.2"], ["--eps0", "0"],
-                                 ["--max-rounds", "0"]])
+@pytest.mark.parametrize("bad", [["--eps0", "0"], ["--eps0", "-0.1"], ["--eps0", "7.0"],
+                                 ["--eps0", "nan"]])
 def test_synth_bad_schedule_parameters(tmp_path, capsys, bad):
+    # eps0 must lie in (0, 2*pi]
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
-                     "--grid", "1024", "--max-rounds", "2"] + bad)
+                     "--grid", "1024"] + bad)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: eps0 must lie in") and "Traceback" not in err
 
 
 def test_synth_missing_file(tmp_path):
@@ -146,6 +148,28 @@ def test_analyze_open_arc_rejected(tmp_path):
     path = tmp_path / "arc.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_flagged_open_arc_rejected(tmp_path, capsys):
+    # three quarters of a circle saved with "closed": true; the endpoints decide
+    arc = ellipse_curve(512, a=1.0, b=1.0)
+    arc = PlanarCurve(s=arc.s[:385], pos=arc.pos[:385], theta=arc.theta[:385], closed=True)
+    path = tmp_path / "arc.json"
+    cli.write_curve_json(path, arc)
+    assert json.loads(path.read_text())["closed"] is True
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: curve is not closed\n"
+
+
+def test_analyze_short_tags_rejected(tmp_path, capsys):
+    path = tmp_path / "ellipse.json"
+    cli.write_curve_json(path, ellipse_curve(512))
+    data = json.loads(path.read_text())
+    data["t"] = data["t"][:2]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad curve file") and err.count("\n") == 1
 
 
 def test_analyze_too_few_samples_rejected(tmp_path, capsys):

@@ -56,6 +56,14 @@ class TestIntegrateCurve:
         half = PlanarCurve(s=c.s[:2049], pos=c.pos[:2049], theta=c.theta[:2049])
         assert not half.closes
 
+    def test_closed_flag_does_not_close_a_gap(self):
+        # closedness is read from the positions; the integrator's flag decides nothing
+        c = unit_circle()
+        wide = replace(c, pos=c.pos + 2e-6 * c.length * (c.s == c.length))
+        assert wide.closed and not wide.closes
+        _, pos, _, ring_closed = _ring(wide)
+        assert pos.size == c.pos.size and not ring_closed
+
     def test_equal_opposite_arcs_close(self):
         spec = StepSpec(0.5, 2.0, (0.0, 2 * math.pi / 3, math.pi, 5 * math.pi / 3))
         c = integrate_curve(profile_from_step(spec, 1536))

@@ -71,25 +71,29 @@ class TestOnConfig:
         q = moebius_on_config(0.3, P0)  # constructor validates ccw order
         assert all(abs(abs(p) - 1) < 1e-12 for p in q.points())
 
+    @staticmethod
+    def lift_at_knots(beta, steps):
+        """The lift at the knots, rebuilt from its start 2 arg(1 - beta) and the steps."""
+        return 2.0 * cmath.phase(1.0 - beta) + np.concatenate(([0.0], np.cumsum(steps)))
+
     def test_lift_matches_direct_values(self):
         beta = 0.4 - 0.1j
-        lift = moebius_lift(beta, n=512)
-        t = np.linspace(0.3, TWO_PI - 0.3, 50)
-        direct = np.angle(moebius_apply(beta, np.exp(1j * t)))
-        lifted = np.mod(np.asarray(lift(t)), TWO_PI)
-        diff = np.abs(np.exp(1j * lifted) - np.exp(1j * direct))
-        assert np.max(diff) < 1e-4
+        steps = moebius_lift(beta, n=512)
+        assert steps.shape == (512,) and np.all(steps > 0)
+        knots = TWO_PI * np.arange(513) / 512
+        direct = moebius_apply(beta, np.exp(1j * knots))
+        assert np.max(np.abs(np.exp(1j * self.lift_at_knots(beta, steps)) - direct)) < 1e-12
 
     def test_lift_density_guard_near_boundary(self):
         # at |beta| = 0.998 the map turns by nearly a full turn within one of
-        # 16 grid cells; the closed form still samples exactly the n-point
-        # grid, stays monotone of degree one and hits the map at every knot
-        lift = moebius_lift(0.998, n=16)
-        assert lift.knots.size == 17
-        assert np.all(np.diff(lift.values) > 0)
-        assert lift.values[-1] - lift.values[0] == pytest.approx(TWO_PI, abs=1e-12)
-        direct = moebius_apply(0.998, np.exp(1j * lift.knots))
-        assert np.max(np.abs(np.exp(1j * lift.values) - direct)) < 1e-12
+        # 16 grid cells; the closed form still gives one positive step per
+        # cell, summing to one turn, and hits the map at every knot
+        steps = moebius_lift(0.998, n=16)
+        assert steps.size == 16
+        assert np.all(steps > 0)
+        assert np.sum(steps) == pytest.approx(TWO_PI, abs=1e-12)
+        direct = moebius_apply(0.998, np.exp(1j * TWO_PI * np.arange(17) / 16))
+        assert np.max(np.abs(np.exp(1j * self.lift_at_knots(0.998, steps)) - direct)) < 1e-12
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
     def test_lift_matches_unwrapped_map(self, r):
@@ -99,9 +103,8 @@ class TestOnConfig:
         for phi in TWO_PI * np.arange(6) / 6 + 0.1:
             beta = r * cmath.exp(1j * phi)
             ref = np.unwrap(np.angle(moebius_apply(beta, np.exp(1j * grid))))
-            lift = moebius_lift(beta, n=4096)
-            assert np.array_equal(lift.knots, grid)
-            assert np.max(np.abs(lift.values - ref)) < 1e-12
+            steps = moebius_lift(beta, n=4096)
+            assert np.max(np.abs(self.lift_at_knots(beta, steps) - ref)) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 512, 4096])
     def test_cached_circle_gives_the_uncached_lift(self, n):
@@ -114,8 +117,7 @@ class TestOnConfig:
         for beta in (0.0, 0.3 + 0.4j, -0.95j, 0.998):
             ref = ref_grid + 2.0 * np.angle(1.0 - beta * np.exp(-1j * ref_grid))
             ref[-1] = ref[0] + TWO_PI
-            lift = moebius_lift(beta, n=n)
-            assert np.array_equal(lift.knots, ref_grid) and np.array_equal(lift.values, ref)
+            assert np.array_equal(moebius_lift(beta, n=n), np.diff(ref))
 
 
 class TestEvaluationInverse:

@@ -185,7 +185,7 @@ class TestErrorAtBeta:
 class TestFindZero:
     def test_step_profile_zero_at_origin(self):
         k0 = profile_from_step(StepSpec(0.5, 2.0), 2048)
-        beta = find_zero_beta(k0, 0.2)
+        beta = find_zero_beta(k0)
         assert abs(beta.beta) < 1e-6
         assert error_at_beta(k0, beta)[0].magnitude < 1e-9
 
@@ -193,7 +193,7 @@ class TestFindZero:
         spec = StepSpec(0.5, 2.0, (0.0, math.pi / 2 + 0.1, math.pi,
                                    3 * math.pi / 2))
         kp = profile_from_step(spec, 4096)
-        beta = find_zero_beta(kp, 0.2)
+        beta = find_zero_beta(kp)
         assert abs(beta.beta) > 1e-3
         assert error_at_beta(kp, beta)[0].magnitude < 1e-9
         # independent route: the grid-snapped step pattern factors through a
@@ -205,7 +205,7 @@ class TestFindZero:
     def test_constant_profile_has_no_winding(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=512)
         with pytest.raises(NoWindingAtRadius):
-            find_zero_beta(k, 0.2)
+            find_zero_beta(k)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +214,7 @@ def warped():
     k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
     ab = find_abab_points(k)
     k1 = compose(k, build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1))
-    return k1, find_zero_beta(k1, 0.2).beta
+    return k1, find_zero_beta(k1).beta
 
 
 class TestCertifiedPolish:
@@ -226,7 +226,7 @@ class TestCertifiedPolish:
 
         monkeypatch.setattr(solver, "_polish", stall)
         with pytest.raises(PolishDiverged, match="stalled"):
-            find_zero_beta(k1, 0.2)
+            find_zero_beta(k1)
 
     def test_polish_leaving_unit_disk_propagates(self, monkeypatch, warped):
         k1, _ = warped
@@ -240,7 +240,7 @@ class TestCertifiedPolish:
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(PolishDiverged, match="unit disk"):
-            find_zero_beta(k1, 0.2)
+            find_zero_beta(k1)
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
         # a Jacobian three times too steep misses the error at the corners, so
@@ -258,16 +258,17 @@ class TestCertifiedPolish:
             return 0
 
         monkeypatch.setattr(solver, "_polish", steep)
-        assert find_zero_beta(k1, 0.2).beta == root
+        assert find_zero_beta(k1).beta == root
         monkeypatch.setattr(solver, "_boundary_winding", refuse)
         with pytest.raises(NoWindingAtRadius, match="no winding"):
-            find_zero_beta(k1, 0.2)
+            find_zero_beta(k1)
         assert len(fallbacks) == 1 and fallbacks[0] != 0
 
-    def test_root_outside_radius_rejected(self, warped):
+    def test_root_outside_radius_rejected(self, warped, monkeypatch):
         k1, ref = warped
+        monkeypatch.setattr(solver, "ROOT_RADIUS", 0.5 * abs(ref))
         with pytest.raises(NoWindingAtRadius, match="outside radius"):
-            find_zero_beta(k1, 0.5 * abs(ref))
+            find_zero_beta(k1)
 
     def test_certificate_winds_once_around_root_only(self, warped):
         k1, ref = warped
@@ -297,7 +298,7 @@ def test_sparse_certificate_agrees_with_dense_loop(case, warped):
         k1, root = warped
     else:
         k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
-        root = find_zero_beta(k1, 0.2).beta
+        root = find_zero_beta(k1).beta
 
     def err(b):
         return error_at_beta(k1, b)[0].e
@@ -327,7 +328,7 @@ def test_corner_certificate_agrees_with_dense_loop(case, warped, monkeypatch):
         return winding
 
     monkeypatch.setattr(solver, "_certify", spy)
-    find_zero_beta(k1, 0.2, stats=stats)
+    find_zero_beta(k1, stats=stats)
     [(beta, jac, winding, evaluations)] = seen
     assert evaluations == 4
     assert winding == int(np.sign(np.linalg.det(jac))) != 0
@@ -407,13 +408,13 @@ class TestSynthesize:
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
-        {"r0": 0.0}, {"r0": 1.0}, {"r0": -0.2}, {"r0": math.nan},
-        {"eps0": 0.0}, {"eps0": -0.1}, {"eps0": math.inf}, {"eps0": math.nan},
-        {"max_rounds": 0},
+        {"eps0": 0.0}, {"eps0": -0.0}, {"eps0": -0.1}, {"eps0": 7.0},
+        {"eps0": math.nextafter(TWO_PI, 7.0)},  # a mismatch set has measure at most 2*pi
+        {"eps0": math.inf}, {"eps0": -math.inf}, {"eps0": math.nan},
     ])
     def test_bad_schedule_rejected(self, kwargs):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=1024)
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="eps0"):
             synthesize(k, **kwargs)
 
     def test_one_extremum_rejected(self):
@@ -442,9 +443,13 @@ class TestSynthesize:
 
         monkeypatch.setattr(solver, "error_at_beta", degenerate)
         with pytest.raises(SynthesisFailed) as info:
-            synthesize(k, max_rounds=2)
-        assert [why for _, _, why in info.value.history] == \
-            ["zero search: NumericallyDegenerate: lift must be strictly increasing"] * 2
+            synthesize(k)
+        # eps 0.1, 0.05, ..., 0.00625 fail; 0.003125 lies below 8*pi/4096; the
+        # negation of a positive profile has no positive window
+        history = info.value.history
+        assert [why for _, _, why in history[:-1]] == \
+            ["zero search: NumericallyDegenerate: lift must be strictly increasing"] * 5
+        assert history[-1][0] == 6 and history[-1][2].endswith("schedule stopped")
 
     def test_step_profile_realized_through_envelope(self):
         from fourvertex.curvature import CurvatureProfile
@@ -533,7 +538,7 @@ def test_polished_root_closes_the_scaled_curve(eps):
     # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
     # not enough, so the polish must go on until the scaled bound holds
     k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
-    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1, 0.2))
+    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1))
     assert abs(sc.c) > 100.0
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
 
