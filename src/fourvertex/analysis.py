@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -106,19 +106,34 @@ def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
 
 
 def _support_circle(points: list[complex]) -> tuple[list[complex], complex, float]:
-    """Smallest circle of two to four points, by brute force.
+    """Smallest circle of two to four points whose last point lies outside
+    the smallest circle of the others.
 
-    Every pair's midpoint and every triple's circumcenter is a candidate
-    center; each is given the radius reaching its farthest point, and the
-    smallest wins.  Returns the points that define it, its center and radius.
+    By Welzl's lemma (1991) the smallest circle of the whole set then passes
+    through the last point, so the candidates are the pairs and triples that
+    end in it: a pair's midpoint or a triple's circumcenter, each given the
+    radius reaching its farthest point.  They are tried in the order of
+    ``itertools.combinations``; a candidate is dropped at its first point at
+    least as far as the best radius so far, so the first candidate of
+    strictly smallest radius wins.  Returns the points that define it, its
+    center and radius.
     """
+    *rest, new = points
+    subs = [(p, new) for p in rest] + [(p, q, new) for p, q in combinations(rest, 2)]
     best = None
-    for sub in chain(combinations(points, 2), combinations(points, 3)):
+    for sub in subs:
         center = 0.5 * (sub[0] + sub[1]) if len(sub) == 2 else _circumcenter(*sub)
         if center is None:
             continue
-        radius = max(abs(p - center) for p in points)
-        if best is None or radius < best[2]:
+        bound = math.inf if best is None else best[2]
+        radius = 0.0
+        for p in points:
+            d = abs(p - center)
+            if d >= bound:
+                break
+            if d > radius:
+                radius = d
+        else:
             best = (list(sub), center, radius)
     return best
 
@@ -132,7 +147,8 @@ def min_enclosing_circle(points) -> EnclosingCircle:
     radius grows strictly, so the loop ends; it is capped all the same.
     The points are scaled by a power of two, which is exact, so that the
     circumcenter's cubic terms neither overflow nor underflow.  The result
-    is verified to contain every input point.
+    is verified to contain every input point, from the distances the loop
+    computed last, which are those to the returned center.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size == 0:
@@ -152,7 +168,7 @@ def min_enclosing_circle(points) -> EnclosingCircle:
     else:
         raise EnclosingCircleFailed(
             f"no enclosing circle after {_MEC_MAX_ITER} support updates")
-    worst = float(np.max(np.abs(pts - center)))
+    worst = float(dist[far])
     if worst > radius * (1.0 + 1e-9):
         raise RuntimeError("enclosing circle failed containment verification")
     return EnclosingCircle(center * scale, radius * scale)
@@ -194,9 +210,9 @@ def contact_components(
     m = pos.size
     params = _params(c, m)
 
-    edges = np.diff(near.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    counts = np.flatnonzero(edges == -1) - starts
+    padded = np.concatenate(([False], near, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])  # run starts and ends, alternating
+    starts, counts = edges[::2], edges[1::2] - edges[::2]
     if starts.size > 1 and near[0] and near[m - 1]:
         # cyclic wrap: the last run continues into the first
         starts[0] = starts[-1]
@@ -276,10 +292,11 @@ def osserman_check(
     params = _params(c, m)
     K = circle.curvature
 
+    twice = np.concatenate((kappa, kappa))  # a cyclic run of at most m samples is one slice
     highs = []
     for comp in comps:
-        idx = (comp.index_start + np.arange(comp.index_count)) % m
-        j = idx[int(np.argmax(kappa[idx]))]
+        a = comp.index_start
+        j = (a + int(np.argmax(twice[a:a + comp.index_count]))) % m
         highs.append((float(params[j]), float(kappa[j])))
     lows = []
     n = len(comps)
@@ -290,8 +307,7 @@ def osserman_check(
         count = (nxt.index_start - start) % m
         if count == 0:
             continue
-        idx = (start + np.arange(count)) % m
-        j = idx[int(np.argmin(kappa[idx]))]
+        j = (start + int(np.argmin(twice[start:start + count]))) % m
         lows.append((float(params[j]), float(kappa[j])))
 
     bonus = 2 * sum(1 for comp in comps if comp.kind == "arc")

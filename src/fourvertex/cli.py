@@ -28,6 +28,11 @@ EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_FAILED = 3
 
+# the chords of 512-sample corpus curves deviate from their arcs by < 3e-4 in
+# angle and relative length, those of synthesized curves by < 1e-10
+CHORD_ANGLE_TOL = 0.1    # rad
+CHORD_LENGTH_TOL = 0.05  # relative
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -86,25 +91,50 @@ def write_curve_json(path: Path, curve: PlanarCurve):
                     encoding="utf-8")
 
 
+def _check_chords(curve: PlanarCurve) -> PlanarCurve:
+    """The curve, if its s and theta columns agree with its positions.
+
+    An arc of length ds turning from theta_j to theta_j+1 has a chord along
+    the mid angle, of length ds * sinc(dtheta / 2).  A chord more than
+    CHORD_ANGLE_TOL off that angle, or whose length is off by more than
+    CHORD_LENGTH_TOL relative, raises ValueError.
+    """
+    chord = np.diff(curve.pos)
+    mid = 0.5 * (curve.theta[1:] + curve.theta[:-1])
+    off = np.abs(np.angle(chord * np.exp(-1j * mid)))
+    arc = np.diff(curve.s) * np.sinc(np.diff(curve.theta) / TWO_PI)
+    stretch = np.abs(np.abs(chord) / arc - 1.0)
+    bad = np.flatnonzero((off > CHORD_ANGLE_TOL) | (stretch > CHORD_LENGTH_TOL))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"chord {j} contradicts the s and theta columns (direction off by "
+                         f"{off[j]:.3g} rad, length by {stretch[j]:.3g})")
+    return curve
+
+
 def read_curve_file(path: Path) -> PlanarCurve:
+    """Read a curve written by write_curve_csv or write_curve_json.
+
+    The s and theta columns must agree with the positions (_check_chords).
+    """
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
         data = json.loads(text)
         pos = np.asarray(data["x"], float) + 1j * np.asarray(data["y"], float)
-        return PlanarCurve(
+        return _check_chords(PlanarCurve(
             s=np.asarray(data["s"], float), pos=pos,
             theta=np.asarray(data["theta"], float),
             closed=bool(data.get("closed", False)),
             scale=float(data.get("scale", 1.0)),
-            t=np.asarray(data["t"], float) if "t" in data else None)
+            t=np.asarray(data["t"], float) if "t" in data else None))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "s,x,y,theta":
         raise ValueError("curve CSV must start with header 's,x,y,theta'")
     cols = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     if cols.ndim != 2 or cols.shape[1] != 4:
         raise ValueError("curve CSV needs data rows of four columns")
-    return PlanarCurve(s=cols[:, 0], pos=cols[:, 1] + 1j * cols[:, 2],
-                       theta=cols[:, 3])
+    return _check_chords(PlanarCurve(s=cols[:, 0], pos=cols[:, 1] + 1j * cols[:, 2],
+                                     theta=cols[:, 3]))
 
 
 def _curve_svg(curve: PlanarCurve, circle=None, vertices=None) -> str:

@@ -244,19 +244,21 @@ def plateau_extrema(values) -> list[Plateau]:
     # of smaller steps.
     big = 2.0 * PLATEAU_TOL + 16.0 * np.finfo(float).eps * np.max(np.abs(v))
     head = np.concatenate(([True], np.abs(np.diff(v)) > big))  # first sample of a group
-    total = v.copy()  # each group's sum, kept at its first sample
-    first = np.flatnonzero(head)
-    runs = np.diff(np.append(first, n))
-    for a, length in zip(first[runs > 1].tolist(), runs[runs > 1].tolist()):
-        g, s = a, float(v[a])
-        for j, x in enumerate(v[a + 1:a + length].tolist(), a + 1):
-            if abs(x - s / (j - g)) <= PLATEAU_TOL:
-                s += x
-            else:
-                total[g], head[j], g, s = s, True, j, x
-        total[g] = s
     start = np.flatnonzero(head)
-    count = np.diff(np.append(start, n))
+    count = np.diff(start, append=n)
+    total = v  # each group's sum, kept at its first sample
+    if count.max() > 1:
+        total = v.copy()
+        for a, length in zip(start[count > 1].tolist(), count[count > 1].tolist()):
+            g, s = a, float(v[a])
+            for j, x in enumerate(v[a + 1:a + length].tolist(), a + 1):
+                if abs(x - s / (j - g)) <= PLATEAU_TOL:
+                    s += x
+                else:
+                    total[g], head[j], g, s = s, True, j, x
+            total[g] = s
+        start = np.flatnonzero(head)
+        count = np.diff(start, append=n)
     total = total[start]
     mean = total / count
     if start.size > 1 and abs(mean[0] - mean[-1]) <= PLATEAU_TOL:
@@ -267,7 +269,8 @@ def plateau_extrema(values) -> list[Plateau]:
         start, count, mean = start[:-1], count[:-1], mean[:-1]
     if start.size < 2:
         return []
-    prev, nxt = np.roll(mean, 1), np.roll(mean, -1)
+    prev = np.concatenate((mean[-1:], mean[:-1]))
+    nxt = np.concatenate((mean[1:], mean[:1]))
     is_max = (mean > prev) & (mean > nxt)
     is_min = (mean < prev) & (mean < nxt)
     return [Plateau(int(start[g]), int(count[g]), "max" if is_max[g] else "min", mean[g])

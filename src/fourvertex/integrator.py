@@ -281,16 +281,20 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     minimum along the sweep axis, is paired with the later ones whose range
     on that axis starts before its own ends; pairs that overlap on the other
     axis are decided by ``_segments_cross``, ``PAIR_CHUNK`` pairs per batch.
-    The witness is the crossing with the smallest later, then earlier,
-    sorted position; adjacent segments folding back are reported only when
-    nothing crosses.  Returns (flag, witness), the witness a pair of segment
-    indices or None.
+    A batch in which no pair survives that filter skips the crossing test,
+    whose numpy calls would cost more than the sweep; on a densely sampled
+    smooth curve usually no pair survives.  The witness is the crossing with
+    the smallest later, then earlier, sorted position; adjacent segments
+    folding back are reported only when nothing crosses, the witness then
+    being the first fold (i, i + 1), cyclically when closed.  Returns (flag,
+    witness), the witness a pair of segment indices or None.
     """
     _, pos, _, closed = _ring(c)
-    if np.ptp(pos.imag) > np.ptp(pos.real):
-        pos = pos.imag + 1j * pos.real
+    x, y = pos.real, pos.imag
+    if y.max() - y.min() > x.max() - x.min():
+        pos = y + 1j * x
     a = pos if closed else pos[:-1]
-    b = np.roll(pos, -1) if closed else pos[1:]
+    b = np.concatenate((pos[1:], pos[:1])) if closed else pos[1:]
     nseg = a.size
 
     order = np.argsort(np.minimum(a.real, b.real), kind="stable")
@@ -313,17 +317,22 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
         keep = (miny[p] <= maxy[q]) & (maxy[p] >= miny[q]) & (d > 1) \
             & ~(closed & (d == nseg - 1))
         p, q = p[keep], q[keep]
-        hit = _segments_cross(sa[q], sb[q], sa[p], sb[p])
-        best = int(np.min(q[hit] * nseg + p[hit], initial=best))
+        if p.size:
+            hit = _segments_cross(sa[q], sb[q], sa[p], sb[p])
+            best = int(np.min(q[hit] * nseg + p[hit], initial=best))
     if best < nseg * nseg:
         i, j = sorted(int(v) for v in order[list(divmod(best, nseg))])
         return False, (i, j)
 
-    # adjacent segments may only meet at their shared endpoint
-    i = np.arange(nseg if closed else nseg - 1)
-    j = (i + 1) % nseg
-    back = (b[j] - a[j]).real * (a[i] - a[j]).real + (b[j] - a[j]).imag * (a[i] - a[j]).imag
-    fold = np.flatnonzero((_orient(a[i], b[i], b[j]) == 0.0) & (back > 0))
+    # adjacent segments may only meet at their shared endpoint; segment i is
+    # (ai, bi) and segment i + 1 is (aj, bj)
+    if closed:
+        ai, bi, aj, bj = a, b, b, np.concatenate((b[1:], b[:1]))
+    else:
+        ai, bi, aj, bj = a[:-1], b[:-1], a[1:], b[1:]
+    back = (bj - aj).real * (ai - aj).real + (bj - aj).imag * (ai - aj).imag
+    fold = np.flatnonzero((_orient(ai, bi, bj) == 0.0) & (back > 0))
     if fold.size:
-        return False, (int(fold[0]), int(j[fold[0]]))
+        i0 = int(fold[0])
+        return False, (i0, (i0 + 1) % nseg)
     return True, None

@@ -1,9 +1,9 @@
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fourvertex import analysis
 from fourvertex.analysis import (
@@ -176,6 +176,34 @@ def test_enclosing_circle_matches_brute_force(pts):
     ref = brute_force_circle(pts)
     assert abs(c.radius - ref) <= 1e-12 * ref
     assert np.all(np.abs(np.asarray(pts) - c.center) <= c.radius * (1 + 1e-12))
+
+
+def brute_force_support(points):
+    """The first circle of strictly smallest radius over every pair's midpoint
+    and every triple's circumcenter, in the order of ``combinations``."""
+    best = None
+    for sub in chain(combinations(points, 2), combinations(points, 3)):
+        center = 0.5 * (sub[0] + sub[1]) if len(sub) == 2 else analysis._circumcenter(*sub)
+        if center is None:
+            continue
+        radius = max(abs(p - center) for p in points)
+        if best is None or radius < best[2]:
+            best = (list(sub), center, radius)
+    return best
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.builds(complex, unit, unit), min_size=2, max_size=4))
+def test_support_circle_matches_brute_force(points):
+    # the enclosing-circle loop adds a point only when it lies outside the
+    # smallest circle of the support so far
+    *rest, new = points
+    _, center, radius = brute_force_support(rest) if len(rest) > 1 else (rest, rest[0], 0.0)
+    assume(abs(new - center) > radius * analysis._IN_CIRCLE_EPS)
+    assert repr(analysis._support_circle(points)) == repr(brute_force_support(points))
 
 
 def reference_contact_components(near, params):

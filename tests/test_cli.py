@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fourvertex import cli
+from fourvertex import cli, solver
 from fourvertex.curvature import TWO_PI
 from fourvertex.integrator import PlanarCurve
+from fourvertex.moebius import NumericallyDegenerate
 
 from conftest import ellipse_curve, limacon_curve
 
@@ -56,16 +57,23 @@ def test_synth_hypothesis_violated(tmp_path):
     assert code == 2
 
 
-def test_synth_failure_exit_code(tmp_path, capsys):
-    # the curvature check mismatches about four samples at the step jumps,
-    # measure 8*pi/n, so below n = 8*pi/eps0 (628 at eps0 = 0.04) no round can pass
+def test_synth_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # every zero search fails inside its round; eps halves from 0.1 until it
+    # is at most 8*pi/1024, so three rounds fail before the fourth stops
+    def degenerate(m, n):
+        raise NumericallyDegenerate("lift does not resolve")
+
+    monkeypatch.setattr(solver, "moebius_lift", degenerate)
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.5 + math.cos(2 * t))
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"),
-                     "--grid", "512", "--eps0", "0.04"])
+                     "--grid", "1024", "--eps0", "0.1"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("synthesis failed: round 1") and err.count("synthesis failed") == 1
+    assert err.startswith("synthesis failed: round 1 (eps=0.1): zero search: "
+                          "NumericallyDegenerate")
+    assert err.count("synthesis failed") == 1 and err.count("NumericallyDegenerate") == 3
+    assert "round 4 (eps=0.0125): eps at most 8*pi/1024" in err
 
 
 def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):
@@ -173,15 +181,33 @@ def test_analyze_short_tags_rejected(tmp_path, capsys):
 
 
 def test_analyze_too_few_samples_rejected(tmp_path, capsys):
-    # a closed square: four samples once the duplicated closing one is dropped
-    rows = ["s,x,y,theta", "0,0,0,0", "1,1,0,1.5707963267948966",
-            "2,1,1,3.141592653589793", "3,0,1,4.71238898038469",
-            "4,0,0,6.283185307179586"]
-    path = tmp_path / "square.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # a unit circle through 1, i, -1, -i: four samples once the duplicated
+    # closing one is dropped; its chords agree with s and theta
+    k = np.arange(5)
+    pos = np.exp(0.5j * math.pi * k)
+    pos[-1] = 1.0
+    curve = PlanarCurve(s=0.5 * math.pi * k, pos=pos, theta=0.5 * math.pi * (k + 1))
+    path = tmp_path / "circle.csv"
+    cli.write_curve_csv(path, curve)
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: curve has too few samples") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("column, change", [("theta", lambda v: 0.0 * v),
+                                            ("s", lambda v: 3.0 * v)],
+                         ids=["theta_zero", "s_tripled"])
+def test_analyze_columns_contradicting_positions_rejected(tmp_path, capsys, column, change):
+    # the positions of a 2:1 ellipse with a tangent angle that never turns,
+    # or an arc length three times the perimeter, read as no curve at all
+    path = tmp_path / "ellipse.json"
+    cli.write_curve_json(path, ellipse_curve(512))
+    data = json.loads(path.read_text())
+    data[column] = list(change(np.asarray(data[column])))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad curve file: chord ") and err.count("\n") == 1
 
 
 def test_analyze_non_finite_sample_rejected(tmp_path, capsys):

@@ -272,6 +272,35 @@ class TestSweepAgainstBruteForce:
             assert is_simple(c) == (ok, witness)
 
 
+def test_fold_at_closing_vertex_witnessed():
+    # a segment out and back, closed through a zero-length segment: the only
+    # fold is where the last segment runs back onto the first
+    pos = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
+    c = PlanarCurve(s=np.arange(4.0), pos=pos, theta=np.zeros(4), closed=True)
+    assert is_simple(c) == (False, (2, 0))
+
+
+def test_fold_at_open_end_witnessed():
+    # the last segment doubles back along the one before it
+    c = grid_polygon([(0, 0), (2, 0), (2, 2), (2, 1)], closed=False)
+    assert is_simple(c) == (False, (1, 2))
+
+
+@pytest.mark.parametrize("regular", [True, False], ids=["regular", "random"])
+def test_no_crossing_test_when_no_pair_overlaps(monkeypatch, regular):
+    # on a densely sampled convex curve every pair of non-adjacent segments is
+    # apart on one axis, so none reaches the crossing test
+    from fourvertex.analysis import random_convex_curve
+
+    c = unit_circle(64) if regular else random_convex_curve(np.random.default_rng(5))
+
+    def fail(*args):
+        raise AssertionError("crossing test ran")
+
+    monkeypatch.setattr(integrator, "_segments_cross", fail)
+    assert is_simple(c) == (True, None)
+
+
 @pytest.mark.parametrize("n, witness", [(128, (74, 117)), (2048, (1194, 1877)),
                                         (8192, (4778, 7509))])
 def test_limacon_witness_pinned(n, witness):
