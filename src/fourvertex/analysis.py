@@ -73,6 +73,7 @@ class OssermanReport:
     circle: EnclosingCircle
     components: list
     n: int
+    vertices: list                    # as VertexReport.vertices
     vertex_count: int
     bound_2n_satisfied: bool
     per_gap_low_points: list          # (parameter, curvature) with curvature < K
@@ -244,7 +245,7 @@ def detect_vertices(c: PlanarCurve) -> VertexReport:
     Raises :class:`ConstantCurvature` for circles, whose curvature has no
     extrema.
     """
-    if not c.closes:
+    if not c.closed:
         raise NotClosed("vertex detection needs a closed curve")
     values = curvature_samples(c)
     plateaus = plateau_extrema(values)
@@ -277,7 +278,7 @@ def osserman_check(
     checked only when every component is an arc.  Witness points are kept
     separate from vertices and never counted as such.
     """
-    if not c.closes:
+    if not c.closed:
         raise NotClosed("curve endpoints do not meet")
     ok, witness = is_simple(c)
     if not ok:
@@ -317,6 +318,7 @@ def osserman_check(
         circle=circle,
         components=comps,
         n=n,
+        vertices=report.vertices,
         vertex_count=report.count,
         bound_2n_satisfied=report.count >= 2 * n,
         per_gap_low_points=lows,
@@ -337,7 +339,7 @@ def _closed_fixture(t, gamma, speed, theta, params=None) -> PlanarCurve:
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t)
     s = np.concatenate(([0.0], np.cumsum(ds)))
     tags = t if params is None else params
-    return PlanarCurve(s=s, pos=gamma, theta=theta, closed=True, t=tags)
+    return PlanarCurve(s=s, pos=gamma, theta=theta, t=tags)
 
 
 def random_convex_curve(rng, n: int = 512, harmonics: int = 5,

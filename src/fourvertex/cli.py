@@ -44,12 +44,11 @@ def read_curvature_file(path: Path, n: int) -> CurvatureProfile:
     if path.suffix.lower() == ".json":
         data = json.loads(text)
         samples = np.asarray(data["samples"], dtype=float)
-        interp = {"linear": "linear", "step": "step"}[data.get("interp", "linear")]
-        prof = CurvatureProfile(samples, interp)
+        prof = CurvatureProfile(samples, data.get("interp", "linear"))
         if prof.n == n:
             return prof
         grid = TWO_PI * np.arange(n) / n
-        return CurvatureProfile(np.asarray(prof(grid), dtype=float), interp)
+        return CurvatureProfile(np.asarray(prof(grid), dtype=float))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "t,kappa":
         raise ValueError("curvature CSV must start with header 't,kappa'")
@@ -66,7 +65,7 @@ def read_curvature_file(path: Path, n: int) -> CurvatureProfile:
         raise ValueError("CSV parameters must increase strictly within [0, 2*pi)")
     grid = TWO_PI * np.arange(n) / n
     samples = np.interp(grid, ts, ks, period=TWO_PI)
-    return CurvatureProfile(samples, "linear")
+    return CurvatureProfile(samples)
 
 
 def write_curve_csv(path: Path, curve: PlanarCurve):
@@ -116,6 +115,8 @@ def read_curve_file(path: Path) -> PlanarCurve:
     """Read a curve written by write_curve_csv or write_curve_json.
 
     The s and theta columns must agree with the positions (_check_chords).
+    A JSON ``closed`` key is ignored: the endpoints decide whether the curve
+    is closed.
     """
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
@@ -124,7 +125,6 @@ def read_curve_file(path: Path) -> PlanarCurve:
         return _check_chords(PlanarCurve(
             s=np.asarray(data["s"], float), pos=pos,
             theta=np.asarray(data["theta"], float),
-            closed=bool(data.get("closed", False)),
             scale=float(data.get("scale", 1.0)),
             t=np.asarray(data["t"], float) if "t" in data else None))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -244,33 +244,33 @@ def cmd_analyze(args) -> int:
     except (ValueError, KeyError, TypeError) as ex:
         print(f"error: bad curve file: {ex}", file=sys.stderr)
         return EXIT_IO
-    if not curve.closes:
+    if not curve.closed:
         print("error: curve is not closed", file=sys.stderr)
         return EXIT_INPUT
-    out: dict = {}
+    out: dict = {"simple": True}
     circle = None
     vertices = None
     try:
-        report = analysis.detect_vertices(curve)
+        try:
+            oss = analysis.osserman_check(curve)
+        except analysis.NotSimple:
+            out["simple"] = False
+            circle = analysis.min_enclosing_circle(curve.pos)
+            report = analysis.detect_vertices(curve)
+        else:
+            out["osserman"] = _osserman_json(oss)
+            circle = oss.circle
+            report = analysis.VertexReport(oss.vertices, oss.vertex_count)
         out["vertex_report"] = _vertex_report_json(report)
         vertices = report.vertices
     except analysis.ConstantCurvature:
         out["vertex_report"] = {"count": 0, "vertices": [],
                                 "constant_curvature": True}
+        if out["simple"]:
+            out["osserman"] = {"constant_curvature": True}
     except TooFewSamples as ex:
         print(f"error: curve has too few samples: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        oss = analysis.osserman_check(curve)
-        out["osserman"] = _osserman_json(oss)
-        out["simple"] = True
-        circle = oss.circle
-    except analysis.NotSimple:
-        out["simple"] = False
-        circle = analysis.min_enclosing_circle(curve.pos)
-    except analysis.ConstantCurvature:
-        out["osserman"] = {"constant_curvature": True}
-        out["simple"] = True
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "analysis.json").write_text(
         json.dumps(out, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -287,14 +287,21 @@ def _demo_bicircle(args, out_dir: Path) -> int:
     err = error_vector(curve).magnitude
     d = Drawing(stroke_width=0.01)
     d.path(curve.pos, closed=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bicircle.svg").write_text(d.to_string(), encoding="utf-8")
     print(f"bicircle |E| = {err:.3e}")
     return EXIT_OK
 
 
 def _demo_compass(args, out_dir: Path) -> int:
-    panels = solver.compass_demo(0.5, 2.0, args.radius, args.panels,
-                                 n_grid=args.grid)
+    try:
+        panels = solver.compass_demo(0.5, 2.0, args.radius, args.panels,
+                                     n_grid=args.grid)
+    except (ValueError, moebius.NumericallyDegenerate) as ex:
+        # a radius outside (0, 1), or too few panels for the error loop
+        # to resolve its winding at that radius
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_INPUT
     d = Drawing(stroke_width=0.02)
     spread = 9.0
     for j, (beta, curve, err) in enumerate(panels):
@@ -304,6 +311,7 @@ def _demo_compass(args, out_dir: Path) -> int:
         tip = anchor + err.e
         d.arrow(anchor.real, anchor.imag, tip.real, tip.imag)
     winding = solver.winding_number([e.e for _, _, e in panels])
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "compass.svg").write_text(d.to_string(), encoding="utf-8")
     print(f"compass error-loop winding = {winding:+d}")
     return EXIT_OK
@@ -338,6 +346,7 @@ def _demo_tetrahedron(args, out_dir: Path) -> int:
         d.polyline([image(r * np.exp(1j * a)) for r in radii], color="#3366cc")
     core = [_project((0.0, 0.5, 0.5)), _project((0.5, 0.5, 1.0))]
     d.polyline(core, color="#cc0000", width=0.008)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tetrahedron.svg").write_text(d.to_string(), encoding="utf-8")
     print("tetrahedron demo written")
     return EXIT_OK
@@ -345,7 +354,6 @@ def _demo_tetrahedron(args, out_dir: Path) -> int:
 
 def cmd_demo(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "bicircle":
         return _demo_bicircle(args, out_dir)
     if args.which == "compass":

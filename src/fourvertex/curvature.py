@@ -1,10 +1,9 @@
 """Curvature functions on the circle.
 
 Profiles are periodic real functions sampled on a uniform grid over
-[0, 2*pi), interpolated either piecewise-constant ("step") or
-piecewise-linear ("linear").  The module also provides circle
-diffeomorphisms stored as monotone piecewise-linear lifts, two-value step
-specifications, plateau-aware extrema detection, and the preprocessing
+[0, 2*pi) and interpolated piecewise-linearly.  The module also provides
+circle diffeomorphisms stored as monotone piecewise-linear lifts, two-value
+step specifications, plateau-aware extrema detection, and the preprocessing
 warp that makes a profile close in measure to a two-value step function.
 
 Everything here is immutable after construction and safe to share between
@@ -45,7 +44,8 @@ class ConstructionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Periodic real function on [0, 2*pi), sampled on a uniform grid."""
+    """Periodic real function on [0, 2*pi), sampled on a uniform grid and
+    interpolated linearly; ``interp`` accepts "linear" only."""
 
     samples: np.ndarray
     interp: str = "linear"
@@ -57,7 +57,7 @@ class CurvatureProfile:
             raise ValueError("profile needs at least 8 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("profile samples must be finite")
-        if self.interp not in ("linear", "step"):
+        if self.interp != "linear":
             raise ValueError(f"unknown interpolation mode {self.interp!r}")
 
     @property
@@ -72,25 +72,20 @@ class CurvatureProfile:
         """Evaluate at parameter(s) t; evaluation is 2*pi periodic."""
         t = np.asarray(t, dtype=float)
         frac = np.mod(t, TWO_PI) / TWO_PI * self.n
-        if self.interp == "step":
-            # nudge keeps grid-aligned arguments on their own cell
-            idx = np.floor(frac + 1e-9).astype(int) % self.n
-            out = self.samples[idx]
-        else:
-            i0 = np.floor(frac).astype(int)
-            w = frac - np.floor(frac)
-            # snap to the grid so sampling at grid points is exact
-            hi = w > 1.0 - 1e-9
-            i0 = np.where(hi, i0 + 1, i0) % self.n
-            w = np.where(hi | (w < 1e-9), 0.0, w)
-            out = (1.0 - w) * self.samples[i0] + w * self.samples[(i0 + 1) % self.n]
+        i0 = np.floor(frac).astype(int)
+        w = frac - np.floor(frac)
+        # snap to the grid so sampling at grid points is exact
+        hi = w > 1.0 - 1e-9
+        i0 = np.where(hi, i0 + 1, i0) % self.n
+        w = np.where(hi | (w < 1e-9), 0.0, w)
+        out = (1.0 - w) * self.samples[i0] + w * self.samples[(i0 + 1) % self.n]
         return out if out.ndim else float(out)
 
 
-def profile_from_function(fn: Callable, n: int = 4096, interp: str = "linear") -> CurvatureProfile:
+def profile_from_function(fn: Callable, n: int = 4096) -> CurvatureProfile:
     """Sample a vectorized callable on the uniform grid."""
     grid = TWO_PI * np.arange(n) / n
-    return CurvatureProfile(np.asarray(fn(grid), dtype=float), interp)
+    return CurvatureProfile(np.asarray(fn(grid), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,9 @@ class StepSpec:
 
 
 def profile_from_step(spec: StepSpec, n: int = 4096) -> CurvatureProfile:
+    """The step's values on the uniform grid, interpolated linearly between them."""
     grid = TWO_PI * np.arange(n) / n
-    return CurvatureProfile(spec.value_at(grid), "step")
+    return CurvatureProfile(spec.value_at(grid))
 
 
 @dataclass(frozen=True)
@@ -199,11 +195,8 @@ class AbabPoints(NamedTuple):
 
 
 def total_curvature(k: CurvatureProfile) -> float:
-    """Integral over one period.
-
-    For a uniform periodic grid both interpolation rules integrate to the
-    sample mean times 2*pi, exactly so for piecewise-constant profiles.
-    """
+    """Integral over one period: on a uniform periodic grid the linear
+    interpolant integrates to the sample mean times 2*pi."""
     return float(np.mean(k.samples) * TWO_PI)
 
 
@@ -217,12 +210,12 @@ def normalizing_scale(total: float, samples: np.ndarray) -> ScaleFactor:
 def normalize_total(k: CurvatureProfile) -> tuple[CurvatureProfile, ScaleFactor]:
     """Rescale so the total curvature equals 2*pi."""
     sc = normalizing_scale(total_curvature(k), k.samples)
-    return CurvatureProfile(sc.c * k.samples, k.interp), sc
+    return CurvatureProfile(sc.c * k.samples), sc
 
 
 def compose(k: CurvatureProfile, d: CircleDiffeo) -> CurvatureProfile:
     """Pointwise k(d(t)), resampled on k's uniform grid."""
-    return CurvatureProfile(np.asarray(k(d(k.grid)), dtype=float), k.interp)
+    return CurvatureProfile(np.asarray(k(d(k.grid)), dtype=float))
 
 
 def plateau_extrema(values) -> list[Plateau]:
@@ -399,10 +392,10 @@ def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
 
     The period is cut at h1's knots, the step's breakpoints and the
     h1-preimages of k's grid points.  On each piece h1 is linear, the step
-    is constant and k is linear (constant when step-interpolated) between
-    neighbouring grid points, so f = k(h1(t)) - step(t) is linear there and
-    the measure of {|f| > eps} on the piece has a closed form.  Time and
-    memory are O(n + number of knots).
+    is constant and k is linear between neighbouring grid points, so
+    f = k(h1(t)) - step(t) is linear there and the measure of {|f| > eps}
+    on the piece has a closed form.  Time and memory are O(n + number of
+    knots).
     """
     lo, hi = h1.values[0], h1.values[-1]
     n = k.n
@@ -414,11 +407,8 @@ def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
                 kind="stable")
     mid = 0.5 * (t[:-1] + t[1:])
     target = step.value_at(mid)
-    if k.interp == "step":
-        fa = fb = np.asarray(k(h1(mid))) - target
-    else:
-        kt = np.asarray(k(h1(t)))
-        fa, fb = kt[:-1] - target, kt[1:] - target
+    kt = np.asarray(k(h1(t)))
+    fa, fb = kt[:-1] - target, kt[1:] - target
     rise = np.abs(fb - fa)
     measure = 0.0
     for top in (np.maximum(fa, fb) - eps, -np.minimum(fa, fb) - eps):
@@ -497,4 +487,4 @@ def build_h1(
 def reflect_negate(k: CurvatureProfile) -> CurvatureProfile:
     """The profile t -> -k(2*pi - t); sampled exactly on the same grid."""
     s = k.samples
-    return CurvatureProfile(-np.concatenate(([s[0]], s[:0:-1])), k.interp)
+    return CurvatureProfile(-np.concatenate(([s[0]], s[:0:-1])))

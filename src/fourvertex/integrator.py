@@ -18,7 +18,6 @@ import numpy as np
 from .curvature import TWO_PI, CurvatureProfile, ScaleFactor
 
 STRAIGHT_KAPPA = 1e-14  # below this a step is a straight segment
-CLOSURE_REL = 1e-9      # endpoint gap below this fraction of length closes a curve
 PAIR_CHUNK = 1 << 16    # candidate segment pairs that is_simple tests per batch
 
 
@@ -39,15 +38,13 @@ class PlanarCurve:
     """Polyline with arc length, complex positions and tangent-angle lift.
 
     ``t`` optionally tags each sample with the parameter of an underlying
-    curvature function (used by synthesized and fixture curves).  ``closed``
-    records whether the integrator found the endpoints to meet; whether a
-    curve closes is decided by :attr:`closes` from its positions alone.
+    curvature function (used by synthesized and fixture curves).  Whether
+    the curve is closed is decided by :attr:`closed` from its positions.
     """
 
     s: np.ndarray
     pos: np.ndarray
     theta: np.ndarray
-    closed: bool = False
     scale: float = 1.0
     t: np.ndarray | None = None
 
@@ -82,7 +79,7 @@ class PlanarCurve:
         return float(abs(self.pos[-1] - self.pos[0]))
 
     @property
-    def closes(self) -> bool:
+    def closed(self) -> bool:
         """The endpoints meet within 1e-6 of the length."""
         return self.endpoint_gap() < 1e-6 * self.length
 
@@ -125,8 +122,7 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
     s = np.empty(kappa.size + 1)
     s[0] = 0.0
     np.cumsum(ds, out=s[1:])
-    closed = abs(pos[-1] - pos[0]) < CLOSURE_REL * s[-1]
-    return PlanarCurve(s=s, pos=pos, theta=theta, closed=closed)
+    return PlanarCurve(s=s, pos=pos, theta=theta)
 
 
 def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:
@@ -222,8 +218,8 @@ def reverse_curve(c: PlanarCurve) -> PlanarCurve:
 
 
 def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Samples with the closing sample dropped exactly when the curve :attr:`closes`."""
-    if c.closes:
+    """Samples with the closing sample dropped exactly when the curve is :attr:`closed`."""
+    if c.closed:
         return c.s[:-1], c.pos[:-1], c.theta[:-1], True
     return c.s, c.pos, c.theta, False
 

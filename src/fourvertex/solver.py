@@ -136,7 +136,7 @@ def error_at_beta(
     curvature.  The steps are smooth in beta, and so is the error; the curve
     starts at u = 0, which only rotates the error of a curve cut at s = 0.
     Returns (E, ds, c) without building the curve or a scaled profile;
-    ``integrate_curve(CurvatureProfile(c * k1.samples, k1.interp), ds)``
+    ``integrate_curve(CurvatureProfile(c * k1.samples), ds)``
     builds it, and its endpoint error is E bit for bit.  Raises
     ZeroTotalCurvature when the weighted total nearly vanishes,
     NumericallyDegenerate when beta lies too near the unit circle for the
@@ -331,20 +331,17 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     at the default eps0) end in SynthesisFailed without a round.  A
     mismatch set has measure at most 2*pi, so eps0 must lie in (0, 2*pi],
     else BadParameter; each schedule then tries at most ceil(log2(n/4))
-    rounds.  Step-interpolated input is realized through its continuous
-    piecewise-linear envelope.
+    rounds.
     """
     if not 0.0 < eps0 <= TWO_PI:
         raise BadParameter(f"eps0 must lie in (0, 2*pi], got {eps0}")
-    if k.interp == "step":
-        k = CurvatureProfile(k.samples, "linear")
     peak = float(np.max(np.abs(k.samples)))
     spread = float(np.max(k.samples) - np.min(k.samples))
     if spread <= 1e-9 * max(1.0, peak):
         value = float(np.mean(k.samples))
         if abs(value) < 1e-8:
             raise HypothesisViolated("constant zero profile has no realization")
-        unit = CurvatureProfile(np.full(k.n, math.copysign(1.0, value)), "linear")
+        unit = CurvatureProfile(np.full(k.n, math.copysign(1.0, value)))
         circle = integrate_curve(unit)
         tags = circle.s.copy()
         curve = replace(scale_curve(circle, ScaleFactor(1.0 / abs(value))), t=tags)
@@ -404,7 +401,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 history.append((round_no, eps, f"closure residual {closure:.2e}"))
                 eps *= 0.5
                 continue
-            curve = integrate_curve(CurvatureProfile(sc.c * k1.samples, k1.interp), ds)
+            curve = integrate_curve(CurvatureProfile(sc.c * k1.samples), ds)
             simple, witness = is_simple(curve)
             if not simple:
                 history.append((round_no, eps, f"self-intersection at {witness}"))
@@ -460,7 +457,7 @@ def compass_demo(
     for j in range(n_samples):
         beta = MoebiusParameter(r * cmath.exp(2j * math.pi * j / n_samples))
         err, ds, sc = error_at_beta(k0, beta)
-        curve = integrate_curve(CurvatureProfile(sc.c * k0.samples, k0.interp), ds)
+        curve = integrate_curve(CurvatureProfile(sc.c * k0.samples), ds)
         out.append((beta, curve, err))
     w = winding_number([e.e for _, _, e in out])
     if abs(w) != 1:

@@ -22,7 +22,7 @@ def polar_curve(r_fn, rp_fn, n: int) -> PlanarCurve:
     tm = 0.5 * (t[1:] + t[:-1])
     ds = (speed(t[:-1]) + 4.0 * speed(tm) + speed(t[1:])) / 6.0 * np.diff(t)
     s = np.concatenate(([0.0], np.cumsum(ds)))
-    return PlanarCurve(s=s, pos=gamma, theta=theta, closed=True, t=t)
+    return PlanarCurve(s=s, pos=gamma, theta=theta, t=t)
 
 
 def limacon_curve(n: int = 8192) -> PlanarCurve:
@@ -43,7 +43,7 @@ def ellipse_curve(n: int = 4096, a: float = 2.0, b: float = 1.0) -> PlanarCurve:
     tm = 0.5 * (t[1:] + t[:-1])
     ds = (speed(t[:-1]) + 4.0 * speed(tm) + speed(t[1:])) / 6.0 * np.diff(t)
     s = np.concatenate(([0.0], np.cumsum(ds)))
-    return PlanarCurve(s=s, pos=gamma, theta=theta, closed=True, t=t)
+    return PlanarCurve(s=s, pos=gamma, theta=theta, t=t)
 
 
 def ellipse_kappa(t, a: float = 2.0, b: float = 1.0):

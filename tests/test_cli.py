@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fourvertex import cli, solver
-from fourvertex.curvature import TWO_PI
-from fourvertex.integrator import PlanarCurve
+from fourvertex import analysis, cli, solver
+from fourvertex.curvature import TWO_PI, profile_from_function
+from fourvertex.integrator import PlanarCurve, integrate_curve
 from fourvertex.moebius import NumericallyDegenerate
 
 from conftest import ellipse_curve, limacon_curve
@@ -150,6 +150,28 @@ def test_analyze_limacon_not_simple(tmp_path):
     assert data["vertex_report"]["count"] == 2
 
 
+@pytest.mark.parametrize("name", ["ellipse", "limacon", "circle"])
+def test_analyze_builds_one_vertex_report(tmp_path, monkeypatch, name):
+    # the check's vertex report serves analysis.json; a curve that is not
+    # simple, whose check stops before its vertices, gets its own report
+    curve = {"ellipse": lambda: ellipse_curve(512), "limacon": lambda: limacon_curve(512),
+             "circle": lambda: integrate_curve(profile_from_function(np.ones_like, n=512)),
+             }[name]()
+    path = tmp_path / "curve.json"
+    cli.write_curve_json(path, curve)
+    try:
+        expected = cli._vertex_report_json(analysis.detect_vertices(cli.read_curve_file(path)))
+    except analysis.ConstantCurvature:
+        expected = {"count": 0, "vertices": [], "constant_curvature": True}
+    calls = []
+    detect = analysis.detect_vertices
+    monkeypatch.setattr(analysis, "detect_vertices", lambda c: calls.append(c) or detect(c))
+    out = tmp_path / "rep"
+    assert cli.main(["analyze", str(path), "--out-dir", str(out), "--svg"]) == 0
+    assert len(calls) == 1
+    assert json.loads((out / "analysis.json").read_text())["vertex_report"] == expected
+
+
 def test_analyze_open_arc_rejected(tmp_path):
     t = np.linspace(0, 1, 64)
     rows = ["s,x,y,theta"] + [f"{float(s)!r},{float(s)!r},0.0,0.0" for s in t]
@@ -161,10 +183,13 @@ def test_analyze_open_arc_rejected(tmp_path):
 def test_analyze_flagged_open_arc_rejected(tmp_path, capsys):
     # three quarters of a circle saved with "closed": true; the endpoints decide
     arc = ellipse_curve(512, a=1.0, b=1.0)
-    arc = PlanarCurve(s=arc.s[:385], pos=arc.pos[:385], theta=arc.theta[:385], closed=True)
+    arc = PlanarCurve(s=arc.s[:385], pos=arc.pos[:385], theta=arc.theta[:385])
     path = tmp_path / "arc.json"
     cli.write_curve_json(path, arc)
-    assert json.loads(path.read_text())["closed"] is True
+    data = json.loads(path.read_text())
+    assert data["closed"] is False
+    data["closed"] = True
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: curve is not closed\n"
 
@@ -283,6 +308,19 @@ def test_demos_emit_wellformed_svg(tmp_path, which):
     assert "viewBox" in root.attrib
 
 
+@pytest.mark.parametrize("args", [["--panels", "2"], ["--radius", "1.5"],
+                                  ["--panels", "3", "--radius", "0.9"],
+                                  ["--panels", "8", "--radius", "0.95"]],
+                         ids=["two_panels", "radius_above_one", "three_panels_at_0.9",
+                              "eight_panels_at_0.95"])
+def test_demo_compass_bad_arguments_rejected(tmp_path, capsys, args):
+    out = tmp_path / "demo"
+    assert cli.main(["demo", "compass", "--out-dir", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_demo_tetrahedron_core_segment_endpoints(tmp_path):
     out = tmp_path / "demo"
     assert cli.main(["demo", "tetrahedron", "--out-dir", str(out)]) == 0
@@ -302,3 +340,17 @@ def test_json_profile_input(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["synth", str(src), "--out-dir", str(out),
                      "--grid", "2048"]) == 0
+
+
+def test_json_step_profile_rejected(tmp_path, capsys):
+    # profiles interpolate linearly only; a step function is no profile
+    n = 512
+    t = TWO_PI * np.arange(n) / n
+    data = {"samples": list(1.5 + np.cos(2 * t)), "interp": "step"}
+    src = tmp_path / "kappa.json"
+    src.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["synth", str(src), "--out-dir", str(out), "--grid", "2048"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad curvature file: ") and err.count("\n") == 1
+    assert not out.exists()

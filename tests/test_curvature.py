@@ -52,8 +52,9 @@ class TestProfile:
             CurvatureProfile(bad)
 
     def test_rejects_unknown_interp(self):
-        with pytest.raises(ValueError):
-            CurvatureProfile(np.ones(16), "cubic")
+        for interp in ("cubic", "step"):
+            with pytest.raises(ValueError):
+                CurvatureProfile(np.ones(16), interp)
 
     def test_periodic_evaluation(self):
         k = ridge(512)
@@ -65,11 +66,12 @@ class TestProfile:
         dt = TWO_PI / 8
         assert k(0.5 * dt) == pytest.approx(0.5, abs=1e-12)
 
-    def test_step_holds_left_value(self):
-        k = profile_from_step(StepSpec(0.5, 2.0), 16)
-        dt = TWO_PI / 16
-        assert k(0.3 * dt) == 0.5
-        assert k(4 * dt) == 2.0  # breakpoint belongs to the next arc
+    def test_step_spec_holds_left_value(self):
+        # StepSpec.value_at is the one evaluator of a step function
+        spec = StepSpec(0.5, 2.0)
+        assert spec.value_at(0.3 * TWO_PI / 16) == 0.5
+        assert spec.value_at(4 * TWO_PI / 16) == 2.0  # breakpoint belongs to the next arc
+        assert list(profile_from_step(spec, 16).samples[3:5]) == [0.5, 2.0]
 
 
 class TestTotalCurvature:
@@ -477,7 +479,7 @@ class TestMismatchMeasure:
         # on [pi/2, 3*pi/2): pi/4 + pi/2 + pi/2 + 5*pi/12
         h1 = CircleDiffeo(np.array([0.0, math.pi, TWO_PI]),
                           np.array([0.0, 0.5 * math.pi, TWO_PI]))
-        k = CurvatureProfile(self.TENT, "linear")
+        k = CurvatureProfile(self.TENT)
         assert _mismatch_measure(k, h1, self.STEP, 0.5) == pytest.approx(
             5.0 * math.pi / 3.0, abs=1e-12)
 
@@ -486,7 +488,7 @@ class TestMismatchMeasure:
         # 0.3, 1.0, 2.2, 5.0, |k - step| <= 1/2 only on [pi/8, 1.0] (step 1)
         # and [5*pi/8, 2.2] (step 3): both cut off by a breakpoint mid-cell
         step = StepSpec(1.0, 3.0, (0.3, 1.0, 2.2, 5.0))
-        k = CurvatureProfile(self.TENT, "linear")
+        k = CurvatureProfile(self.TENT)
         assert _mismatch_measure(k, CircleDiffeo.identity(), step, 0.5) == pytest.approx(
             2.75 * math.pi - 3.2, abs=1e-12)
 
@@ -497,17 +499,9 @@ class TestMismatchMeasure:
                           np.array([0.0, 0.5 * math.pi, TWO_PI]))
         knots = np.array([1.0, math.pi, TWO_PI, TWO_PI + 1.0])
         lifted = CircleDiffeo(knots, h1(knots))
-        k = CurvatureProfile(self.TENT, "linear")
+        k = CurvatureProfile(self.TENT)
         assert _mismatch_measure(k, lifted, self.STEP, 0.5) == pytest.approx(
             5.0 * math.pi / 3.0, abs=1e-12)
-
-    @pytest.mark.parametrize("eps, expected", [(0.5, 1.5 * math.pi), (1.0, 0.75 * math.pi)])
-    def test_step_interpolated_k_is_constant_per_cell(self, eps, expected):
-        # each eighth of the circle has |k - step| of 1, 0, 1, 0, 3, 2, 1, 2;
-        # a cell at exactly eps is not counted
-        k = CurvatureProfile(self.TENT, "step")
-        assert _mismatch_measure(k, CircleDiffeo.identity(), self.STEP, eps) == pytest.approx(
-            expected, abs=1e-12)
 
     @pytest.mark.parametrize("fn, eps", [
         (lambda t: 1.5 + np.cos(2 * t), 0.1),

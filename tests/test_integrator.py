@@ -45,22 +45,19 @@ class TestIntegrateCurve:
     def test_unit_circle_closes(self):
         c = unit_circle()
         assert error_vector(c).magnitude < 1e-12
-        assert c.closed and c.closes
+        assert c.closed
         assert c.theta[-1] == pytest.approx(TWO_PI, abs=1e-10)
-        # an unflagged curve closes when its endpoint gap is below 1e-6 of its length
-        assert replace(c, closed=False).closes
-        gap = replace(c, pos=c.pos + 0.5e-6 * c.length * (c.s == c.length), closed=False)
-        assert gap.closes
-        wide = replace(c, pos=c.pos + 2e-6 * c.length * (c.s == c.length), closed=False)
-        assert not wide.closes
+        # a curve is closed when its endpoint gap is below 1e-6 of its length
+        gap = replace(c, pos=c.pos + 0.5e-6 * c.length * (c.s == c.length))
+        assert gap.closed
         half = PlanarCurve(s=c.s[:2049], pos=c.pos[:2049], theta=c.theta[:2049])
-        assert not half.closes
+        assert not half.closed
 
     def test_closed_flag_does_not_close_a_gap(self):
-        # closedness is read from the positions; the integrator's flag decides nothing
+        # a gap of 2e-6 of the length is open, and its ring keeps the closing sample
         c = unit_circle()
         wide = replace(c, pos=c.pos + 2e-6 * c.length * (c.s == c.length))
-        assert wide.closed and not wide.closes
+        assert not wide.closed
         _, pos, _, ring_closed = _ring(wide)
         assert pos.size == c.pos.size and not ring_closed
 
@@ -116,7 +113,7 @@ class TestErrorVector:
         s = lim.s[:-1]
         target = total_len * np.arange(s.size) / s.size
         k = np.interp(target, s, kappa, period=total_len)
-        k2 = CurvatureProfile(k * total_len / TWO_PI, "linear")
+        k2 = CurvatureProfile(k * total_len / TWO_PI)
         again = integrate_curve(k2)
         assert error_vector(again).magnitude < 1e-6
 
@@ -195,7 +192,7 @@ def grid_polygon(points, closed: bool) -> PlanarCurve | None:
         return None
     pos = np.array(pos)
     s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)))))
-    return PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size), closed=closed)
+    return PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size))
 
 
 class TestSweepAgainstBruteForce:
@@ -276,7 +273,7 @@ def test_fold_at_closing_vertex_witnessed():
     # a segment out and back, closed through a zero-length segment: the only
     # fold is where the last segment runs back onto the first
     pos = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
-    c = PlanarCurve(s=np.arange(4.0), pos=pos, theta=np.zeros(4), closed=True)
+    c = PlanarCurve(s=np.arange(4.0), pos=pos, theta=np.zeros(4))
     assert is_simple(c) == (False, (2, 0))
 
 
@@ -335,7 +332,7 @@ def test_long_collinear_sides_decided_fast(upright):
     if not upright:
         pos = pos.imag + 1j * pos.real
     s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)))))
-    c = PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size), closed=True)
+    c = PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size))
     start = time.perf_counter()
     assert is_simple(c) == (True, None)
     assert time.perf_counter() - start < 1.0
@@ -348,7 +345,7 @@ def test_endpoint_error_matches_integrated_curve():
         kappa[rng.random(4096) < 0.1] = 0.0  # straight steps
         kappa[rng.random(4096) < 0.05] = 1e-15
         ds = rng.uniform(0.2, 1.8, 4096) * TWO_PI / 4096
-        k = CurvatureProfile(kappa, "step")
+        k = CurvatureProfile(kappa)
         e = endpoint_error(kappa, ds)
         assert np.array([e.e]).tobytes() == np.array([error_vector(integrate_curve(k, ds)).e]).tobytes()
         kappa[rng.integers(4096)] = 4.0 * 4096  # one step turns by more than half a turn

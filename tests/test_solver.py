@@ -170,7 +170,7 @@ class TestErrorAtBeta:
         assert ds.size == 2048
         assert np.isfinite(err.magnitude)
         # the returned steps and scale rebuild the curve the error belongs to
-        curve = integrate_curve(CurvatureProfile(sc.c * k.samples, k.interp), ds)
+        curve = integrate_curve(CurvatureProfile(sc.c * k.samples), ds)
         assert curve.s.size == 2049
         assert error_vector(curve) == err
 
@@ -452,13 +452,11 @@ class TestSynthesize:
         assert history[-1][0] == 6 and history[-1][2].endswith("schedule stopped")
 
     def test_step_profile_realized_through_envelope(self):
-        from fourvertex.curvature import CurvatureProfile
-
+        # the step's samples, interpolated linearly, are a continuous profile
         k0 = profile_from_step(StepSpec(0.5, 2.0), 4096)
         res = synthesize(k0)
         assert res.curve.closed and is_simple(res.curve)[0]
-        envelope = CurvatureProfile(k0.samples, "linear")
-        self._check_round_trip(envelope, res)
+        self._check_round_trip(k0, res)
 
     @staticmethod
     def _check_round_trip(k, res):
@@ -486,7 +484,7 @@ def trig_profile(c0, coefs, n=4096):
     degrees = np.arange(1, 6)[:, None]
     poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
             + np.asarray(coefs[5:]) @ np.sin(degrees * t))
-    return CurvatureProfile(c0 + np.cos(2 * t) + poly, "linear")
+    return CurvatureProfile(c0 + np.cos(2 * t) + poly)
 
 
 def warp_onto_step(k, eps, offset=0.5):
