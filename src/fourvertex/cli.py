@@ -187,6 +187,21 @@ def _osserman_json(rep: analysis.OssermanReport) -> dict:
     }
 
 
+def _save(out_dir: Path, write) -> bool:
+    """Create out_dir and call write(out_dir); an OSError prints one error line, False."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write(out_dir)
+    except OSError as ex:
+        print(f"error: cannot write to {out_dir}: {ex}", file=sys.stderr)
+        return False
+    return True
+
+
+def _save_text(out_dir: Path, name: str, text: str) -> bool:
+    return _save(out_dir, lambda d: (d / name).write_text(text, encoding="utf-8"))
+
+
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     try:
@@ -208,11 +223,6 @@ def cmd_synth(args) -> int:
     except solver.SynthesisFailed as ex:
         print(ex, file=sys.stderr)
         return EXIT_FAILED
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        write_curve_csv(out_dir / "curve.csv", result.curve)
-    else:
-        write_curve_json(out_dir / "curve.json", result.curve)
     diag = {
         "beta_star": [result.beta_star.beta.real, result.beta_star.beta.imag],
         "eps_used": result.eps_used,
@@ -224,11 +234,19 @@ def cmd_synth(args) -> int:
         "rounds": result.diagnostics.rounds,
         "error_evaluations": result.diagnostics.error_evaluations,
     }
-    (out_dir / "diagnostics.json").write_text(
-        json.dumps(diag, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    if args.svg:
-        (out_dir / "curve.svg").write_text(_curve_svg(result.curve),
-                                           encoding="utf-8")
+
+    def write(d: Path):
+        if args.format == "csv":
+            write_curve_csv(d / "curve.csv", result.curve)
+        else:
+            write_curve_json(d / "curve.json", result.curve)
+        (d / "diagnostics.json").write_text(
+            json.dumps(diag, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        if args.svg:
+            (d / "curve.svg").write_text(_curve_svg(result.curve), encoding="utf-8")
+
+    if not _save(out_dir, write):
+        return EXIT_IO
     print(f"closed curve written to {out_dir} (|E| = "
           f"{result.diagnostics.final_error:.3e})")
     return EXIT_OK
@@ -271,12 +289,16 @@ def cmd_analyze(args) -> int:
     except TooFewSamples as ex:
         print(f"error: curve has too few samples: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "analysis.json").write_text(
-        json.dumps(out, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    if args.svg:
-        (out_dir / "analysis.svg").write_text(
-            _curve_svg(curve, circle=circle, vertices=vertices), encoding="utf-8")
+
+    def write(d: Path):
+        (d / "analysis.json").write_text(
+            json.dumps(out, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        if args.svg:
+            (d / "analysis.svg").write_text(
+                _curve_svg(curve, circle=circle, vertices=vertices), encoding="utf-8")
+
+    if not _save(out_dir, write):
+        return EXIT_IO
     print(f"analysis written to {out_dir}")
     return EXIT_OK
 
@@ -287,8 +309,8 @@ def _demo_bicircle(args, out_dir: Path) -> int:
     err = error_vector(curve).magnitude
     d = Drawing(stroke_width=0.01)
     d.path(curve.pos, closed=True)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bicircle.svg").write_text(d.to_string(), encoding="utf-8")
+    if not _save_text(out_dir, "bicircle.svg", d.to_string()):
+        return EXIT_IO
     print(f"bicircle |E| = {err:.3e}")
     return EXIT_OK
 
@@ -311,8 +333,8 @@ def _demo_compass(args, out_dir: Path) -> int:
         tip = anchor + err.e
         d.arrow(anchor.real, anchor.imag, tip.real, tip.imag)
     winding = solver.winding_number([e.e for _, _, e in panels])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "compass.svg").write_text(d.to_string(), encoding="utf-8")
+    if not _save_text(out_dir, "compass.svg", d.to_string()):
+        return EXIT_IO
     print(f"compass error-loop winding = {winding:+d}")
     return EXIT_OK
 
@@ -346,8 +368,8 @@ def _demo_tetrahedron(args, out_dir: Path) -> int:
         d.polyline([image(r * np.exp(1j * a)) for r in radii], color="#3366cc")
     core = [_project((0.0, 0.5, 0.5)), _project((0.5, 0.5, 1.0))]
     d.polyline(core, color="#cc0000", width=0.008)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tetrahedron.svg").write_text(d.to_string(), encoding="utf-8")
+    if not _save_text(out_dir, "tetrahedron.svg", d.to_string()):
+        return EXIT_IO
     print("tetrahedron demo written")
     return EXIT_OK
 

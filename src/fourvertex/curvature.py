@@ -23,7 +23,6 @@ TWO_PI = 2.0 * math.pi
 # |integral| below this fraction of max|kappa| * 2*pi counts as zero.
 ZERO_TOTAL_REL = 1e-8
 PLATEAU_TOL = 1e-9        # samples this close to a plateau's running mean join it
-RADIUS_BLOCK = 16         # window radii _window_radius probes per profile call
 
 
 class ZeroTotalCurvature(ValueError):
@@ -71,15 +70,28 @@ class CurvatureProfile:
     def __call__(self, t):
         """Evaluate at parameter(s) t; evaluation is 2*pi periodic."""
         t = np.asarray(t, dtype=float)
-        frac = np.mod(t, TWO_PI) / TWO_PI * self.n
-        i0 = np.floor(frac).astype(int)
-        w = frac - np.floor(frac)
+        frac = mod_two_pi(t) / TWO_PI * self.n
+        whole = np.floor(frac)
+        w = frac - whole
         # snap to the grid so sampling at grid points is exact
         hi = w > 1.0 - 1e-9
-        i0 = np.where(hi, i0 + 1, i0) % self.n
+        i0 = whole.astype(int) + hi
         w = np.where(hi | (w < 1e-9), 0.0, w)
-        out = (1.0 - w) * self.samples[i0] + w * self.samples[(i0 + 1) % self.n]
+        out = (1.0 - w) * self.samples.take(i0, mode="wrap") \
+            + w * self.samples.take(i0 + 1, mode="wrap")
         return out if out.ndim else float(out)
+
+
+def mod_two_pi(t: np.ndarray) -> np.ndarray:
+    """``np.mod(t, TWO_PI)`` bit for bit, in one ``np.where`` pass for t in [-2*pi, 4*pi).
+
+    There the result is t + 2*pi, t or t - 2*pi, and each is what np.mod
+    rounds to (t - 2*pi is exact by Sterbenz's lemma); np.mod, several
+    times slower, takes every other input, NaN included.
+    """
+    if t.size and t.min() >= -TWO_PI and t.max() < 2.0 * TWO_PI:
+        return np.where(t >= TWO_PI, t - TWO_PI, t + TWO_PI * (t < 0.0))
+    return np.mod(t, TWO_PI)
 
 
 def profile_from_function(fn: Callable, n: int = 4096) -> CurvatureProfile:
@@ -110,7 +122,7 @@ class StepSpec:
 
     def value_at(self, t):
         """Step value at parameter(s) t (arcs are closed on the left)."""
-        t = np.mod(np.asarray(t, dtype=float), TWO_PI)
+        t = mod_two_pi(np.asarray(t, dtype=float))
         idx = np.searchsorted(self.breakpoints, t + 1e-12, side="right") - 1
         idx = np.where(idx < 0, 3, idx)
         out = np.where(idx % 2 == 0, self.a, self.b)
@@ -368,46 +380,53 @@ def _window_radius(k: CurvatureProfile, centre: float, target: float,
                    start: float, cap: float) -> float:
     """First radius of start, 0.6 * start, ... above 1e-11 on which k stays near target.
 
-    A radius d passes when |k - target| <= cap at 201 points spread evenly
-    over [centre - d, centre + d]; the radii are probed RADIUS_BLOCK per
-    call of k.  When none passes, the result is the 1e-11 floor.
+    A radius d passes when |k - target| <= cap on all of
+    [centre - d, centre + d].  k is linear between grid samples, so there
+    |k - target| peaks at a grid sample inside the interval or at one of
+    its two ends: d passes when it is below the distance from the centre to
+    the nearest sample beyond the cap on either side, and both ends keep
+    within the cap.  One profile call decides every radius.  When none
+    passes, the result is the 1e-11 floor.
     """
+    h = TWO_PI / k.n
+    # the samples that the widest interval holds, and their offsets from the centre
+    j = np.arange(math.floor((centre - start) / h), math.ceil((centre + start) / h) + 1)
+    offset = j * h - centre
+    far = np.abs(np.take(k.samples, j, mode="wrap") - target) > cap
+    reach = np.min(np.abs(offset[far]), initial=math.inf)
     radii = []
     while start > 1e-11:
         radii.append(start)
         start *= 0.6
-    probe = np.linspace(-1.0, 1.0, 201)
-    for b in range(0, len(radii), RADIUS_BLOCK):
-        d = np.array(radii[b:b + RADIUS_BLOCK])
-        dev = np.max(np.abs(k(centre + d[:, None] * probe) - target), axis=1)
-        ok = np.flatnonzero(dev <= cap)
-        if ok.size:
-            return float(d[ok[0]])
-    return 1e-11
+    d = np.array(radii)
+    ends = np.abs(k(centre + np.concatenate((-d, d))) - target).reshape(2, -1)
+    ok = np.flatnonzero((d < reach) & (np.max(ends, axis=0) <= cap))
+    return float(d[ok[0]]) if ok.size else 1e-11
 
 
 def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
                       eps: float) -> float:
     """Exact measure{ t in one period : |k(h1(t)) - step(t)| > eps }.
 
-    The period is cut at h1's knots, the step's breakpoints and the
-    h1-preimages of k's grid points.  On each piece h1 is linear, the step
-    is constant and k is linear between neighbouring grid points, so
+    The period is cut at the h1-preimages of k's grid points, where k(h1)
+    is that grid sample, and at h1's knots and the step's breakpoints,
+    merged in by binary search.  On each piece h1 is linear, the step is
+    constant and k is linear between neighbouring grid points, so
     f = k(h1(t)) - step(t) is linear there and the measure of {|f| > eps}
     on the piece has a closed form.  Time and memory are O(n + number of
     knots).
     """
     lo, hi = h1.values[0], h1.values[-1]
     n = k.n
-    grid = TWO_PI / n * np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
+    m = np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
     breaks = h1.knots[0] + np.mod(np.asarray(step.breakpoints) - h1.knots[0], TWO_PI)
-    # three sorted runs, which a stable sort merges in linear time; a cut
-    # that repeats only adds a piece of length zero
-    t = np.sort(np.concatenate((h1.knots, breaks, np.interp(grid, h1.values, h1.knots))),
-                kind="stable")
-    mid = 0.5 * (t[:-1] + t[1:])
-    target = step.value_at(mid)
-    kt = np.asarray(k(h1(t)))
+    cuts = np.sort(np.concatenate((h1.knots, breaks)), kind="stable")
+    # a cut that repeats only adds a piece of length zero
+    pre = np.interp(TWO_PI / n * m, h1.values, h1.knots)
+    at = np.searchsorted(pre, cuts)
+    t = np.insert(pre, at, cuts)
+    kt = np.insert(np.take(k.samples, m, mode="wrap"), at, k(h1(cuts)))
+    target = step.value_at(0.5 * (t[:-1] + t[1:]))
     fa, fb = kt[:-1] - target, kt[1:] - target
     rise = np.abs(fb - fa)
     measure = 0.0
@@ -449,9 +468,8 @@ def build_h1(
 
     u = _unwrap_cyclic(abab.params)
     targets = np.array([abab.a, abab.b, abab.a, abab.b])
-    for i in range(4):
-        if abs(float(k(u[i])) - targets[i]) > 1e-6:
-            raise ValueError("window points do not attain the window values")
+    if np.any(np.abs(k(u) - targets) > 1e-6):
+        raise ValueError("window points do not attain the window values")
 
     bps = np.asarray(step.breakpoints)
     arc_len = np.diff(np.append(bps, bps[0] + TWO_PI))

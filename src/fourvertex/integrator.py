@@ -209,14 +209,6 @@ def scale_curve(c: PlanarCurve, f: ScaleFactor) -> PlanarCurve:
                    scale=c.scale * factor)
 
 
-def reverse_curve(c: PlanarCurve) -> PlanarCurve:
-    """Traverse the curve backwards; signed curvature flips sign."""
-    s = c.s[-1] - c.s[::-1]
-    t = None if c.t is None else c.t[::-1].copy()
-    return replace(c, s=s, pos=c.pos[::-1].copy(),
-                   theta=c.theta[::-1] + math.pi, t=t)
-
-
 def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Samples with the closing sample dropped exactly when the curve is :attr:`closed`."""
     if c.closed:
@@ -299,16 +291,23 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     maxx = np.maximum(sa.real, sb.real)
     miny = np.minimum(sa.imag, sb.imag)
     maxy = np.maximum(sa.imag, sb.imag)
-    # sorted position p pairs with the counts[p] positions after it; pair
-    # number k belongs to the last p with first[p] <= k
+    # sorted position p pairs with the counts[p] positions after it, pair
+    # numbers first[p] .. first[p] + counts[p] - 1
     counts = np.searchsorted(minx, maxx, side="right") - np.arange(nseg) - 1
     total = int(np.sum(counts))
     first = np.cumsum(counts) - counts
     best = nseg * nseg  # q * nseg + p of the first crossing, p < q sorted positions
     for k0 in range(0, total, PAIR_CHUNK):
-        k = np.arange(k0, min(k0 + PAIR_CHUNK, total))
-        p = np.searchsorted(first, k, side="right") - 1
-        q = p + 1 + k - first[p]
+        k1 = min(k0 + PAIR_CHUNK, total)
+        # the owners of pairs k0 .. k1 - 1 are positions p0 .. p1 - 1; the
+        # first and the last may own pairs outside the chunk
+        p0 = int(np.searchsorted(first, k0, side="right")) - 1
+        p1 = int(np.searchsorted(first, k1 - 1, side="right"))
+        own = counts[p0:p1].copy()
+        own[0] -= k0 - first[p0]
+        own[-1] -= first[p1 - 1] + counts[p1 - 1] - k1
+        p = np.repeat(np.arange(p0, p1), own)
+        q = p + 1 + np.arange(k0, k1) - first[p]
         d = np.abs(order[p] - order[q])
         keep = (miny[p] <= maxy[q]) & (maxy[p] >= miny[q]) & (d > 1) \
             & ~(closed & (d == nseg - 1))

@@ -6,10 +6,14 @@ parameter circles, so it vanishes somewhere inside.  Each evaluation
 integrates the profile on its own grid, with arc-length steps given by the
 inverse map's boundary lift, so the error is smooth in the parameter.  The
 zero search polishes from the disk center with a two-variable secant
-iteration and certifies the polished root by a nonzero winding along a
-small square around it: by Rouché's rule from the error at the square's
-four corners when the polish's linear model holds there, else counted by
-:func:`fourvertex.integrator.winding_number` along the refined boundary.
+iteration, whose Jacobian starts from the closed-form Jacobian of the
+two-value step's error there, and certifies the polished root by a
+nonzero winding along a small square around it: by Rouché's rule from the
+error at the square's four corners when the polish's linear model holds
+there, else counted by :func:`fourvertex.integrator.winding_number` along
+the refined boundary.  When the corners decide, a search takes
+1 + (secant steps) + 4 error evaluations; the synthesis evaluates once
+more at the accepted root.
 A root that fails the certificate fails the synthesis round, which
 retries with a finer warp.
 The synthesis pipeline warps an admissible profile onto a two-value step
@@ -38,6 +42,7 @@ from .curvature import (
     build_h1,
     compose,
     find_abab_points,
+    mod_two_pi,
     normalize_total,
     normalizing_scale,
     profile_from_step,
@@ -53,7 +58,6 @@ from .integrator import (
     endpoint_error,
     integrate_curve,
     is_simple,
-    reverse_curve,
     scale_curve,
     winding_number,
 )
@@ -192,15 +196,15 @@ def _boundary_winding(err, center: complex, half: float, corner_vals=None) -> in
         raise _EdgeZero from None
 
 
-def _polish(err, x0: complex, tol) -> tuple[complex, complex, np.ndarray | None]:
+def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, np.ndarray]:
     """Two-variable secant iteration with a rank-one update and damping.
 
-    It stops once |err| < ``tol()``, read after the latest evaluation, and
-    returns the root, the error there and the secant Jacobian after its
-    last update (as a real 2x2 map of (Re, Im)); the Jacobian is None when
-    x0 itself meets the tolerance.  An iterate on or outside the unit
-    circle, where no Möbius parameter exists, ends the iteration as a
-    divergence without being evaluated.
+    The secant Jacobian starts from ``jac0``, a real 2x2 map of (Re, Im).
+    The iteration stops once |err| < ``tol()``, read after the latest
+    evaluation, and returns the root, the error there and the Jacobian
+    after its last update (``jac0`` when x0 itself meets the tolerance).
+    An iterate on or outside the unit circle, where no Möbius parameter
+    exists, ends the iteration as a divergence without being evaluated.
     """
     best_x, best_r = x0, math.inf
 
@@ -210,14 +214,11 @@ def _polish(err, x0: complex, tol) -> tuple[complex, complex, np.ndarray | None]
         e = err(b)
         return np.array([e.real, e.imag]), abs(e)
 
-    h = 1e-7
     f0, r0 = fvec(x0)
     best_r = r0
+    jac = np.array(jac0, dtype=float)
     if r0 < tol():
-        return x0, complex(f0[0], f0[1]), None
-    fx, _ = fvec(x0 + h)
-    fy, _ = fvec(x0 + 1j * h)
-    jac = np.column_stack(((fx - f0) / h, (fy - f0) / h))
+        return x0, complex(f0[0], f0[1]), jac
     x, f, r = x0, f0, r0
     for _ in range(POLISH_MAX_ITER):
         try:
@@ -244,7 +245,7 @@ def _polish(err, x0: complex, tol) -> tuple[complex, complex, np.ndarray | None]
     raise PolishDiverged(best_x, best_r)
 
 
-def _certify(err, beta: complex, e_star: complex, jac: np.ndarray | None) -> int:
+def _certify(err, beta: complex, e_star: complex, jac: np.ndarray) -> int:
     """Winding of the error along the square of half-width CERTIFICATE_HALF around beta.
 
     The error is evaluated at the four corners first.  Where the polish's
@@ -252,39 +253,74 @@ def _certify(err, beta: complex, e_star: complex, jac: np.ndarray | None) -> int
     half of sigma_min(J) * CERTIFICATE_HALF, less |E(beta)|, the model's
     zero lies inside the square and |E - L| < |L| along its boundary, as E
     is smooth at the square's scale; by Rouché's rule E then winds as L
-    does, sign(det J) times.  Otherwise, or without a Jacobian,
-    :func:`_boundary_winding` counts the winding from the same corners.
+    does, sign(det J) times.  Otherwise :func:`_boundary_winding` counts
+    the winding from the same corners.
     """
     offsets = CERTIFICATE_HALF * np.array(SQUARE)
     vals = [err(beta + d) for d in offsets]
-    if jac is not None:
-        model = e_star + (jac[0, 0] + 1j * jac[1, 0]) * offsets.real \
-            + (jac[0, 1] + 1j * jac[1, 1]) * offsets.imag
-        det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-        frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; |det| = their product
-        sigma_max = 0.5 * (math.sqrt(frob + 2.0 * abs(det))
-                           + math.sqrt(max(frob - 2.0 * abs(det), 0.0)))
-        if np.max(np.abs(np.array(vals) - model)) + abs(e_star) \
-                < 0.5 * abs(det) / sigma_max * CERTIFICATE_HALF:
-            return 1 if det > 0.0 else -1
+    model = e_star + (jac[0, 0] + 1j * jac[1, 0]) * offsets.real \
+        + (jac[0, 1] + 1j * jac[1, 1]) * offsets.imag
+    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+    frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; |det| = their product
+    sigma_max = 0.5 * (math.sqrt(frob + 2.0 * abs(det))
+                       + math.sqrt(max(frob - 2.0 * abs(det), 0.0)))
+    if np.max(np.abs(np.array(vals) - model)) + abs(e_star) \
+            < 0.5 * abs(det) / sigma_max * CERTIFICATE_HALF:
+        return 1 if det > 0.0 else -1
     return _boundary_winding(err, beta, CERTIFICATE_HALF, vals)
 
 
-def find_zero_beta(k1: CurvatureProfile, stats: dict | None = None) -> MoebiusParameter:
+def step_jacobian(step: StepSpec, n: int) -> np.ndarray:
+    """First-order Jacobian at beta = 0 of ``error_at_beta(profile_from_step(step, n), beta)``.
+
+    Returned as a real 2x2 map of (Re beta, Im beta) to (Re E, Im E).  On
+    the grid, sample j holds over cell j, so the arcs a, b, a, b start at
+    the grid points p_q = p_0 + q*pi/2, p_0 the first grid point at or past
+    the first breakpoint.  The lift of g_{-beta} moves p_q by
+    dphi_q = 2 (Im beta cos p_q - Re beta sin p_q) to first order, and the
+    error of the normalized step curve cut at p_0 is
+
+        (b - a) [(1 + e^{i alpha}) (dphi_1 - dphi_0) / b
+                 + (1 - e^{i alpha}) (dphi_2 - dphi_1) / a]
+
+    with alpha = pi a / (a + b), the turn of an a-arc.  The curve starts
+    at u = 0, a b-arc of length p_0 earlier, which rotates the error by
+    e^{i sigma b p_0}, sigma = 2 / (a + b).  Exact for quarter-spaced
+    breakpoints when 4 divides n; otherwise it is the Jacobian of the
+    nearest such step, which still serves as the polish's starting guess.
+    """
+    a, b = step.a, step.b
+    alpha = math.pi * a / (a + b)
+    p0 = TWO_PI / n * math.ceil((step.breakpoints[0] - 1e-12) * n / TWO_PI)
+    rot = cmath.exp(2j * b * p0 / (a + b))
+    w1 = 2.0 * rot * (b - a) * (1.0 + cmath.exp(1j * alpha)) / b
+    w2 = 2.0 * rot * (b - a) * (1.0 - cmath.exp(1j * alpha)) / a
+    p = p0 + 0.5 * math.pi * np.arange(3)
+    sin, cos = np.sin(p), np.cos(p)
+    d_re = w1 * (sin[0] - sin[1]) + w2 * (sin[1] - sin[2])
+    d_im = w1 * (cos[1] - cos[0]) + w2 * (cos[2] - cos[1])
+    return np.array([[d_re.real, d_im.real], [d_re.imag, d_im.imag]])
+
+
+def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
+                   stats: dict | None = None) -> MoebiusParameter:
     """Parameter inside the disk of radius ROOT_RADIUS at which the error vanishes.
 
-    The root is polished from beta = 0 until |E| < RESIDUAL_TOL and the
-    curve scaled by the normalizing factor c closes too, |E| * |c| <
-    2*pi*RESIDUAL_TOL.  It is accepted when a square of half-width
-    CERTIFICATE_HALF around it lies inside the disk and the error winds
-    along its boundary, which certifies a zero there (:func:`_certify`):
-    four evaluations at the corners when the polish's linear model holds
-    there, else the corners and the adaptive boundary loop, eight
-    evaluations or more.  A root outside the disk, a square along which the
-    error does not wind, or an error vanishing on the square raises
-    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
-    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations.
-    The search is deterministic.
+    ``step`` is the two-value step that k1 is close to in measure.  The
+    root is polished from beta = 0, with the secant Jacobian started at the
+    step's exact Jacobian there (:func:`step_jacobian`, no evaluation),
+    until |E| < RESIDUAL_TOL and the curve scaled by the normalizing factor
+    c closes too, |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when a
+    square of half-width CERTIFICATE_HALF around it lies inside the disk
+    and the error winds along its boundary, which certifies a zero there
+    (:func:`_certify`): four evaluations at the corners when the polish's
+    linear model holds there, else the corners and the adaptive boundary
+    loop, eight evaluations or more.  A search thus takes 1 + (polish
+    steps) + 4 evaluations when the corners decide.  A root outside the
+    disk, a square along which the error does not wind, or an error
+    vanishing on the square raises NoWindingAtRadius; a polish that stalls
+    or leaves the unit disk raises PolishDiverged.  ``stats["evaluations"]``
+    counts the error evaluations.  The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
@@ -297,7 +333,8 @@ def find_zero_beta(k1: CurvatureProfile, stats: dict | None = None) -> MoebiusPa
         scale[0] = abs(sc.c)
         return e.e
 
-    beta, e_star, jac = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]))
+    beta, e_star, jac = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]),
+                                step_jacobian(step, k1.n))
     if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= ROOT_RADIUS:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
     try:
@@ -385,7 +422,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 continue
             k1 = compose(work, h1)
             try:
-                beta_star = find_zero_beta(k1, stats=stats)
+                beta_star = find_zero_beta(k1, step, stats=stats)
             except (NoWindingAtRadius, PolishDiverged, TooFewSamples,
                     ZeroTotalCurvature, NumericallyDegenerate) as ex:
                 # TooFewSamples and ZeroTotalCurvature: the sliver mass left
@@ -415,12 +452,14 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 eps *= 0.5
                 continue
 
-            # sample j of the curve carries k1(u_j) = k(h1(u_j))
-            tags = np.mod(h1(TWO_PI * np.arange(k.n + 1) / k.n), TWO_PI)
-            final = replace(scale_curve(curve, sc), t=tags)
-            if flipped:
-                final = reverse_curve(final)
-                final = replace(final, t=np.mod(TWO_PI - final.t, TWO_PI))
+            # the curve scaled by c; sample j carries k1(u_j) = k(h1(u_j))
+            s, pos = curve.s * abs(sc.c), curve.pos * sc.c
+            theta = curve.theta + (math.pi if sc.c < 0 else 0.0)
+            tags = mod_two_pi(h1(TWO_PI * np.arange(k.n + 1) / k.n))
+            if flipped:  # traversed backwards, so it carries k at 2*pi - t
+                s, pos, theta = s[-1] - s[::-1], pos[::-1], theta[::-1] + math.pi
+                tags = mod_two_pi(TWO_PI - tags[::-1])
+            final = PlanarCurve(s, pos, theta, sc.c, tags)
             kap_hat = curvature_samples(final)
             target = np.asarray(k(final.t[: kap_hat.size]))
             bad = np.abs(kap_hat - target) >= tol_kappa

@@ -308,6 +308,26 @@ def test_demos_emit_wellformed_svg(tmp_path, which):
     assert "viewBox" in root.attrib
 
 
+@pytest.mark.parametrize("command", ["synth", "analyze", "demo"])
+def test_out_dir_naming_a_file_exits_io(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "synth":
+        src = tmp_path / "kappa.csv"
+        write_kappa_csv(src, lambda t: 1.0)
+        argv = ["synth", str(src), "--grid", "512"]
+    elif command == "analyze":
+        src = tmp_path / "ellipse.json"
+        cli.write_curve_json(src, ellipse_curve(512))
+        argv = ["analyze", str(src)]
+    else:
+        argv = ["demo", "tetrahedron"]
+    assert cli.main(argv + ["--out-dir", str(afile)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert afile.read_text() == ""
+
+
 @pytest.mark.parametrize("args", [["--panels", "2"], ["--radius", "1.5"],
                                   ["--panels", "3", "--radius", "0.9"],
                                   ["--panels", "8", "--radius", "0.95"]],

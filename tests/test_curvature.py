@@ -343,18 +343,26 @@ class TestFirstCrossingOracle:
 
 
 def reference_window_radius(k, centre, target, start, cap):
-    """One profile call per radius: the reference for _window_radius."""
+    """The reference for _window_radius: one profile call per radius.
+
+    k is linear between grid samples, so |k - target| on an interval peaks
+    at a grid sample inside it or at one of its two ends.
+    """
+    h = TWO_PI / k.n
     delta = start
-    probe = np.linspace(-1.0, 1.0, 201)
     while delta > 1e-11:
-        dev = np.max(np.abs(np.asarray(k(centre + delta * probe)) - target))
-        if dev <= cap:
+        inside = h * np.arange(math.ceil((centre - delta) / h), math.floor((centre + delta) / h) + 1)
+        t = np.concatenate(([centre - delta, centre + delta], inside))
+        if np.max(np.abs(np.asarray(k(t)) - target)) <= cap:
             return delta
         delta *= 0.6
     return 1e-11
 
 
 RIDGE_64 = [float(v) for v in 1.5 + np.cos(2 * TWO_PI * np.arange(64) / 64)]
+# one sample of 1 among 4096 zeros, at 0.0046, between the probe points 0 and
+# 0.01 of a 201-point probe of [-1, 1]
+NARROW = [0.0] * 3 + [1.0] + [0.0] * 4092
 
 
 class TestWindowRadiusOracle:
@@ -363,7 +371,7 @@ class TestWindowRadiusOracle:
            centre=st.floats(-1.0, 8.0), offset=st.floats(-0.5, 0.5),
            start=st.floats(-13.0, 0.5).map(lambda e: 10.0 ** e),
            cap=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
-    # the first passing radius lies beyond the first block of 16
+    # the first passing radius is the seventeenth or later
     @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1.0, cap=1e-6)
     # no radius passes: the 1e-11 floor
     @example(samples=RIDGE_64, centre=1.0, offset=0.4, start=1.0, cap=1e-3)
@@ -373,6 +381,14 @@ class TestWindowRadiusOracle:
     @example(samples=RIDGE_64, centre=1.0, offset=0.0, start=1.5e-11, cap=0.1)
     # a deviation exactly at the cap passes
     @example(samples=[1.0] * 8, centre=1.0, offset=0.25, start=1.0, cap=0.25)
+    # every sample inside [-0.1, 0.1] is on target, but the interpolant toward
+    # the sample of 1 at pi/4 exceeds the cap at the end 0.1
+    @example(samples=[0.0, 1.0] + [0.0] * 6, centre=0.0, offset=0.0, start=0.1, cap=0.1)
+    # the centre is a grid sample that itself deviates beyond the cap
+    @example(samples=[0.0] * 4 + [1.0] + [0.0] * 3, centre=math.pi, offset=-1.0,
+             start=0.5, cap=0.5)
+    # a narrow excursion between two probe points of the widest radius
+    @example(samples=NARROW, centre=0.0, offset=0.0, start=1.0, cap=0.5)
     def test_matches_one_call_per_radius(self, samples, centre, offset, start, cap):
         k = CurvatureProfile(samples)
         args = (k, centre, float(k(centre)) + offset, start, cap)
@@ -386,6 +402,15 @@ class TestWindowRadiusOracle:
         assert reference_window_radius(k, 1.0, target, 1.5e-11, 0.1) == 1.5e-11
         flat = CurvatureProfile([1.0] * 8)
         assert reference_window_radius(flat, 1.0, 1.25, 1.0, 0.25) == 1.0
+        tooth = CurvatureProfile([0.0, 1.0] + [0.0] * 6)
+        assert float(tooth(0.1)) > 0.1  # so the start 0.1 is refused
+        assert reference_window_radius(tooth, 0.0, 0.0, 0.1, 0.1) == 0.1 * 0.6
+        spike = CurvatureProfile([0.0] * 4 + [1.0] + [0.0] * 3)
+        assert reference_window_radius(spike, math.pi, 0.0, 0.5, 0.5) == 1e-11
+        narrow = CurvatureProfile(NARROW)
+        probe = np.linspace(-1.0, 1.0, 201)
+        assert np.max(np.abs(narrow(probe))) <= 0.5  # 201 probes see no excursion
+        assert reference_window_radius(narrow, 0.0, 0.0, 1.0, 0.5) < 3 * TWO_PI / 4096
 
 
 class TestFindAbab:
@@ -467,6 +492,37 @@ class TestBuildH1:
             build_h1(k, ab, StepSpec(ab.a, ab.b), 0.0)
 
 
+def reference_mismatch_measure(k, h1, step, eps):
+    """The reference for _mismatch_measure: every cut sorted, k(h1(t)) evaluated at each."""
+    lo, hi = h1.values[0], h1.values[-1]
+    n = k.n
+    grid = TWO_PI / n * np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
+    breaks = h1.knots[0] + np.mod(np.asarray(step.breakpoints) - h1.knots[0], TWO_PI)
+    t = np.sort(np.concatenate((h1.knots, breaks, np.interp(grid, h1.values, h1.knots))),
+                kind="stable")
+    mid = 0.5 * (t[:-1] + t[1:])
+    target = step.value_at(mid)
+    kt = np.asarray(k(h1(t)))
+    fa, fb = kt[:-1] - target, kt[1:] - target
+    rise = np.abs(fb - fa)
+    measure = 0.0
+    for top in (np.maximum(fa, fb) - eps, -np.minimum(fa, fb) - eps):
+        share = np.divide(np.clip(top, 0.0, rise), rise, out=(top > 0.0).astype(float),
+                          where=rise > 0.0)
+        measure += float(np.diff(t) @ share)
+    return measure
+
+
+def random_lift(rng, m):
+    """A monotone lift of m + 2 knots over one period starting anywhere in [-1, 1]."""
+    start = rng.uniform(-1.0, 1.0)
+    knots = np.concatenate(([start], start + np.sort(rng.uniform(0.0, TWO_PI, m)),
+                            [start + TWO_PI]))
+    v0 = rng.uniform(-TWO_PI, TWO_PI)
+    values = np.concatenate(([v0], v0 + np.sort(rng.uniform(0.0, TWO_PI, m)), [v0 + TWO_PI]))
+    return CircleDiffeo(knots, values)
+
+
 class TestMismatchMeasure:
     # the tent 0, 1, 2, 3, 4, 3, 2, 1 on eight samples, and the step 1, 3, 1, 3
     # on the four quarter turns
@@ -520,6 +576,24 @@ class TestMismatchMeasure:
         exact = _mismatch_measure(k, h1, step, eps)
         assert 0.0 < exact < eps
         assert exact == pytest.approx(sampled, abs=4 * TWO_PI / m)  # 4 samples
+        assert exact == pytest.approx(reference_mismatch_measure(k, h1, step, eps), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_sorted_cut_reference_on_random_warps(self, seed):
+        # the reference evaluates k(h1(t)) at each grid preimage; where h1 is
+        # steep, that rounds up to ~1e-8 away from the grid sample, which
+        # _mismatch_measure reads exactly, so the two agree to 1e-12, not bit
+        # for bit
+        rng = np.random.default_rng(seed)
+        k = CurvatureProfile(rng.uniform(-2.0, 2.0, int(rng.choice([8, 64, 512, 4096]))))
+        h1 = random_lift(rng, int(rng.integers(1, 12)))
+        a = rng.uniform(0.1, 1.0)
+        step = StepSpec(a, a + rng.uniform(0.1, 2.0),
+                        tuple(np.sort(rng.uniform(0.0, TWO_PI, 4))))
+        eps = rng.uniform(0.01, 1.0)
+        assert _mismatch_measure(k, h1, step, eps) == pytest.approx(
+            reference_mismatch_measure(k, h1, step, eps), abs=1e-12)
 
 
 def test_reflect_negate_pointwise():

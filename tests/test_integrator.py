@@ -30,7 +30,6 @@ from fourvertex.integrator import (
     integrate_arcs,
     integrate_curve,
     is_simple,
-    reverse_curve,
     scale_curve,
 )
 
@@ -385,14 +384,3 @@ def test_planar_curve_rejects_non_finite_samples(field, bad):
     values[-1 if field == "s" else 7] = bad
     with pytest.raises(ValueError, match="finite"):
         replace(c, **{field: values})
-
-
-def test_reverse_curve_flips_curvature_sign():
-    k, _ = normalize_total(profile_from_function(
-        lambda t: 1.5 + np.cos(2 * t), n=2048))
-    c = integrate_curve(k)
-    r = reverse_curve(c)
-    kc = curvature_samples(c)
-    kr = curvature_samples(r)
-    # reversed ring sample j sits at original ring index (n - j) mod n
-    assert np.max(np.abs(kr + np.roll(kc[::-1], 1))) < 1e-9

@@ -182,10 +182,26 @@ class TestErrorAtBeta:
             error_at_beta(k0, 1.0 - gap)
 
 
+@pytest.mark.parametrize("n", [512, 4096, 8192])
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.7, 2.3), (0.1, 3.0)])
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
+def test_step_jacobian_matches_central_differences(n, a, b, offset):
+    # the breakpoints on the grid, and half a grid step off it as synthesize
+    # places them, where the curve starts one grid step before the first arc
+    step = StepSpec(a, b, tuple(0.5 * math.pi * q + offset * TWO_PI / n for q in range(4)))
+    k0 = profile_from_step(step, n)
+    h = 1e-6
+    cols = [(error_at_beta(k0, d)[0].e - error_at_beta(k0, -d)[0].e) / (2 * h) for d in (h, 1j * h)]
+    fd = np.array([[cols[0].real, cols[1].real], [cols[0].imag, cols[1].imag]])
+    jac = solver.step_jacobian(step, n)
+    assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(fd))
+
+
 class TestFindZero:
     def test_step_profile_zero_at_origin(self):
-        k0 = profile_from_step(StepSpec(0.5, 2.0), 2048)
-        beta = find_zero_beta(k0)
+        step = StepSpec(0.5, 2.0)
+        k0 = profile_from_step(step, 2048)
+        beta = find_zero_beta(k0, step)
         assert abs(beta.beta) < 1e-6
         assert error_at_beta(k0, beta)[0].magnitude < 1e-9
 
@@ -193,7 +209,7 @@ class TestFindZero:
         spec = StepSpec(0.5, 2.0, (0.0, math.pi / 2 + 0.1, math.pi,
                                    3 * math.pi / 2))
         kp = profile_from_step(spec, 4096)
-        beta = find_zero_beta(kp)
+        beta = find_zero_beta(kp, StepSpec(0.5, 2.0))
         assert abs(beta.beta) > 1e-3
         assert error_at_beta(kp, beta)[0].magnitude < 1e-9
         # independent route: the grid-snapped step pattern factors through a
@@ -205,31 +221,32 @@ class TestFindZero:
     def test_constant_profile_has_no_winding(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=512)
         with pytest.raises(NoWindingAtRadius):
-            find_zero_beta(k)
+            find_zero_beta(k, StepSpec(0.5, 2.0))
 
 
 @pytest.fixture(scope="module")
 def warped():
-    """The 1.5 + cos 2t profile warped onto its step at eps = 0.1, and its polished root."""
+    """The 1.5 + cos 2t profile warped onto its step at eps = 0.1, the step, and the root."""
     k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
     ab = find_abab_points(k)
-    k1 = compose(k, build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1))
-    return k1, find_zero_beta(k1).beta
+    step = StepSpec(ab.a, ab.b)
+    k1 = compose(k, build_h1(k, ab, step, 0.1))
+    return k1, step, find_zero_beta(k1, step).beta
 
 
 class TestCertifiedPolish:
     def test_diverged_polish_propagates(self, monkeypatch, warped):
-        k1, _ = warped
+        k1, step, _ = warped
 
         def stall(err, x0, tol, *args, **kwargs):
             raise PolishDiverged(x0, 1.0)
 
         monkeypatch.setattr(solver, "_polish", stall)
         with pytest.raises(PolishDiverged, match="stalled"):
-            find_zero_beta(k1)
+            find_zero_beta(k1, step)
 
     def test_polish_leaving_unit_disk_propagates(self, monkeypatch, warped):
-        k1, _ = warped
+        k1, step, _ = warped
         real = solver.error_at_beta
 
         def shifted(k, m):
@@ -240,12 +257,12 @@ class TestCertifiedPolish:
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(PolishDiverged, match="unit disk"):
-            find_zero_beta(k1)
+            find_zero_beta(k1, step)
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
         # a Jacobian three times too steep misses the error at the corners, so
         # the corner test refuses; the fallback then decides alone
-        k1, root = warped
+        k1, step, root = warped
         real_polish, real_winding = solver._polish, solver._boundary_winding
         fallbacks = []
 
@@ -258,20 +275,20 @@ class TestCertifiedPolish:
             return 0
 
         monkeypatch.setattr(solver, "_polish", steep)
-        assert find_zero_beta(k1).beta == root
+        assert find_zero_beta(k1, step).beta == root
         monkeypatch.setattr(solver, "_boundary_winding", refuse)
         with pytest.raises(NoWindingAtRadius, match="no winding"):
-            find_zero_beta(k1)
+            find_zero_beta(k1, step)
         assert len(fallbacks) == 1 and fallbacks[0] != 0
 
     def test_root_outside_radius_rejected(self, warped, monkeypatch):
-        k1, ref = warped
+        k1, step, ref = warped
         monkeypatch.setattr(solver, "ROOT_RADIUS", 0.5 * abs(ref))
         with pytest.raises(NoWindingAtRadius, match="outside radius"):
-            find_zero_beta(k1)
+            find_zero_beta(k1, step)
 
     def test_certificate_winds_once_around_root_only(self, warped):
-        k1, ref = warped
+        k1, _, ref = warped
 
         def err(b):
             return error_at_beta(k1, b)[0].e
@@ -295,10 +312,10 @@ def test_sparse_certificate_agrees_with_dense_loop(case, warped):
     # refines only where neighbours turn by a quarter turn; it must count the
     # winding a uniformly dense loop counts, on every square size
     if case == "warped":
-        k1, root = warped
+        k1, _, root = warped
     else:
-        k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
-        root = find_zero_beta(k1).beta
+        k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
+        root = find_zero_beta(k1, step).beta
 
     def err(b):
         return error_at_beta(k1, b)[0].e
@@ -316,7 +333,8 @@ def test_sparse_certificate_agrees_with_dense_loop(case, warped):
 def test_corner_certificate_agrees_with_dense_loop(case, warped, monkeypatch):
     # where the four corners certify the root, a 256-sample loop around the
     # same square winds sign(det J) times too
-    k1 = warped[0] if case == "warped" else warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
+    k1, step = warped[:2] if case == "warped" else \
+        warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
     stats = {"evaluations": 0}
     seen = []
     real = solver._certify
@@ -328,7 +346,7 @@ def test_corner_certificate_agrees_with_dense_loop(case, warped, monkeypatch):
         return winding
 
     monkeypatch.setattr(solver, "_certify", spy)
-    find_zero_beta(k1, stats=stats)
+    find_zero_beta(k1, step, stats=stats)
     [(beta, jac, winding, evaluations)] = seen
     assert evaluations == 4
     assert winding == int(np.sign(np.linalg.det(jac))) != 0
@@ -401,10 +419,10 @@ class TestSynthesize:
         self._check_round_trip(k, res)
 
     def test_evaluation_budget(self):
-        # 6 for the polish and 4 for the corner certificate
+        # E(0) and 3 secant steps from the step's Jacobian, then 4 corners
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.error_evaluations <= 10
+        assert res.diagnostics.error_evaluations <= 8
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
@@ -488,30 +506,32 @@ def trig_profile(c0, coefs, n=4096):
 
 
 def warp_onto_step(k, eps, offset=0.5):
-    """k warped onto its step at eps, the breakpoints ``offset`` grid steps off the grid."""
+    """(k warped onto its step at eps, the step), the breakpoints ``offset`` grid steps off the grid."""
     ab = find_abab_points(k)
     shift = offset * TWO_PI / k.n
     step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + shift for q in range(4)))
-    return compose(k, build_h1(k, ab, step, eps))
+    return compose(k, build_h1(k, ab, step, eps)), step
 
 
 @settings(max_examples=10, deadline=None)
 @given(c0=st.floats(min_value=-2.5, max_value=2.5),
-       coefs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=10, max_size=10))
+       coefs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=10, max_size=10),
+       n=st.sampled_from([2048, 4096, 8192]))
 # a polished root whose residual the curve's scale factor (12.4) lifted past the bound
 @example(c0=-0.7284428043915223,
-         coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, -0.0625] + [0.0] * 5)
+         coefs=[0.07552470055239735, -0.09553408206415465, 0.0, 0.0, -0.0625] + [0.0] * 5,
+         n=4096)
 # the normalized error evaluation turned a grid step by more than half a turn
-@example(*LARGE_SCALE)
+@example(*LARGE_SCALE, 4096)
 # a small own window: eps 0.1 and 0.05 fail the reference distance, round 3
 # realizes it (with grid-aligned step breakpoints only the flipped pass did)
-@example(*SMALL_WINDOW)
+@example(*SMALL_WINDOW, 4096)
 # the sampled error route did not wind on this profile's round-2 certificate
 # square; see test_error_is_continuous_at_certificate_scale
-@example(*CERTIFICATE_CASE)
-def test_synthesis_realizes_random_admissible_profiles(c0, coefs):
-    """c0 + cos 2t plus a trig polynomial of degree <= 5, end to end."""
-    k = trig_profile(c0, coefs)
+@example(*CERTIFICATE_CASE, 4096)
+def test_synthesis_realizes_random_admissible_profiles(c0, coefs, n):
+    """c0 + cos 2t plus a trig polynomial of degree <= 5 on n samples, end to end."""
+    k = trig_profile(c0, coefs, n)
     try:
         find_abab_points(k)
     except (HypothesisViolated, NoPositiveWindow):
@@ -535,8 +555,8 @@ def test_polished_root_closes_the_scaled_curve(eps):
     # synthesize returns the curve scaled by c and requires |E|*|c| below
     # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
     # not enough, so the polish must go on until the scaled bound holds
-    k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
-    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1))
+    k1, step = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
+    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1, step))
     assert abs(sc.c) > 100.0
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
 
@@ -557,7 +577,7 @@ def test_schedule_stops_at_four_sample_measure(monkeypatch):
     monkeypatch.setattr(solver, "build_h1", spy)
     res = synthesize(k)
     assert res.sign_flipped
-    assert res.beta_star.beta == -0.0015098197076171746 + 0.0016582204842359933j
+    assert res.beta_star.beta == -0.001509819746479292 + 0.0016582204468211328j
     assert res.diagnostics.rounds == 7
     assert min(tried) > 8.0 * math.pi / k.n
 
@@ -569,12 +589,13 @@ def test_error_is_continuous_at_certificate_scale(eps, offset):
     # the square's scale: the same winding on every square around the root,
     # and small phase steps between close neighbours; for step breakpoints on
     # the grid and half a grid step off it (as synthesize places them)
-    k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
+    k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
 
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    root, _, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL)
+    root, _, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
+                                solver.step_jacobian(step, k1.n))
     winds = {_boundary_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
     assert len(winds) == 1 and winds != {0}
