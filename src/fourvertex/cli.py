@@ -410,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("bicircle", "compass", "tetrahedron"))
     p.add_argument("--panels", type=int, default=8)
     p.add_argument("--radius", type=float, default=0.2)
-    p.add_argument("--grid", type=int, default=4096, help="profile grid size")
+    p.add_argument("--grid", type=int, default=4096,
+                   help="profile grid size (power of two, at least 512)")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_demo)
     return parser

@@ -456,9 +456,13 @@ def build_h1(
 
     is verified exactly before returning, piece by piece between the knots
     of h1, the step's breakpoints and the preimages of k's grid
-    (``_mismatch_measure``, O(n) time and memory); failures retry with
-    smaller neighbourhoods.  The window must be one of k itself: the points
-    of a sign-flipped window do not attain its values, raising ValueError.
+    (``_mismatch_measure``, O(n) time and memory).  It holds by
+    construction: outside the eight slivers of width at most eps/32 each,
+    k(h1) stays within eps/8 of the step, so the mismatch has measure at
+    most eps/4.  A measure of eps or more, or knots that do not define a
+    diffeomorphism, raise ConstructionFailed.  The window must be one of k
+    itself: the points of a sign-flipped window do not attain its values,
+    raising ValueError.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -477,29 +481,24 @@ def build_h1(
     starts = 0.4 * np.minimum(np.roll(gaps, 1), gaps)  # window radii before shrinking
 
     sliver = min(eps / 32.0, 0.25 * float(np.min(arc_len)))
-    dev_cap = eps / 8.0
-    for _ in range(6):
-        deltas = np.array([_window_radius(k, u[i], targets[i], starts[i], dev_cap)
-                           for i in range(4)])
-        end_mid = 0.5 * ((u[3] + deltas[3]) + (u[0] + TWO_PI - deltas[0]))
-        knots = [bps[0]]
-        vals = [end_mid - TWO_PI]
-        for i in range(4):
-            knots.extend([bps[i] + sliver, bps[i] + arc_len[i] - sliver])
-            vals.extend([u[i] - deltas[i], u[i] + deltas[i]])
-        knots.append(bps[0] + TWO_PI)
-        vals.append(end_mid)
-        try:
-            h1 = CircleDiffeo(np.array(knots), np.array(vals))
-        except ValueError:
-            sliver *= 0.5
-            dev_cap *= 0.5
-            continue
-        if _mismatch_measure(k, h1, step, eps) < eps:
-            return h1
-        sliver *= 0.5
-        dev_cap *= 0.5
-    raise ConstructionFailed("measure bound verification failed")
+    deltas = np.array([_window_radius(k, u[i], targets[i], starts[i], eps / 8.0)
+                       for i in range(4)])
+    end_mid = 0.5 * ((u[3] + deltas[3]) + (u[0] + TWO_PI - deltas[0]))
+    knots = [bps[0]]
+    vals = [end_mid - TWO_PI]
+    for i in range(4):
+        knots.extend([bps[i] + sliver, bps[i] + arc_len[i] - sliver])
+        vals.extend([u[i] - deltas[i], u[i] + deltas[i]])
+    knots.append(bps[0] + TWO_PI)
+    vals.append(end_mid)
+    try:
+        h1 = CircleDiffeo(np.array(knots), np.array(vals))
+    except ValueError as ex:
+        raise ConstructionFailed(f"warp knots: {ex}") from None
+    measure = _mismatch_measure(k, h1, step, eps)
+    if measure >= eps:
+        raise ConstructionFailed(f"mismatch measure {measure:.3g} is not below eps {eps:.3g}")
+    return h1
 
 
 def reflect_negate(k: CurvatureProfile) -> CurvatureProfile:

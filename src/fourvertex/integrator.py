@@ -4,7 +4,8 @@ Curves are arc-length-parameterized polylines with a continuous
 tangent-angle lift.  Integration advances through exact circular arcs, one
 per grid step, so step-function curvature is reproduced without quadrature
 drift.  The winding counter here is the one both the configuration loops of
-``bicircle`` and the zero search of ``solver`` use.  All operations are
+``bicircle`` and the compass demo's error loop in ``solver`` use; the zero
+search certifies its root by Rouché's rule instead.  All operations are
 pure.
 """
 

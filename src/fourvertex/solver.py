@@ -8,14 +8,11 @@ inverse map's boundary lift, so the error is smooth in the parameter.  The
 zero search polishes from the disk center with a two-variable secant
 iteration, whose Jacobian starts from the closed-form Jacobian of the
 two-value step's error there, and certifies the polished root by a
-nonzero winding along a small square around it: by Rouché's rule from the
-error at the square's four corners when the polish's linear model holds
-there, else counted by :func:`fourvertex.integrator.winding_number` along
-the refined boundary.  When the corners decide, a search takes
-1 + (secant steps) + 4 error evaluations; the synthesis evaluates once
-more at the accepted root.
-A root that fails the certificate fails the synthesis round, which
-retries with a finer warp.
+nonzero winding along a small square around it, by Rouché's rule from the
+error at the square's four corners and the polish's linear model.  A
+search takes 1 + (secant steps) + 4 error evaluations; the synthesis
+evaluates once more at the accepted root.  A root that the corners do not
+certify fails the synthesis round, which retries with a finer warp.
 The synthesis pipeline warps an admissible profile onto a two-value step
 function, closes the curve by that root, and tags each sample with the
 original parameter the warp sends it to.
@@ -50,8 +47,6 @@ from .curvature import (
 )
 from .integrator import (
     ErrorVector,
-    InsufficientDensity,
-    OriginOnLoop,
     PlanarCurve,
     TooFewSamples,
     curvature_samples,
@@ -64,10 +59,7 @@ from .integrator import (
 from .moebius import MoebiusParameter, NumericallyDegenerate, _beta_value, moebius_lift
 
 RESIDUAL_TOL = 1e-9
-ZERO_ON_EDGE = 1e-12
 CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
-CERTIFICATE_PER_EDGE = 2  # pieces per square edge before adaptive refinement;
-# E is smooth at the square's scale, so 8 samples start the loop
 SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)  # corners of the unit square, counterclockwise
 POLISH_MAX_ITER = 80     # secant steps before the polish stops
 ROOT_RADIUS = 0.2        # an accepted root lies inside this disk
@@ -152,50 +144,6 @@ def error_at_beta(
     return endpoint_error(sc.c * k1.samples, ds), ds, sc
 
 
-class _EdgeZero(Exception):
-    pass
-
-
-def _refine_arc(err, z0, z1, u0, e0, u1, e1, depth):
-    if abs(e0) < ZERO_ON_EDGE or abs(e1) < ZERO_ON_EDGE:
-        raise _EdgeZero
-    if abs(cmath.phase(e1 / e0)) < 0.5 * math.pi - 0.01:
-        return [e1]
-    if depth >= 44 or (u1 - u0) < 1e-13:
-        raise _EdgeZero
-    um = 0.5 * (u0 + u1)
-    em = err(z0 + (z1 - z0) * um)
-    return (_refine_arc(err, z0, z1, u0, e0, um, em, depth + 1)
-            + _refine_arc(err, z0, z1, um, em, u1, e1, depth + 1))
-
-
-def _boundary_winding(err, center: complex, half: float, corner_vals=None) -> int:
-    """Winding of the error along a square cell boundary, sampled adaptively.
-
-    ``corner_vals`` holds the error at the corners ``center + half * SQUARE``
-    when the caller has evaluated it already.
-    """
-    corners = [center + half * w for w in SQUARE]
-    if corner_vals is None:
-        corner_vals = [err(z) for z in corners]
-    loop: list[complex] = []
-    for i in range(4):
-        z0, z1 = corners[i], corners[(i + 1) % 4]
-        e_prev = corner_vals[i]
-        us = np.linspace(0.0, 1.0, CERTIFICATE_PER_EDGE + 1)
-        vals = [e_prev] + [err(z0 + (z1 - z0) * u) for u in us[1:-1]] \
-            + [corner_vals[(i + 1) % 4]]
-        loop.append(e_prev)
-        for j in range(CERTIFICATE_PER_EDGE):
-            seg = _refine_arc(err, z0, z1, us[j], vals[j], us[j + 1], vals[j + 1], 0)
-            loop.extend(seg)
-        loop.pop()  # the closing corner opens the next edge
-    try:
-        return winding_number(loop)
-    except (InsufficientDensity, OriginOnLoop):
-        raise _EdgeZero from None
-
-
 def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, np.ndarray]:
     """Two-variable secant iteration with a rank-one update and damping.
 
@@ -246,15 +194,15 @@ def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, 
 
 
 def _certify(err, beta: complex, e_star: complex, jac: np.ndarray) -> int:
-    """Winding of the error along the square of half-width CERTIFICATE_HALF around beta.
+    """Winding of the error along the square of half-width CERTIFICATE_HALF around beta, or 0.
 
-    The error is evaluated at the four corners first.  Where the polish's
-    linear model L(z) = E(beta) + J (z - beta) misses it there by less than
-    half of sigma_min(J) * CERTIFICATE_HALF, less |E(beta)|, the model's
-    zero lies inside the square and |E - L| < |L| along its boundary, as E
-    is smooth at the square's scale; by Rouché's rule E then winds as L
-    does, sign(det J) times.  Otherwise :func:`_boundary_winding` counts
-    the winding from the same corners.
+    The error is evaluated at the four corners.  Where the polish's linear
+    model L(z) = E(beta) + J (z - beta) misses it there by less than half
+    of sigma_min(J) * CERTIFICATE_HALF, less |E(beta)|, the model's zero
+    lies inside the square and |E - L| < |L| along its boundary, as E is
+    smooth at the square's scale; by Rouché's rule E then winds as L does,
+    sign(det J) times.  Otherwise the corners certify nothing, and the
+    result is 0.
     """
     offsets = CERTIFICATE_HALF * np.array(SQUARE)
     vals = [err(beta + d) for d in offsets]
@@ -267,7 +215,7 @@ def _certify(err, beta: complex, e_star: complex, jac: np.ndarray) -> int:
     if np.max(np.abs(np.array(vals) - model)) + abs(e_star) \
             < 0.5 * abs(det) / sigma_max * CERTIFICATE_HALF:
         return 1 if det > 0.0 else -1
-    return _boundary_winding(err, beta, CERTIFICATE_HALF, vals)
+    return 0
 
 
 def step_jacobian(step: StepSpec, n: int) -> np.ndarray:
@@ -312,15 +260,14 @@ def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
     until |E| < RESIDUAL_TOL and the curve scaled by the normalizing factor
     c closes too, |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when a
     square of half-width CERTIFICATE_HALF around it lies inside the disk
-    and the error winds along its boundary, which certifies a zero there
-    (:func:`_certify`): four evaluations at the corners when the polish's
-    linear model holds there, else the corners and the adaptive boundary
-    loop, eight evaluations or more.  A search thus takes 1 + (polish
-    steps) + 4 evaluations when the corners decide.  A root outside the
-    disk, a square along which the error does not wind, or an error
-    vanishing on the square raises NoWindingAtRadius; a polish that stalls
-    or leaves the unit disk raises PolishDiverged.  ``stats["evaluations"]``
-    counts the error evaluations.  The search is deterministic.
+    and the polish's linear model predicts the error at the square's four
+    corners closely enough that the error winds along its boundary, which
+    certifies a zero there (:func:`_certify`).  A search thus takes
+    1 + (polish steps) + 4 evaluations.  A root outside the disk, or one
+    whose corners do not certify it, raises NoWindingAtRadius; a polish
+    that stalls or leaves the unit disk raises PolishDiverged.
+    ``stats["evaluations"]`` counts the error evaluations.  The search is
+    deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
@@ -337,12 +284,9 @@ def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
                                 step_jacobian(step, k1.n))
     if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= ROOT_RADIUS:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
-    try:
-        winding = _certify(err, beta, e_star, jac)
-    except _EdgeZero:
-        raise NoWindingAtRadius("error vanishes on the certificate square") from None
-    if winding == 0:
-        raise NoWindingAtRadius(f"no winding around the polished root {beta:.3g}")
+    if _certify(err, beta, e_star, jac) == 0:
+        raise NoWindingAtRadius(
+            f"the corners of the certificate square do not certify the root {beta:.3g}")
     return MoebiusParameter(beta)
 
 
@@ -353,10 +297,12 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     directly.  Otherwise the profile is warped close to a two-value step
     function, the winding argument closes the curve at some Möbius
     parameter, and the curve is scaled and tagged with the original
-    parameter.  The schedule halves eps each failed round.  When the
-    profile admits no positive value window, or every round of its schedule
-    fails, the reflected negation -k(2*pi - t) runs a schedule of its own
-    and the finished curve is reversed.
+    parameter.  A round ends at its first failed check (the warp, the zero
+    search, closure, simplicity, the reference distance, the curvature
+    mismatch) and logs its reason; the schedule then halves eps, the only
+    retry.  When the profile admits no positive value window, or every
+    round of its schedule fails, the reflected negation -k(2*pi - t) runs a
+    schedule of its own and the finished curve is reversed.
 
     The final check measures the curvature mismatch as 2*pi times the
     share of mismatched curve samples, as ``bench/worker.py`` counts it;
@@ -407,19 +353,12 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
         ref_curve = integrate_curve(normalize_total(k0)[0])
         tol_kappa = 0.05 * (abab.b - abab.a)
 
-        eps = float(eps0)
-        for round_no in itertools.count(len(history) + 1):
-            if eps <= 4.0 * TWO_PI / k.n:
-                history.append((round_no, eps,
-                                f"eps at most 8*pi/{k.n}, the measure of four samples; "
-                                "schedule stopped"))
-                break
+        def attempt(eps: float, round_no: int) -> SynthesisResult | str:
+            """The round at eps: its verified result, or why it failed."""
             try:
                 h1 = build_h1(work, abab, step, eps)
             except ConstructionFailed as ex:
-                history.append((round_no, eps, f"warp construction: {ex}"))
-                eps *= 0.5
-                continue
+                return f"warp construction: {ex}"
             k1 = compose(work, h1)
             try:
                 beta_star = find_zero_beta(k1, step, stats=stats)
@@ -429,28 +368,19 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 # the normalized profile unresolvable on the grid;
                 # NumericallyDegenerate: an iterate so near the unit circle
                 # that its boundary lift does not resolve
-                history.append((round_no, eps, f"zero search: {type(ex).__name__}: {ex}"))
-                eps *= 0.5
-                continue
+                return f"zero search: {type(ex).__name__}: {ex}"
             err, ds, sc = error_at_beta(k1, beta_star)
             closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
             if closure >= RESIDUAL_TOL * TWO_PI:
-                history.append((round_no, eps, f"closure residual {closure:.2e}"))
-                eps *= 0.5
-                continue
+                return f"closure residual {closure:.2e}"
             curve = integrate_curve(CurvatureProfile(sc.c * k1.samples), ds)
             simple, witness = is_simple(curve)
             if not simple:
-                history.append((round_no, eps, f"self-intersection at {witness}"))
-                eps *= 0.5
-                continue
+                return f"self-intersection at {witness}"
             c0_dist = float(np.max(np.abs(curve.pos - ref_curve.pos)))
             c1_dist = float(np.max(np.abs(curve.theta - ref_curve.theta)))
             if c0_dist >= C1_POSITION_TOL or c1_dist >= C1_ANGLE_TOL:
-                history.append((round_no, eps,
-                                f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"))
-                eps *= 0.5
-                continue
+                return f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"
 
             # the curve scaled by c; sample j carries k1(u_j) = k(h1(u_j))
             s, pos = curve.s * abs(sc.c), curve.pos * sc.c
@@ -465,16 +395,26 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             bad = np.abs(kap_hat - target) >= tol_kappa
             bad_measure = float(np.mean(bad)) * TWO_PI
             if bad_measure >= eps:
-                history.append((round_no, eps,
-                                f"curvature mismatch on measure {bad_measure:.3f}"))
-                eps *= 0.5
-                continue
+                return f"curvature mismatch on measure {bad_measure:.3f}"
 
             diag = SynthesisDiagnostics(
                 final_error=err.magnitude, position_distance=c0_dist,
                 angle_distance=c1_dist, rounds=round_no,
                 error_evaluations=stats["evaluations"])
             return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
+
+        eps = float(eps0)
+        for round_no in itertools.count(len(history) + 1):
+            if eps <= 4.0 * TWO_PI / k.n:
+                history.append((round_no, eps,
+                                f"eps at most 8*pi/{k.n}, the measure of four samples; "
+                                "schedule stopped"))
+                break
+            outcome = attempt(eps, round_no)
+            if isinstance(outcome, SynthesisResult):
+                return outcome
+            history.append((round_no, eps, outcome))  # a finer warp may close
+            eps *= 0.5
 
     raise SynthesisFailed(history)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fourvertex.curvature import TWO_PI
+from fourvertex.curvature import TWO_PI, CurvatureProfile
 from fourvertex.integrator import PlanarCurve
 
 
@@ -48,6 +48,15 @@ def ellipse_curve(n: int = 4096, a: float = 2.0, b: float = 1.0) -> PlanarCurve:
 
 def ellipse_kappa(t, a: float = 2.0, b: float = 1.0):
     return a * b / (a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2) ** 1.5
+
+
+def trig_profile(c0, coefs, n=4096):
+    """c0 + cos 2t plus the degree-<=5 trig polynomial with cosine then sine coefs."""
+    t = TWO_PI * np.arange(n) / n
+    degrees = np.arange(1, 6)[:, None]
+    poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
+            + np.asarray(coefs[5:]) @ np.sin(degrees * t))
+    return CurvatureProfile(c0 + np.cos(2 * t) + poly)
 
 
 @pytest.fixture(scope="session")

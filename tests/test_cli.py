@@ -118,10 +118,15 @@ def test_synth_missing_file(tmp_path):
     assert code == 1
 
 
-def test_grid_must_be_power_of_two(tmp_path):
+def test_grid_must_be_power_of_two(tmp_path, capsys):
     src = tmp_path / "kappa.csv"
     write_kappa_csv(src, lambda t: 1.0)
     assert cli.main(["synth", str(src), "--grid", "1000"]) == 2
+    capsys.readouterr()
+    assert cli.main(["demo", "bicircle", "--grid", "1000",
+                     "--out-dir", str(tmp_path / "figs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_analyze_ellipse(tmp_path):

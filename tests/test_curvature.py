@@ -25,7 +25,10 @@ from fourvertex.curvature import (
     reflect_negate,
     total_curvature,
 )
+from fourvertex import curvature
 from fourvertex.curvature import AbabPoints, _first_crossing, _mismatch_measure, _window_radius
+
+from conftest import trig_profile
 
 
 def cos2t(n=1024):
@@ -490,6 +493,40 @@ class TestBuildH1:
         ab = find_abab_points(k)
         with pytest.raises(ValueError):
             build_h1(k, ab, StepSpec(ab.a, ab.b), 0.0)
+
+    def test_mismatch_lies_in_the_slivers(self):
+        # off the eight slivers k(h1) stays within eps/8 of the step, so the
+        # mismatch measure is at most their total width, 8 * sliver <= eps/4,
+        # and one construction always passes its check
+        # the last 16 profiles change sign, so both orientations have a window
+        rng = np.random.default_rng(20)
+        checked = 0
+        for i in range(40):
+            c0 = rng.uniform(-2.5, 2.5) if i < 24 else rng.uniform(-1.05, -0.5)
+            k = trig_profile(c0, rng.uniform(-0.1, 0.1, size=10))
+            for work in (k, reflect_negate(k)):
+                ab = find_abab_points(work)
+                if ab.sign_flipped:
+                    continue
+                # breakpoints half a grid step off the grid, as synthesize places them
+                step = StepSpec(ab.a, ab.b,
+                                tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
+                for j in range(7):
+                    eps = 0.1 * 2.0 ** -j
+                    h1 = build_h1(work, ab, step, eps)
+                    # the sliver for quarter arcs, as wide as h1's first knot gap
+                    sliver = min(eps / 32, math.pi / 8)
+                    assert h1.knots[1] - h1.knots[0] == pytest.approx(sliver, rel=1e-9)
+                    assert _mismatch_measure(work, h1, step, eps) <= 8 * sliver <= eps / 4
+                    checked += 1
+        assert checked >= 56 * 7
+
+    def test_failed_check_raises_construction_failed(self, monkeypatch):
+        k = ridge()
+        ab = find_abab_points(k)
+        monkeypatch.setattr(curvature, "_mismatch_measure", lambda k, h1, step, eps: eps)
+        with pytest.raises(ConstructionFailed, match="mismatch measure 0.1 "):
+            build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1)
 
 
 def reference_mismatch_measure(k, h1, step, eps):

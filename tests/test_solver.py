@@ -26,28 +26,30 @@ from fourvertex.curvature import (
 )
 from fourvertex.integrator import (
     ErrorVector,
+    InsufficientDensity,
+    OriginOnLoop,
     curvature_samples,
     error_vector,
     integrate_curve,
     is_simple,
 )
 from fourvertex.moebius import NumericallyDegenerate, evaluation_inverse, moebius_on_config
-from fourvertex import solver
+from fourvertex import curvature, solver
 from fourvertex.solver import (
     CERTIFICATE_HALF,
     BadParameter,
-    InsufficientDensity,
     NoWindingAtRadius,
-    OriginOnLoop,
     PolishDiverged,
     SynthesisFailed,
-    _boundary_winding,
+    _certify,
     compass_demo,
     error_at_beta,
     find_zero_beta,
     synthesize,
     winding_number,
 )
+
+from conftest import trig_profile
 
 P0 = Configuration(1, 1j, -1, -1j)
 # beta* of 1.5 + cos 2t at n=4096, with the error integrated on the warp's grid
@@ -261,25 +263,17 @@ class TestCertifiedPolish:
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
         # a Jacobian three times too steep misses the error at the corners, so
-        # the corner test refuses; the fallback then decides alone
-        k1, step, root = warped
-        real_polish, real_winding = solver._polish, solver._boundary_winding
-        fallbacks = []
+        # the corner test refuses, and with it the zero search
+        k1, step, _ = warped
+        real_polish = solver._polish
 
         def steep(*args):
             beta, e_star, jac = real_polish(*args)
             return beta, e_star, 3.0 * jac
 
-        def refuse(*args):
-            fallbacks.append(real_winding(*args))
-            return 0
-
         monkeypatch.setattr(solver, "_polish", steep)
-        assert find_zero_beta(k1, step).beta == root
-        monkeypatch.setattr(solver, "_boundary_winding", refuse)
-        with pytest.raises(NoWindingAtRadius, match="no winding"):
+        with pytest.raises(NoWindingAtRadius, match="do not certify"):
             find_zero_beta(k1, step)
-        assert len(fallbacks) == 1 and fallbacks[0] != 0
 
     def test_root_outside_radius_rejected(self, warped, monkeypatch):
         k1, step, ref = warped
@@ -288,13 +282,19 @@ class TestCertifiedPolish:
             find_zero_beta(k1, step)
 
     def test_certificate_winds_once_around_root_only(self, warped):
-        k1, _, ref = warped
+        # the polish's model at the root predicts the corners of its own
+        # square, not those of a square ten half-widths away
+        k1, step, ref = warped
 
         def err(b):
             return error_at_beta(k1, b)[0].e
 
-        assert abs(_boundary_winding(err, ref, CERTIFICATE_HALF)) == 1
-        assert _boundary_winding(err, ref + 10 * CERTIFICATE_HALF, CERTIFICATE_HALF) == 0
+        beta, e_star, jac = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
+                                           solver.step_jacobian(step, k1.n))
+        assert beta == ref
+        assert abs(_certify(err, ref, e_star, jac)) == 1
+        off = ref + 10 * CERTIFICATE_HALF
+        assert _certify(err, off, err(off), jac) == 0
 
 
 def dense_square_winding(err, center, half, per_edge=64):
@@ -304,29 +304,6 @@ def dense_square_winding(err, center, half, per_edge=64):
     loop = [err(z0 + (z1 - z0) * uj)
             for z0, z1 in zip(corners, corners[1:] + corners[:1]) for uj in u]
     return winding_number(loop)
-
-
-@pytest.mark.parametrize("case", ["warped", "certificate"])
-def test_sparse_certificate_agrees_with_dense_loop(case, warped):
-    # the certificate starts from CERTIFICATE_PER_EDGE samples an edge and
-    # refines only where neighbours turn by a quarter turn; it must count the
-    # winding a uniformly dense loop counts, on every square size
-    if case == "warped":
-        k1, _, root = warped
-    else:
-        k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
-        root = find_zero_beta(k1, step).beta
-
-    def err(b):
-        return error_at_beta(k1, b)[0].e
-
-    for half in (1e-3, 1e-4, 1e-5, 1e-6):
-        sparse = _boundary_winding(err, root, half)
-        assert sparse == dense_square_winding(err, root, half)
-        assert abs(sparse) == 1
-    off = root + 10 * CERTIFICATE_HALF
-    assert _boundary_winding(err, off, CERTIFICATE_HALF) == 0
-    assert dense_square_winding(err, off, CERTIFICATE_HALF) == 0
 
 
 @pytest.mark.parametrize("case", ["warped", "certificate"])
@@ -361,7 +338,8 @@ def test_corner_test_falls_back_on_a_quadratic_bump(jac, bump):
     # E = J (b - root) + C |b - root|^2 with C = bump * sigma_min / h: at
     # bump 0.5 the remainder at the corners is sigma_min * h, twice what the
     # corner test allows, yet below |J (b - root)| all along the boundary, so
-    # E still winds sign(det J) times, and the adaptive loop must say so
+    # E still winds sign(det J) times; the corner test refuses it all the
+    # same, from its four evaluations, and the round it belongs to fails
     jac = np.array(jac)
     root = 0.01 + 0.02j
     h = CERTIFICATE_HALF
@@ -374,10 +352,11 @@ def test_corner_test_falls_back_on_a_quadratic_bump(jac, bump):
         lin = jac @ d
         return complex(lin[0], lin[1]) + c * float(d @ d)
 
-    winding = solver._certify(err, root, 0j, jac)
-    assert (count[0] == 4) == (bump == 0.0)  # the corners alone decide, or the loop does
-    assert winding == int(np.sign(np.linalg.det(jac)))
-    assert winding == dense_square_winding(err, root, h)
+    winding = _certify(err, root, 0j, jac)
+    assert count[0] == 4
+    sign = int(np.sign(np.linalg.det(jac)))
+    assert winding == (sign if bump == 0.0 else 0)
+    assert dense_square_winding(err, root, h) == sign
 
 
 class TestSynthesize:
@@ -469,6 +448,26 @@ class TestSynthesize:
             ["zero search: NumericallyDegenerate: lift must be strictly increasing"] * 5
         assert history[-1][0] == 6 and history[-1][2].endswith("schedule stopped")
 
+    def test_failed_warp_check_fails_its_round(self, monkeypatch):
+        # a warp whose mismatch measure reaches eps fails the round with its
+        # typed reason, and the next round warps again at eps/2
+        k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
+        real = curvature._mismatch_measure
+        monkeypatch.setattr(curvature, "_mismatch_measure",
+                            lambda k, h1, step, eps: eps if eps == 0.1 else real(k, h1, step, eps))
+        res = synthesize(k)
+        assert (res.diagnostics.rounds, res.eps_used) == (2, 0.05)
+
+        monkeypatch.setattr(curvature, "_mismatch_measure", lambda k, h1, step, eps: eps)
+        with pytest.raises(SynthesisFailed) as info:
+            synthesize(k)
+        history = info.value.history
+        assert [(r, e) for r, e, _ in history] == [(r + 1, 0.1 / 2 ** r) for r in range(6)]
+        assert [why for _, _, why in history[:-1]] == \
+            [f"warp construction: mismatch measure {e:.3g} is not below eps {e:.3g}"
+             for _, e, _ in history[:-1]]
+        assert history[-1][2].endswith("schedule stopped")
+
     def test_step_profile_realized_through_envelope(self):
         # the step's samples, interpolated linearly, are a continuous profile
         k0 = profile_from_step(StepSpec(0.5, 2.0), 4096)
@@ -494,15 +493,6 @@ CERTIFICATE_CASE = (-0.9613271687264575,
 # normalized by a scale factor |c| near 300 when warped onto its step
 LARGE_SCALE = (-0.7284428043915223,
                [0.07552470055239735, -0.09553408206415465, 0.0, 0.0, 0.09375] + [0.0] * 5)
-
-
-def trig_profile(c0, coefs, n=4096):
-    """c0 + cos 2t plus the degree-<=5 trig polynomial with cosine then sine coefs."""
-    t = TWO_PI * np.arange(n) / n
-    degrees = np.arange(1, 6)[:, None]
-    poly = (np.asarray(coefs[:5]) @ np.cos(degrees * t)
-            + np.asarray(coefs[5:]) @ np.sin(degrees * t))
-    return CurvatureProfile(c0 + np.cos(2 * t) + poly)
 
 
 def warp_onto_step(k, eps, offset=0.5):
@@ -585,10 +575,11 @@ def test_schedule_stops_at_four_sample_measure(monkeypatch):
 @pytest.mark.parametrize("eps", [0.1, 0.05])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
 def test_error_is_continuous_at_certificate_scale(eps, offset):
-    # the certificate counts how E winds, so it needs E continuous in beta at
-    # the square's scale: the same winding on every square around the root,
-    # and small phase steps between close neighbours; for step breakpoints on
-    # the grid and half a grid step off it (as synthesize places them)
+    # the certificate reads how E winds from the square's corners, so it needs
+    # E continuous in beta at the square's scale: the same winding on every
+    # square around the root, and small phase steps between close
+    # neighbours; for step breakpoints on the grid and half a grid step off
+    # it (as synthesize places them)
     k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
 
     def err(b):
@@ -596,9 +587,9 @@ def test_error_is_continuous_at_certificate_scale(eps, offset):
 
     root, _, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
                                 solver.step_jacobian(step, k1.n))
-    winds = {_boundary_winding(err, root, half)
+    winds = {dense_square_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
-    assert len(winds) == 1 and winds != {0}
+    assert winds == {-1}
     loop = np.array([err(root + 1e-4 * cmath.exp(2j * math.pi * j / 32)) for j in range(32)])
     assert np.max(np.abs(np.angle(np.roll(loop, -1) / loop))) < 0.5
 
