@@ -85,6 +85,9 @@ class OssermanReport:
 
 _IN_CIRCLE_EPS = 1.0 + 1e-14
 _MEC_MAX_ITER = 256
+# random test curves: trigonometric terms and the scale of their coefficients
+CONVEX_HARMONICS, CONVEX_AMPLITUDE = 5, 0.08
+STAR_HARMONICS, STAR_AMPLITUDE = 4, 0.15
 
 
 def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
@@ -342,8 +345,7 @@ def _closed_fixture(t, gamma, speed, theta, params=None) -> PlanarCurve:
     return PlanarCurve(s=s, pos=gamma, theta=theta, t=tags)
 
 
-def random_convex_curve(rng, n: int = 512, harmonics: int = 5,
-                        amplitude: float = 0.08) -> PlanarCurve:
+def random_convex_curve(rng, n: int = 512) -> PlanarCurve:
     """Random smooth convex closed curve from a positive support function.
 
     The support function is 1 plus a low trigonometric polynomial whose
@@ -356,8 +358,8 @@ def random_convex_curve(rng, n: int = 512, harmonics: int = 5,
     hpp = np.zeros_like(t)
     budget = 0.0
     coefs = []
-    for k in range(2, 2 + harmonics):
-        ak, bk = rng.normal(0.0, amplitude / k**2, size=2)
+    for k in range(2, 2 + CONVEX_HARMONICS):
+        ak, bk = rng.normal(0.0, CONVEX_AMPLITUDE / k**2, size=2)
         coefs.append((k, ak, bk))
         budget += (k * k + 1.0) * math.hypot(ak, bk)
     if budget < 0.01:
@@ -376,14 +378,13 @@ def random_convex_curve(rng, n: int = 512, harmonics: int = 5,
     return _closed_fixture(t, gamma, rho, theta)
 
 
-def random_star_curve(rng, n: int = 512, harmonics: int = 4,
-                      amplitude: float = 0.15) -> PlanarCurve:
+def random_star_curve(rng, n: int = 512) -> PlanarCurve:
     """Random star-shaped closed curve r(t) > 0; curvature may change sign."""
     t = TWO_PI * np.arange(n + 1) / n
     r = np.ones_like(t)
     rp = np.zeros_like(t)
-    for k in range(1, 1 + harmonics):
-        ak, bk = rng.normal(0.0, amplitude / (k + 1), size=2)
+    for k in range(1, 1 + STAR_HARMONICS):
+        ak, bk = rng.normal(0.0, STAR_AMPLITUDE / (k + 1), size=2)
         r += ak * np.cos(k * t) + bk * np.sin(k * t)
         rp += -ak * k * np.sin(k * t) + bk * k * np.cos(k * t)
     if np.min(r) < 0.1:

@@ -36,6 +36,7 @@ from .integrator import (
 )
 
 UNIT_TOL = 1e-12
+MIN_GAP = 1e-3  # smallest arc between the points of a random configuration
 
 
 class LoopTouchesCore(ValueError):
@@ -172,13 +173,13 @@ def error_from_angle_config(q: Configuration, a: float, b: float) -> ErrorVector
 
 
 def integrated_error(
-    c: Configuration, a: float, b: float, max_step: float = 3e-3
+    c: Configuration, a: float, b: float
 ) -> tuple[ErrorVector, PlanarCurve, ScaleFactor]:
     """Endpoint error by direct arc integration of the normalized step curve."""
     length = np.asarray(c.gaps())
     sigma = TWO_PI / (a * (length[0] + length[2]) + b * (length[1] + length[3]))
     values = sigma * np.array([a, b, a, b])
-    curve = integrate_arcs(values, length, max_step=max_step)
+    curve = integrate_arcs(values, length)
     return error_vector(curve), curve, ScaleFactor(sigma)
 
 
@@ -201,20 +202,20 @@ def error_winding_on_core_link(a: float, b: float, loop) -> int:
     return winding_number(errors)
 
 
-def random_configuration(rng, min_gap: float = 1e-3, reduced: bool = False) -> Configuration:
-    """Random counterclockwise configuration with all gaps above ``min_gap``."""
+def random_configuration(rng, reduced: bool = False) -> Configuration:
+    """Random counterclockwise configuration with all gaps above MIN_GAP."""
     while True:
         angles = np.sort(rng.uniform(0.0, TWO_PI, size=3))
         gaps = np.diff(np.concatenate(([0.0], angles, [TWO_PI])))
-        if np.min(gaps) > min_gap:
+        if np.min(gaps) > MIN_GAP:
             break
     rot = 1.0 if reduced else cmath.exp(1j * rng.uniform(0.0, TWO_PI))
     return Configuration(rot, *(rot * np.exp(1j * angles)))
 
 
-def random_core_configuration(rng, min_gap: float = 1e-3, reduced: bool = False) -> Configuration:
+def random_core_configuration(rng, reduced: bool = False) -> Configuration:
     """Random configuration with both opposite pairs exactly antipodal."""
-    x = rng.uniform(min_gap / TWO_PI, 0.5 - min_gap / TWO_PI)
+    x = rng.uniform(MIN_GAP / TWO_PI, 0.5 - MIN_GAP / TWO_PI)
     p = cmath.exp(2j * math.pi * x)
     rot = 1.0 if reduced else cmath.exp(1j * rng.uniform(0.0, TWO_PI))
     return Configuration(rot, rot * p, -rot, -rot * p)

@@ -26,7 +26,7 @@ PLATEAU_TOL = 1e-9        # samples this close to a plateau's running mean join 
 
 
 class ZeroTotalCurvature(ValueError):
-    """Total curvature is too close to zero to normalize."""
+    """Total curvature is too close to zero, or too large, to normalize."""
 
 
 class HypothesisViolated(ValueError):
@@ -208,14 +208,18 @@ class AbabPoints(NamedTuple):
 
 def total_curvature(k: CurvatureProfile) -> float:
     """Integral over one period: on a uniform periodic grid the linear
-    interpolant integrates to the sample mean times 2*pi."""
-    return float(np.mean(k.samples) * TWO_PI)
+    interpolant integrates to the sample mean times 2*pi.  A sum that
+    overflows gives inf, which normalizing_scale rejects."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(k.samples) * TWO_PI)
 
 
 def normalizing_scale(total: float, samples: np.ndarray) -> ScaleFactor:
-    """Factor taking a total curvature of ``total`` to 2*pi; rejects a near-zero total."""
+    """Factor taking a total curvature of ``total`` to 2*pi; rejects a near-zero or inf total."""
     if abs(total) < ZERO_TOTAL_REL * float(np.max(np.abs(samples))) * TWO_PI:
         raise ZeroTotalCurvature(f"total curvature {total:.3e} below threshold")
+    if not math.isfinite(total):
+        raise ZeroTotalCurvature(f"total curvature {total} overflows")
     return ScaleFactor(TWO_PI / total)
 
 
@@ -472,7 +476,7 @@ def build_h1(
 
     u = _unwrap_cyclic(abab.params)
     targets = np.array([abab.a, abab.b, abab.a, abab.b])
-    if np.any(np.abs(k(u) - targets) > 1e-6):
+    if np.any(np.abs(k(u) - targets) > 1e-6 * np.maximum(1.0, targets)):
         raise ValueError("window points do not attain the window values")
 
     bps = np.asarray(step.breakpoints)

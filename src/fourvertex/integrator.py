@@ -20,6 +20,7 @@ from .curvature import TWO_PI, CurvatureProfile, ScaleFactor
 
 STRAIGHT_KAPPA = 1e-14  # below this a step is a straight segment
 PAIR_CHUNK = 1 << 16    # candidate segment pairs that is_simple tests per batch
+ARC_MAX_STEP = 3e-3     # integrate_arcs subdivides each arc into steps this long or shorter
 
 
 class TooFewSamples(ValueError):
@@ -137,10 +138,10 @@ def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> Planar
     return _integrate(k.samples, np.full(k.n, TWO_PI / k.n) if ds is None else ds)
 
 
-def integrate_arcs(curvatures, lengths, max_step: float = 3e-3) -> PlanarCurve:
+def integrate_arcs(curvatures, lengths) -> PlanarCurve:
     """Curve from consecutive circular arcs of given curvatures and lengths.
 
-    Arcs are subdivided to ``max_step`` so the polyline is usable for
+    Arcs are subdivided to ARC_MAX_STEP so the polyline is usable for
     geometric queries; subdivision does not change the endpoint because the
     per-step displacements telescope exactly.
     """
@@ -151,7 +152,7 @@ def integrate_arcs(curvatures, lengths, max_step: float = 3e-3) -> PlanarCurve:
             raise ValueError("arc lengths must be nonnegative")
         if ell == 0.0:
             continue
-        m = max(1, int(math.ceil(ell / max_step)))
+        m = max(1, int(math.ceil(ell / ARC_MAX_STEP)))
         kap_parts.append(np.full(m, float(kap)))
         ds_parts.append(np.full(m, ell / m))
     if not kap_parts:

@@ -5,8 +5,9 @@ diffeomorphisms: each is a hyperbolic isometry of the unit disk fixing
 +-beta/|beta| on the boundary, taking beta to 0 and 0 to -beta.  Acting
 entrywise on a four-point configuration, the family sweeps out every
 configuration from a unique core configuration; the inverse of that
-evaluation map is computed here by intersecting the two hyperbolic
-geodesics joining opposite configuration points.
+evaluation map is computed here as the crossing of the two chords joining
+opposite configuration points, the hyperbolic geodesics of the
+Beltrami-Klein model, carried over to the Poincaré disk.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .curvature import TWO_PI
 
 
 class NumericallyDegenerate(ArithmeticError):
-    """Geodesic intersection is too ill-conditioned to trust."""
+    """The chord crossing or the boundary lift is too ill-conditioned to trust."""
 
 
 @dataclass(frozen=True)
@@ -91,78 +92,38 @@ def moebius_lift(m, n: int = 4096) -> np.ndarray:
     return steps
 
 
-def _geodesic(u: complex, v: complex):
-    """Hyperbolic line with ideal endpoints u, v on the unit circle.
-
-    Returns ("line", direction) for a diameter, else ("circle", center,
-    radius) of the arc meeting the unit circle orthogonally, for which
-    |center|^2 = radius^2 + 1.
-    """
-    denom = 1.0 + (u * v.conjugate()).real
-    if denom < 1e-12:
-        return ("line", u / abs(u))
-    center = (u + v) / denom
-    r2 = abs(center) ** 2 - 1.0
-    return ("circle", center, math.sqrt(max(r2, 0.0)))
-
-
-def _inside_root(big_r: float) -> float:
-    """Root of t^2 - 2*R*t + 1 = 0 inside the unit interval in |t|."""
-    disc = big_r * big_r - 1.0
-    if disc <= 0.0:
-        raise NumericallyDegenerate("geodesics are tangent or disjoint")
-    return math.copysign(1.0, big_r) / (abs(big_r) + math.sqrt(disc))
-
-
-def _intersect_geodesics(g1, g2) -> complex:
-    if g1[0] == "line" and g2[0] == "line":
-        d1, d2 = g1[1], g2[1]
-        if abs((d1.conjugate() * d2).imag) < 1e-9:
-            raise NumericallyDegenerate("diameters are parallel")
-        return 0.0 + 0.0j
-    if g1[0] == "line" or g2[0] == "line":
-        if g2[0] == "line":
-            g1, g2 = g2, g1
-        d = g1[1]
-        _, center, _ = g2
-        t = _inside_root((d.conjugate() * center).real)
-        return t * d
-    _, c1, _ = g1
-    _, c2, _ = g2
-    dc = c2 - c1
-    if abs(dc) < 1e-12:
-        raise NumericallyDegenerate("geodesic circles coincide")
-    # orthogonality to the unit circle puts the radical line through 0
-    w = 1j * dc / abs(dc)
-    t = _inside_root((w.conjugate() * c1).real)
-    return t * w
-
-
-def _crossing_angle(g, z: complex) -> complex:
-    """Unit tangent of a geodesic at the point z."""
-    if g[0] == "line":
-        return g[1]
-    tang = 1j * (z - g[1])
-    return tang / abs(tang)
+def _cross(u: complex, v: complex) -> float:
+    """Im(conj(u) v): the determinant of u and v as plane vectors."""
+    return u.real * v.imag - u.imag * v.real
 
 
 def evaluation_inverse(q: Configuration) -> tuple[Configuration, MoebiusParameter]:
     """Factor a configuration as a Möbius image of a core configuration.
 
-    The geodesic through q1, q3 and the one through q2, q4 meet at a single
-    point of the open disk; calling it -beta, the map with parameter -beta
-    carries ``q`` to a core configuration, and the map with parameter beta
-    carries that core configuration back to ``q``.
+    In the Beltrami-Klein model of the disk, the geodesics through q1, q3
+    and through q2, q4 are the straight chords between them; they cross,
+    as the points interleave, at K = q1 + s (q3 - q1).  On that chord
+    1 - |K|^2 = s (1 - s) |q3 - q1|^2, so the crossing in the Poincaré disk
+    is K / (1 + |q3 - q1| sqrt(s (1 - s))).  Calling it -beta, the map with
+    parameter -beta carries ``q`` to a core configuration, and the map with
+    parameter beta carries that core configuration back to ``q``.  Chords
+    whose sine is below 1e-6, a crossing too near the unit circle to map
+    the points back onto it, or a recovered configuration off the core by
+    1e-6 or more raise NumericallyDegenerate.
     """
-    g13 = _geodesic(q.p1, q.p3)
-    g24 = _geodesic(q.p2, q.p4)
-    z = _intersect_geodesics(g13, g24)
-    t1 = _crossing_angle(g13, z)
-    t2 = _crossing_angle(g24, z)
-    if abs((t1.conjugate() * t2).imag) < 1e-6:
-        raise NumericallyDegenerate("geodesics meet at a vanishing angle")
-    beta = -z
-    core_point = moebius_on_config(-beta, q)
+    p1, p2, p3, p4 = q.points()
+    d13, d24 = p3 - p1, p4 - p2
+    det = _cross(d13, d24)
+    if abs(det) < 1e-6 * abs(d13) * abs(d24):
+        raise NumericallyDegenerate("chords cross at a vanishing angle")
+    s = _cross(p2 - p1, d24) / det
+    try:
+        beta = -(p1 + s * d13) / (1.0 + abs(d13) * math.sqrt(s * (1.0 - s)))
+        core_point = moebius_on_config(-beta, q)
+    except ValueError:
+        # the crossing rounds onto the unit circle, or the map at it rounds
+        # the points off the circle by more than a configuration allows
+        raise NumericallyDegenerate("chords cross too near the unit circle") from None
     if not is_core(core_point, tol=1e-6):
         raise NumericallyDegenerate("recovered configuration misses the core")
     return core_point, MoebiusParameter(beta)

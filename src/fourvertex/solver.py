@@ -302,7 +302,9 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     mismatch) and logs its reason; the schedule then halves eps, the only
     retry.  When the profile admits no positive value window, or every
     round of its schedule fails, the reflected negation -k(2*pi - t) runs a
-    schedule of its own and the finished curve is reversed.
+    schedule of its own and the finished curve is reversed.  A pass whose
+    window crossings are not found, or whose step's total curvature
+    overflows, logs a failed set-up in place of its rounds.
 
     The final check measures the curvature mismatch as 2*pi times the
     share of mismatched curve samples, as ``bench/worker.py`` counts it;
@@ -341,16 +343,20 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
         # the flipped pass realizes -k(2*pi - t); reversing the finished curve
         # then yields k(t)
         work = reflect_negate(k) if flipped else k
-        abab = find_abab_points(work)
-        if abab.sign_flipped:
-            continue  # work admits no positive value window
+        try:
+            abab = find_abab_points(work)
+            if abab.sign_flipped:
+                continue  # work admits no positive value window
 
-        # breakpoints half a grid step off the grid keep k1's samples off the
-        # sliver midpoints, around which h1 sweeps most of k's domain
-        step = StepSpec(abab.a, abab.b,
-                        tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
-        k0 = profile_from_step(step, n=k.n)
-        ref_curve = integrate_curve(normalize_total(k0)[0])
+            # breakpoints half a grid step off the grid keep k1's samples off the
+            # sliver midpoints, around which h1 sweeps most of k's domain
+            step = StepSpec(abab.a, abab.b,
+                            tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
+            k0 = profile_from_step(step, n=k.n)
+            ref_curve = integrate_curve(normalize_total(k0)[0])
+        except (ConstructionFailed, ZeroTotalCurvature) as ex:
+            history.append((len(history) + 1, float(eps0), f"set-up: {type(ex).__name__}: {ex}"))
+            continue
         tol_kappa = 0.05 * (abab.b - abab.a)
 
         def attempt(eps: float, round_no: int) -> SynthesisResult | str:

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fourvertex as fv
 
@@ -21,10 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 
-def test_bench_runs_every_workload_without_failure():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_runs_every_workload_without_failure(trace):
+    # --trace 1 also runs the WRAPPED lookups and the trace consistency check
     proc = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--workload", "all", "--seed", "3",
-         "--seconds", "0", "--trace", "0"],
+         "--seconds", "0", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr

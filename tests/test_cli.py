@@ -76,6 +76,22 @@ def test_synth_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "round 4 (eps=0.0125): eps at most 8*pi/1024" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [-12, -9, -3, 10, 306])
+def test_synth_profile_magnitudes_end_in_typed_failure(tmp_path, capsys, e):
+    # 10^e (1.5 + cos 2t + 0.1 sin 3t) is realized for e in [-1, 9] on this
+    # grid; at these magnitudes the window search, the warp or the total
+    # curvature fails instead, each with one stderr line and exit 2 or 3
+    t = TWO_PI * np.arange(64) / 64
+    samples = 10.0 ** e * (1.5 + np.cos(2 * t) + 0.1 * np.sin(3 * t))
+    src = tmp_path / "kappa.json"
+    src.write_text(json.dumps({"samples": samples.tolist()}), encoding="utf-8")
+    code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"), "--grid", "512"])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_INPUT, cli.EXIT_FAILED), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):
     # eps halves each failed round; once it is at most 8*pi/512 no round can
     # pass (see above), so the schedule stops instead of trying rounds that

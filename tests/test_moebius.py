@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fourvertex.bicircle import (
 from fourvertex.curvature import TWO_PI
 from fourvertex.moebius import (
     MoebiusParameter,
+    NumericallyDegenerate,
     _circle,
     evaluation_inverse,
     moebius_apply,
@@ -149,7 +151,7 @@ class TestEvaluationInverse:
         rng = np.random.default_rng(22)
         for _ in range(100):
             core = random_core_configuration(rng)
-            beta = rng.uniform(0.0, 0.7) * cmath.exp(1j * rng.uniform(0, TWO_PI))
+            beta = rng.uniform(0.0, 0.99) * cmath.exp(1j * rng.uniform(0, TWO_PI))
             q = moebius_on_config(beta, core)
             recovered, m = evaluation_inverse(q)
             assert abs(m.beta - beta) < 1e-10
@@ -169,15 +171,29 @@ class TestEvaluationInverse:
 
 
 def test_degenerate_geodesics_rejected():
-    from fourvertex.moebius import NumericallyDegenerate, _intersect_geodesics
-
-    with pytest.raises(NumericallyDegenerate):
-        _intersect_geodesics(("line", 1.0 + 0j), ("line", -1.0 + 0j))
     # a configuration whose two geodesics are nearly the same diameter
     eps = 1e-8
     q = Configuration(1, cmath.exp(1j * eps), -1, -cmath.exp(1j * eps))
     with pytest.raises(NumericallyDegenerate):
         evaluation_inverse(q)
+    # a gap of 1e-8 puts the crossing so near the unit circle that the map
+    # there rounds the points off it
+    q = Configuration(1, cmath.exp(0.3j), cmath.exp(0.35j), cmath.exp(1j * (0.35 + 1e-8)))
+    with pytest.raises(NumericallyDegenerate):
+        evaluation_inverse(q)
+    # the chord q2 q4 is the chord q1 q3 turned by delta about the center
+    for phi in (0.5, math.pi / 2, 2.0, math.pi - 1e-3):
+        def chords(delta):
+            return Configuration(1, cmath.exp(1j * delta), cmath.exp(1j * phi),
+                                 cmath.exp(1j * (phi + delta)))
+
+        for delta in (1e-8, 1e-7):
+            with pytest.raises(NumericallyDegenerate):
+                evaluation_inverse(chords(delta))
+        q = chords(1e-5)
+        core, m = evaluation_inverse(q)
+        back = moebius_on_config(m, core)
+        assert max(abs(p - e) for p, e in zip(back.points(), q.points())) < 1e-9
 
 
 def test_boundary_degeneration_clusters_points():
