@@ -233,6 +233,8 @@ def cmd_synth(args) -> int:
         "angle_distance": result.diagnostics.angle_distance,
         "rounds": result.diagnostics.rounds,
         "error_evaluations": result.diagnostics.error_evaluations,
+        "certificate_h": result.diagnostics.certificate_h,
+        "certified_radius": result.diagnostics.certified_radius,
     }
 
     def write(d: Path):

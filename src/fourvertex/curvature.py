@@ -129,10 +129,30 @@ class StepSpec:
         return out if out.ndim else float(out)
 
 
+def step_samples(spec: StepSpec, n: int) -> np.ndarray:
+    """``spec.value_at`` on the n-point grid, bit for bit, filled block by block.
+
+    Grid point j lies on the arc from breakpoint q on when
+    2*pi*j/n + 1e-12 >= breakpoint q, the comparison value_at makes; the
+    first such j is found from an estimate and that same comparison.
+    """
+    first = []
+    for p in spec.breakpoints:
+        j = math.ceil((p - 1e-12) * n / TWO_PI)
+        while j > 0 and TWO_PI * (j - 1) / n + 1e-12 >= p:
+            j -= 1
+        while j < n and TWO_PI * j / n + 1e-12 < p:
+            j += 1
+        first.append(j)
+    out = np.full(n, spec.b)
+    out[first[0]:first[1]] = spec.a
+    out[first[2]:first[3]] = spec.a
+    return out
+
+
 def profile_from_step(spec: StepSpec, n: int = 4096) -> CurvatureProfile:
     """The step's values on the uniform grid, interpolated linearly between them."""
-    grid = TWO_PI * np.arange(n) / n
-    return CurvatureProfile(spec.value_at(grid))
+    return CurvatureProfile(step_samples(spec, n))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ tangent-angle lift.  Integration advances through exact circular arcs, one
 per grid step, so step-function curvature is reproduced without quadrature
 drift.  The winding counter here is the one both the configuration loops of
 ``bicircle`` and the compass demo's error loop in ``solver`` use; the zero
-search certifies its root by Rouché's rule instead.  All operations are
-pure.
+search certifies its root by a Newton-Kantorovich test instead.  All
+operations are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,14 @@ class PlanarCurve:
         if np.any(np.abs(np.diff(theta)) >= math.pi):
             raise ValueError("tangent angle lift has a jump")
 
+    @classmethod
+    def _built(cls, s, pos, theta, scale=1.0, t=None) -> "PlanarCurve":
+        """A curve from float and complex arrays built to pass every check, taken unchecked."""
+        curve = object.__new__(cls)
+        for name, value in (("s", s), ("pos", pos), ("theta", theta), ("scale", scale), ("t", t)):
+            object.__setattr__(curve, name, value)
+        return curve
+
     @property
     def length(self) -> float:
         return float(self.s[-1])
@@ -97,8 +105,8 @@ class ErrorVector:
         return abs(self.e)
 
 
-def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent angles at the n + 1 samples and the n chords of the exact arcs."""
+def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent angles theta at the n + 1 samples, e^{i theta}, and the n chords of the arcs."""
     turn = kappa * ds
     if not np.all(np.abs(turn) < math.pi):  # NaN fails too
         raise TooFewSamples("a grid step turns by half a turn or more")
@@ -113,18 +121,18 @@ def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.divide(np.diff(rot), 1j * kappa, out=arcs, where=~straight)
     if np.any(straight):
         arcs[straight] = (ds * rot[:-1])[straight]
-    return theta, arcs
+    return theta, rot, arcs
 
 
 def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
-    theta, arcs = _arcs(kappa, ds)
+    theta, _, arcs = _arcs(kappa, ds)
     pos = np.empty(kappa.size + 1, dtype=complex)
     pos[0] = 0.0
     np.cumsum(arcs, out=pos[1:])
     s = np.empty(kappa.size + 1)
     s[0] = 0.0
     np.cumsum(ds, out=s[1:])
-    return PlanarCurve(s=s, pos=pos, theta=theta)
+    return PlanarCurve._built(s, pos, theta)
 
 
 def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:
@@ -173,7 +181,7 @@ def endpoint_error(kappa: np.ndarray, ds: np.ndarray) -> ErrorVector:
     routes round alike.  A non-finite curvature raises TooFewSamples, as any
     step turning by half a turn or more does.
     """
-    return ErrorVector(complex(np.cumsum(_arcs(kappa, ds)[1])[-1]))
+    return ErrorVector(complex(np.cumsum(_arcs(kappa, ds)[2])[-1]))
 
 
 def winding_number(points) -> int:
@@ -207,8 +215,7 @@ def scale_curve(c: PlanarCurve, f: ScaleFactor) -> PlanarCurve:
     """
     factor = f.c
     theta = c.theta + (math.pi if factor < 0 else 0.0)
-    return replace(c, s=c.s * abs(factor), pos=c.pos * factor, theta=theta,
-                   scale=c.scale * factor)
+    return PlanarCurve._built(c.s * abs(factor), c.pos * factor, theta, c.scale * factor, c.t)
 
 
 def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -265,6 +272,10 @@ def _segments_cross(p, q, r, w):
 def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     """Check that no two non-adjacent polyline segments intersect.
 
+    A closed curve that :func:`_strictly_convex` certifies is simple
+    without a sweep; every other curve takes the sweep below, and the
+    result is the same either way.
+
     The sweep runs along the longer side of the bounding box, x unless the
     y-extent is larger, when x and y are swapped first; the swap is exact
     and no crossing test depends on it.  Each segment, in order of its
@@ -280,6 +291,43 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     witness), the witness a pair of segment indices or None.
     """
     _, pos, _, closed = _ring(c)
+    if closed and _strictly_convex(pos):
+        return True, None
+    return _sweep(pos, closed)
+
+
+def _strictly_convex(pos: np.ndarray) -> bool:
+    """Whether the closed polygon through ``pos`` is strictly convex, by a rounding-proof test.
+
+    Every cross product of consecutive chords must have one sign, by more
+    than 8 u times the moduli of its two products (u = 2^-53; the computed
+    chords and products err by at most 5 u of those) plus a few subnormal
+    units, so that each turn lies in (0, pi), or each in (-pi, 0).  The
+    chord direction must then turn once in total: it passes +x exactly
+    once, counted as the steps from a chord with negative y-component to
+    one without, mirrored across the x-axis when the turns are clockwise;
+    the sign of a computed chord component is exact.  A polygon turning
+    locally convexly with rotation index +-1 is convex (the classical
+    result for locally convex closed curves), so simple.  Zero chords and
+    three collinear vertices fail the margin.  O(n).
+    """
+    d = np.roll(pos, -1) - pos
+    e = np.roll(d, -1)
+    p1, p2 = d.real * e.imag, d.imag * e.real
+    cross = p1 - p2
+    slack = (8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2))
+             + 8.0 * np.finfo(float).smallest_subnormal)
+    if np.all(cross > slack):
+        lower = d.imag < 0.0
+    elif np.all(cross < -slack):
+        lower = d.imag > 0.0
+    else:
+        return False
+    return int(np.count_nonzero(lower & ~np.roll(lower, -1))) == 1
+
+
+def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]:
+    """is_simple's pair sweep on the ring ``pos``, closed or not."""
     x, y = pos.real, pos.imag
     if y.max() - y.min() > x.max() - x.min():
         pos = y + 1j * x

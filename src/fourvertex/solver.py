@@ -7,15 +7,16 @@ integrates the profile on its own grid, with arc-length steps given by the
 inverse map's boundary lift, so the error is smooth in the parameter.  The
 zero search polishes from the disk center with a two-variable secant
 iteration, whose Jacobian starts from the closed-form Jacobian of the
-two-value step's error there, and certifies the polished root by a
-nonzero winding along a small square around it, by Rouché's rule from the
-error at the square's four corners and the polish's linear model.  A
-search takes 1 + (secant steps) + 4 error evaluations; the synthesis
-evaluates once more at the accepted root.  A root that the corners do not
-certify fails the synthesis round, which retries with a finer warp.
-The synthesis pipeline warps an admissible profile onto a two-value step
-function, closes the curve by that root, and tags each sample with the
-original parameter the warp sends it to.
+two-value step's error there, and proves a zero next to the polished root
+by a Newton-Kantorovich test: one forward-mode pass over the polish's last
+evaluation gives the exact Jacobian, and closed-form bounds on its
+variation and on the rounding give h = b K eta <= 1/2.  A search takes
+1 + (secant steps) error evaluations; the synthesis evaluates once more at
+the accepted root.  A root that the test does not certify fails the
+synthesis round, which retries with a finer warp.  The synthesis pipeline
+warps an admissible profile onto a two-value step function, closes the
+curve by that root, and tags each sample with the original parameter the
+warp sends it to.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +42,19 @@ from .curvature import (
     compose,
     find_abab_points,
     mod_two_pi,
-    normalize_total,
+    normalize_total,  # unused here; bench/tracing.py wraps it at solver.normalize_total
     normalizing_scale,
     profile_from_step,
     reflect_negate,
+    step_samples,
 )
 from .integrator import (
+    STRAIGHT_KAPPA,
     ErrorVector,
     PlanarCurve,
     TooFewSamples,
+    _arcs,
+    _integrate,
     curvature_samples,
     endpoint_error,
     integrate_curve,
@@ -56,11 +62,11 @@ from .integrator import (
     scale_curve,
     winding_number,
 )
-from .moebius import MoebiusParameter, NumericallyDegenerate, _beta_value, moebius_lift
+from .moebius import MoebiusParameter, NumericallyDegenerate, _beta_value, _circle, moebius_lift
 
 RESIDUAL_TOL = 1e-9
-CERTIFICATE_HALF = 1e-4  # half-width of the square that certifies a polished root
-SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)  # corners of the unit square, counterclockwise
+CERTIFICATE_RADIUS = 1e-4  # the ball around a polished root on which its certificate bounds J
+ROUNDOFF = 2.0 ** -53      # unit roundoff of float64
 POLISH_MAX_ITER = 80     # secant steps before the polish stops
 ROOT_RADIUS = 0.2        # an accepted root lies inside this disk
 C1_POSITION_TOL = 0.1
@@ -72,7 +78,7 @@ class BadParameter(ValueError):
 
 
 class NoWindingAtRadius(RuntimeError):
-    """The polished root is not certified by a winding inside the search radius."""
+    """The polished root lies outside the search radius, or no zero near it is certified."""
 
 
 class PolishDiverged(RuntimeError):
@@ -100,6 +106,8 @@ class SynthesisDiagnostics:
     angle_distance: float
     rounds: int
     error_evaluations: int
+    certificate_h: float     # h of the root's RootCertificate, 0 when no zero search ran
+    certified_radius: float  # a zero lies this close to beta_star, 0 when no zero search ran
 
 
 @dataclass(frozen=True)
@@ -144,15 +152,15 @@ def error_at_beta(
     return endpoint_error(sc.c * k1.samples, ds), ds, sc
 
 
-def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, np.ndarray]:
+def _polish(err, x0: complex, tol, jac0: np.ndarray) -> complex:
     """Two-variable secant iteration with a rank-one update and damping.
 
     The secant Jacobian starts from ``jac0``, a real 2x2 map of (Re, Im).
     The iteration stops once |err| < ``tol()``, read after the latest
-    evaluation, and returns the root, the error there and the Jacobian
-    after its last update (``jac0`` when x0 itself meets the tolerance).
-    An iterate on or outside the unit circle, where no Möbius parameter
-    exists, ends the iteration as a divergence without being evaluated.
+    evaluation, and returns that iterate, so the last evaluation is at the
+    root.  An iterate on or outside the unit circle, where no Möbius
+    parameter exists, ends the iteration as a divergence without being
+    evaluated.
     """
     best_x, best_r = x0, math.inf
 
@@ -166,7 +174,7 @@ def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, 
     best_r = r0
     jac = np.array(jac0, dtype=float)
     if r0 < tol():
-        return x0, complex(f0[0], f0[1]), jac
+        return x0
     x, f, r = x0, f0, r0
     for _ in range(POLISH_MAX_ITER):
         try:
@@ -189,33 +197,196 @@ def _polish(err, x0: complex, tol, jac0: np.ndarray) -> tuple[complex, complex, 
         if r < best_r:
             best_x, best_r = x, r
         if r < tol():
-            return x, complex(f[0], f[1]), jac
+            return x
     raise PolishDiverged(best_x, best_r)
 
 
-def _certify(err, beta: complex, e_star: complex, jac: np.ndarray) -> int:
-    """Winding of the error along the square of half-width CERTIFICATE_HALF around beta, or 0.
+class RootCertificate(NamedTuple):
+    """Newton-Kantorovich data that prove a zero of the error near a polished root.
 
-    The error is evaluated at the four corners.  Where the polish's linear
-    model L(z) = E(beta) + J (z - beta) misses it there by less than half
-    of sigma_min(J) * CERTIFICATE_HALF, less |E(beta)|, the model's zero
-    lies inside the square and |E - L| < |L| along its boundary, as E is
-    smooth at the square's scale; by Rouché's rule E then winds as L does,
-    sign(det J) times.  Otherwise the corners certify nothing, and the
-    result is 0.
+    ``b`` bounds ||J(beta*)^-1||, ``eta`` bounds ||J(beta*)^-1 E(beta*)||
+    and ``k`` the Lipschitz constant of J on the ball of radius
+    CERTIFICATE_RADIUS around beta*; h = b k eta is at most 1/2.  By
+    Kantorovich's theorem (Ortega and Rheinboldt, Iterative Solution of
+    Nonlinear Equations, 1970, 12.6.2) a zero lies within ``radius``
+    = 2 eta / (1 + sqrt(1 - 2h)) of beta*, and it is the only one closer
+    than min(CERTIFICATE_RADIUS, (1 + sqrt(1 - 2h)) / (b k)).
     """
-    offsets = CERTIFICATE_HALF * np.array(SQUARE)
-    vals = [err(beta + d) for d in offsets]
-    model = e_star + (jac[0, 0] + 1j * jac[1, 0]) * offsets.real \
-        + (jac[0, 1] + 1j * jac[1, 1]) * offsets.imag
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; |det| = their product
-    sigma_max = 0.5 * (math.sqrt(frob + 2.0 * abs(det))
-                       + math.sqrt(max(frob - 2.0 * abs(det), 0.0)))
-    if np.max(np.abs(np.array(vals) - model)) + abs(e_star) \
-            < 0.5 * abs(det) / sigma_max * CERTIFICATE_HALF:
-        return 1 if det > 0.0 else -1
-    return 0
+
+    b: float
+    eta: float
+    k: float
+    h: float
+    radius: float
+
+
+class _TangentPass(NamedTuple):
+    e: complex          # the error, bit for bit as error_at_beta has it
+    jac: np.ndarray     # real 2x2 Jacobian of (Re E, Im E) in (Re beta, Im beta)
+    kappa: np.ndarray   # c * k
+    dcc: np.ndarray     # (2,): dc / c along Re beta and Im beta
+
+
+def _tangent_pass(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> _TangentPass:
+    """E and its exact Jacobian at beta, in one forward-mode pass over the evaluation.
+
+    ``ds`` and ``c`` are the lift steps and the normalizing factor of the
+    evaluation at beta.  Along a direction v the lift t + 2 arg(1 + beta
+    e^{-it}) moves by 2 Im(v e^{-it} / (1 + beta e^{-it})), which gives each
+    step's derivative dds_j; then dc / c = -c sum_j k_j dds_j / (2 pi) and
+    the turns' derivatives dturn_j = kappa_j ((dc / c) ds_j + dds_j).  A
+    chord (rot_{j+1} - rot_j) / (i kappa_j), rot_j = e^{i theta_j}, moves by
+    i dtheta_j chord_j + rot_{j+1} dds_j + (dc / c) (rot_{j+1} ds_j - chord_j);
+    summed, with dtheta_j the sum of the earlier dturn (Abel summation),
+
+        dE = i sum_j dturn_j (E - P_{j+1}) + sum_j rot_{j+1} dds_j
+             + (dc / c) (sum_j rot_{j+1} ds_j - E),
+
+    P_{j+1} the sum of the first j + 1 chords: a turn at step j rotates the
+    rest of the curve about its point j + 1.  A straight step, ds_j rot_j,
+    is the limit of its arc, and the formula holds for it to within
+    ds_j^2 STRAIGHT_KAPPA.
+    """
+    n = k.size
+    _, conj_circle = _circle(n)
+    q = conj_circle / (1.0 + beta * conj_circle)
+    dlift = np.empty((2, n + 1))
+    np.multiply(q.imag, 2.0, out=dlift[0])
+    np.multiply(q.real, 2.0, out=dlift[1])
+    dlift[:, -1] = dlift[:, 0]  # the last knot is the first one a period later
+    dds = np.diff(dlift, axis=1)
+    kappa = c * k
+    _, rot, arcs = _arcs(kappa, ds)
+    tail = np.cumsum(arcs)
+    e = complex(tail[-1])
+    np.subtract(e, tail, out=tail)  # E - P_{j+1}
+    dcc = (-c / TWO_PI) * (dds @ k)
+    dturn = kappa * (dcc[:, None] * ds + dds)
+    de = 1j * (dturn @ tail) + dds @ rot[1:] + dcc * (rot[1:] @ ds - e)
+    jac = np.array([[de[0].real, de[1].real], [de[0].imag, de[1].imag]])
+    return _TangentPass(e, jac, kappa, dcc)
+
+
+def _roundoff(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
+              tp: _TangentPass) -> tuple[float, float, float]:
+    """Rounding bounds of the pass: on E, on J in the spectral norm, and on T = 2 pi / c, relative.
+
+    First-order model (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3 and 4): each operation rounds by at most u = 2^-53
+    relative, and a sum of n terms errs by at most 1.01 n u times the sum
+    of their moduli.  A lift value, below 4 pi + 1, carries at most 32 u
+    and its derivative, below 2 / (1 - |beta|), at most 32 u / (1 - |beta|),
+    so a step ds_j errs by 64 u and its derivative dds_j, at most
+    h1 = (2 pi / n) 2 / (1 - |beta|)^2 in modulus, by 64 u / (1 - |beta|).
+    This propagates through T, c, the turns and the tangent angles; a
+    chord (rot_{j+1} - rot_j) / (i kappa_j) loses a further
+    (|theta| + 4) u / |kappa_j| to cancellation, and a straight step is off
+    its arc by ds_j^2 STRAIGHT_KAPPA.  The chords' moduli and the steps sum
+    to at most ``span`` = 2 pi + n 64 u; the sums over |dds_j| and
+    |dturn_j| are bounded through h1.
+    """
+    n, u = k.size, ROUNDOFF
+    g = 1.01 * n * u
+    m0 = 1.0 - abs(beta)
+    e_ds, e_dds, h1 = 64.0 * u, 64.0 * u / m0, 2.0 * TWO_PI / n / m0 ** 2
+    span = TWO_PI + n * e_ds
+    ak = np.abs(k)
+    s_k, a_k = float(np.sum(ak)), float(ak @ ds)
+    rel_t = (s_k * e_ds + g * a_k) * abs(c) / TWO_PI + 2.0 * u
+    e_turn = abs(c) * (a_k * (rel_t + 2.0 * u) + s_k * e_ds)  # over all the turns
+    e_theta = e_turn + g * abs(c) * a_k                        # any tangent angle
+    straight = np.abs(tp.kappa) < STRAIGHT_KAPPA
+    inv_kappa = np.divide(1.0, np.abs(tp.kappa), out=np.zeros(n), where=~straight)
+    e_arcs = (n * e_ds + span * (e_theta + e_turn + 4.0 * u)
+              + (abs(c) * a_k + 4.0) * u * float(np.sum(inv_kappa))
+              + STRAIGHT_KAPPA * float(np.sum(ds[straight] ** 2)))
+    e_e = e_arcs + g * span
+
+    adcc = np.abs(tp.dcc)  # per column of J
+    sum_dds = n * h1
+    sum_dturn = abs(c) * (a_k * adcc + s_k * h1)
+    e_dcc = (s_k * e_dds + g * s_k * h1) * abs(c) / TWO_PI + adcc * (rel_t + 3.0 * u)
+    e_dturn = (abs(c) * (a_k * e_dcc + s_k * (adcc * e_ds + e_dds))
+               + (rel_t + 4.0 * u) * sum_dturn)
+    e_jac = (span * e_dturn + sum_dturn * (e_arcs + 2.0 * g * span) + n * e_dds
+             + 2.0 * span * e_dcc + adcc * (e_e + n * e_ds)
+             + (e_theta + 2.0 * u) * (sum_dds + span * adcc) + g * (sum_dds + 2.0 * span * adcc))
+    return e_e, float(np.hypot(e_jac[0], e_jac[1])), rel_t
+
+
+def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
+                     rel_t: float) -> float:
+    """Bound on the Lipschitz constant of J over the ball |beta' - beta| <= CERTIFICATE_RADIUS.
+
+    With rho = CERTIFICATE_RADIUS, m = 1 - |beta| - rho > 0 and h = 2 pi / n,
+    for unit directions and every beta' in the ball:
+
+    - the lift L(t) = t + 2 arg(1 + beta' e^{-it}) has t- and
+      beta-derivatives |d_t d L| <= 2 / m^2 and |d_t d^2 L| <= 4 / m^3, so
+      a step ds_j = L(t_{j+1}) - L(t_j) moves by |d ds_j| <= 2h / m^2 and
+      |d^2 ds_j| <= 4h / m^3: h times the sup, not twice the sup of L;
+    - with S = sum_j |k_j|, every partial sum W of k_j ds_j, T among
+      them, has |dW| <= a1 = 2hS / m^2 and |d^2 W| <= a2 = 4hS / m^3, and
+      |W| <= A = sum_j |k_j| ds_j + rho a1, while |T| >= T_min
+      = |T(beta)| - rho a1;
+    - c = 2 pi / T then has |c| <= c_max = 2 pi / T_min,
+      |dc| <= c_max a1 / T_min and |d^2 c| <= c_max (2 a1^2 / T_min^2
+      + a2 / T_min), and the tangent angle psi = c W on a step has
+      |d psi| <= p1 = |dc| A + c_max a1 and |d^2 psi| <= p2
+      = |d^2 c| A + 2 |dc| a1 + c_max a2;
+    - E = sum_j ds_j int_0^1 e^{i psi_j(tau)} d tau, and the steps sum to
+      2 pi, so ||d^2 E|| <= 2 pi (4 / m^3 + 4 p1 / m^2 + p2 + p1^2).
+
+    The sums at beta are inflated by their relative rounding ``rel_t``.
+    Infinite when T may vanish on the ball.
+    """
+    rho = CERTIFICATE_RADIUS
+    m = 1.0 - abs(beta) - rho
+    ak = np.abs(k)
+    a1 = 2.0 * TWO_PI / k.size * float(np.sum(ak)) / m ** 2
+    a2 = 2.0 * a1 / m
+    big_a = float(ak @ ds) * (1.0 + rel_t) + rho * a1
+    t_min = TWO_PI / abs(c) * (1.0 - rel_t) - rho * a1
+    if not t_min > 0.0:
+        return math.inf
+    c_max = TWO_PI / t_min
+    dc = c_max * a1 / t_min
+    d2c = c_max * (2.0 * a1 ** 2 / t_min ** 2 + a2 / t_min)
+    p1 = dc * big_a + c_max * a1
+    p2 = d2c * big_a + 2.0 * dc * a1 + c_max * a2
+    return TWO_PI * (4.0 / m ** 3 + 4.0 * p1 / m ** 2 + p2 + p1 ** 2)
+
+
+def _certify(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> RootCertificate | None:
+    """Newton-Kantorovich certificate of a zero of the error near beta, or None.
+
+    ``ds`` and ``c`` are those of the evaluation at beta.  One forward-mode
+    pass gives E(beta) and J = E'(beta) (:func:`_tangent_pass`) with their
+    rounding bounds eps_E and eps_J (:func:`_roundoff`).  Then
+    ||J_exact^-1|| <= b = ||J^-1|| / (1 - ||J^-1|| eps_J) (Banach's lemma),
+    eta = b (|E| + eps_E), and with K from :func:`_lipschitz_bound` the
+    test is h = b K eta <= 1/2, and the zero's ball must lie inside the
+    ball where K holds.  No further evaluation of the error is made.
+    """
+    tp = _tangent_pass(k, beta, ds, c)
+    eps_e, eps_j, rel_t = _roundoff(k, beta, ds, c, tp)
+    jac = tp.jac
+    det = abs(float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]))
+    frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; det = their product
+    sigma_max = 0.5 * (math.sqrt(frob + 2.0 * det) + math.sqrt(max(frob - 2.0 * det, 0.0)))
+    inv = sigma_max / det if det > 0.0 else math.inf  # ||J^-1|| = 1 / sigma_min
+    if not inv * eps_j < 1.0:
+        return None
+    b = inv / (1.0 - inv * eps_j)
+    eta = b * (abs(tp.e) + eps_e)
+    bound = _lipschitz_bound(k, beta, ds, c, rel_t)
+    h = b * bound * eta
+    if not h <= 0.5:
+        return None
+    radius = 2.0 * eta / (1.0 + math.sqrt(1.0 - 2.0 * h))
+    if radius > CERTIFICATE_RADIUS:
+        return None
+    return RootCertificate(b, eta, bound, h, radius)
 
 
 def step_jacobian(step: StepSpec, n: int) -> np.ndarray:
@@ -258,35 +429,37 @@ def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
     root is polished from beta = 0, with the secant Jacobian started at the
     step's exact Jacobian there (:func:`step_jacobian`, no evaluation),
     until |E| < RESIDUAL_TOL and the curve scaled by the normalizing factor
-    c closes too, |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when a
-    square of half-width CERTIFICATE_HALF around it lies inside the disk
-    and the polish's linear model predicts the error at the square's four
-    corners closely enough that the error winds along its boundary, which
-    certifies a zero there (:func:`_certify`).  A search thus takes
-    1 + (polish steps) + 4 evaluations.  A root outside the disk, or one
-    whose corners do not certify it, raises NoWindingAtRadius; a polish
-    that stalls or leaves the unit disk raises PolishDiverged.
-    ``stats["evaluations"]`` counts the error evaluations.  The search is
-    deterministic.
+    c closes too, |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when the
+    ball of radius CERTIFICATE_RADIUS around it lies inside the disk and
+    the Newton-Kantorovich test proves a zero of the error within that
+    ball (:func:`_certify`), from the polish's last evaluation, which is at
+    the root.  A search thus takes 1 + (polish steps) evaluations.  A root
+    outside the disk, or one that the test does not certify, raises
+    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
+    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations
+    and ``stats["certificate"]`` holds the latest :class:`RootCertificate`.
+    The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
-
-    scale = [1.0]  # |c| of the latest evaluation
+    last = {}  # parameter, lift steps and normalizing factor of the latest evaluation
 
     def err(b: complex) -> complex:
         counter["evaluations"] += 1
-        e, _, sc = error_at_beta(k1, b)
-        scale[0] = abs(sc.c)
+        e, ds, sc = error_at_beta(k1, b)
+        last.update(beta=b, ds=ds, c=sc.c)
         return e.e
 
-    beta, e_star, jac = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / scale[0]),
-                                step_jacobian(step, k1.n))
-    if abs(beta) + math.sqrt(2.0) * CERTIFICATE_HALF >= ROOT_RADIUS:
+    beta = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / abs(last["c"])),
+                   step_jacobian(step, k1.n))
+    if abs(beta) + CERTIFICATE_RADIUS >= ROOT_RADIUS:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
-    if _certify(err, beta, e_star, jac) == 0:
+    assert last["beta"] == beta  # the polish returns right after evaluating its root
+    cert = _certify(k1.samples, beta, last["ds"], last["c"])
+    if cert is None:
         raise NoWindingAtRadius(
-            f"the corners of the certificate square do not certify the root {beta:.3g}")
+            f"the Newton-Kantorovich test does not certify the root {beta:.3g}")
+    counter["certificate"] = cert
     return MoebiusParameter(beta)
 
 
@@ -333,7 +506,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
         diag = SynthesisDiagnostics(
             final_error=abs(circle.pos[-1] - circle.pos[0]),
             position_distance=0.0, angle_distance=0.0, rounds=0,
-            error_evaluations=0)
+            error_evaluations=0, certificate_h=0.0, certified_radius=0.0)
         return SynthesisResult(curve, MoebiusParameter(0.0), CircleDiffeo.identity(),
                                ScaleFactor(1.0 / abs(value)), 0.0, False, diag)
 
@@ -352,8 +525,10 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             # sliver midpoints, around which h1 sweeps most of k's domain
             step = StepSpec(abab.a, abab.b,
                             tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
-            k0 = profile_from_step(step, n=k.n)
-            ref_curve = integrate_curve(normalize_total(k0)[0])
+            k0 = step_samples(step, k.n)
+            with np.errstate(over="ignore"):
+                total = float(np.mean(k0) * TWO_PI)
+            ref_curve = _integrate(normalizing_scale(total, k0).c * k0, np.full(k.n, TWO_PI / k.n))
         except (ConstructionFailed, ZeroTotalCurvature) as ex:
             history.append((len(history) + 1, float(eps0), f"set-up: {type(ex).__name__}: {ex}"))
             continue
@@ -395,7 +570,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             if flipped:  # traversed backwards, so it carries k at 2*pi - t
                 s, pos, theta = s[-1] - s[::-1], pos[::-1], theta[::-1] + math.pi
                 tags = mod_two_pi(TWO_PI - tags[::-1])
-            final = PlanarCurve(s, pos, theta, sc.c, tags)
+            final = PlanarCurve._built(s, pos, theta, sc.c, tags)
             kap_hat = curvature_samples(final)
             target = np.asarray(k(final.t[: kap_hat.size]))
             bad = np.abs(kap_hat - target) >= tol_kappa
@@ -406,7 +581,9 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             diag = SynthesisDiagnostics(
                 final_error=err.magnitude, position_distance=c0_dist,
                 angle_distance=c1_dist, rounds=round_no,
-                error_evaluations=stats["evaluations"])
+                error_evaluations=stats["evaluations"],
+                certificate_h=stats["certificate"].h,
+                certified_radius=stats["certificate"].radius)
             return SynthesisResult(final, beta_star, h1, sc, eps, flipped, diag)
 
         eps = float(eps0)

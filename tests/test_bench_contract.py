@@ -48,3 +48,18 @@ def test_traced_names_are_where_the_bench_looks():
         fv.solver.synthesize(k)
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"analysis.osserman_check", "solver.synthesize"} <= names
+
+
+def test_bench_synth_roots_are_certified(monkeypatch):
+    # the zero search certifies every root it returns (Newton-Kantorovich,
+    # h = b K eta <= 1/2); on the bench's own seed-1 synth profiles each
+    # synthesis therefore carries a certificate, and the largest h is printed
+    monkeypatch.syspath_prepend(str(BENCH))  # worker.py imports tracing from bench/
+    spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    profiles = worker.synth_profiles(fv, np.random.default_rng(1), 128)
+    diags = [fv.solver.synthesize(k).diagnostics for k in profiles]
+    assert all(0.0 < d.certificate_h <= 0.5 and d.certified_radius > 0.0 for d in diags)
+    print(f"largest certificate h over {len(diags)} bench profiles: "
+          f"{max(d.certificate_h for d in diags):.3g}")

@@ -317,6 +317,9 @@ def test_outputs_are_deterministic(tmp_path):
         outs.append((out / "curve.csv").read_bytes()
                     + (out / "diagnostics.json").read_bytes())
     assert outs[0] == outs[1]
+    diag = json.loads((tmp_path / "a" / "diagnostics.json").read_text())
+    assert 0.0 < diag["certificate_h"] <= 0.5
+    assert 0.0 < diag["certified_radius"] < 1e-6
 
 
 @pytest.mark.parametrize("which", ["bicircle", "compass", "tetrahedron"])

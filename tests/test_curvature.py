@@ -23,6 +23,7 @@ from fourvertex.curvature import (
     profile_from_function,
     profile_from_step,
     reflect_negate,
+    step_samples,
     total_curvature,
 )
 from fourvertex import curvature
@@ -643,3 +644,21 @@ def test_reflect_negate_pointwise():
 def test_scale_factor_rejects_zero():
     with pytest.raises(ValueError):
         ScaleFactor(0.0)
+
+
+@pytest.mark.parametrize("n", [8, 64, 510, 512, 4096])
+def test_step_samples_match_value_at(n):
+    # bit for bit what value_at gives on the grid, for breakpoints on grid
+    # points, within value_at's 1e-12 of one, half a step off the grid (as
+    # synthesize places them), past the last grid point, and at random
+    h = TWO_PI / n
+    rng = np.random.default_rng(n)
+    specs = [StepSpec(0.5, 2.0),
+             StepSpec(0.3, 1.1, tuple(0.5 * math.pi * q + math.pi / n for q in range(4))),
+             StepSpec(1.0, 3.0, (h, 3 * h + 5e-13, 3 * h + 2e-12, TWO_PI - 1e-13)),
+             StepSpec(0.2, 0.7, (0.0, 2 * h - 1e-12, 5 * h - 2e-12, 7 * h))]
+    specs += [StepSpec(1.0, 2.0, tuple(np.sort(rng.uniform(0.0, TWO_PI, 4)))) for _ in range(20)]
+    grid = TWO_PI * np.arange(n) / n
+    for spec in specs:
+        assert np.array_equal(step_samples(spec, n), spec.value_at(grid))
+        assert np.array_equal(profile_from_step(spec, n).samples, spec.value_at(grid))

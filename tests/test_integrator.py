@@ -384,3 +384,103 @@ def test_planar_curve_rejects_non_finite_samples(field, bad):
     values[-1 if field == "s" else 7] = bad
     with pytest.raises(ValueError, match="finite"):
         replace(c, **{field: values})
+
+
+def _with_defect(curve, defect):
+    """Copies of the curve's s, pos and theta with one defect at samples 7 and 8."""
+    s, pos, theta = curve.s.copy(), curve.pos.copy(), curve.theta.copy()
+    if defect == "non-finite":
+        pos[7] = complex(math.nan, 0.0)
+    elif defect == "non-increasing":
+        s[8] = s[7]
+    elif defect == "chord too long":
+        pos[8] += 0.5
+    else:  # a jump of the tangent angle
+        theta[8:] += 4.0
+    return s, pos, theta
+
+
+@pytest.mark.parametrize("route", ["constructor", "csv", "json"])
+@pytest.mark.parametrize("defect, match", [("non-finite", "finite"),
+                                           ("non-increasing", "increase strictly"),
+                                           ("chord too long", "chord length"),
+                                           ("jumping theta", "jump")])
+def test_public_routes_check_every_curve(tmp_path, route, defect, match):
+    # the library builds its own curves unchecked (PlanarCurve._built); the
+    # constructor and the curve-file reader still check what comes in
+    from fourvertex import cli
+
+    s, pos, theta = _with_defect(unit_circle(512), defect)
+    if route == "constructor":
+        with pytest.raises(ValueError, match=match):
+            PlanarCurve(s, pos, theta)
+        return
+    path = tmp_path / f"curve.{route}"
+    write = cli.write_curve_csv if route == "csv" else cli.write_curve_json
+    write(path, PlanarCurve._built(s, pos, theta))
+    with pytest.raises(ValueError, match=match):
+        cli.read_curve_file(path)
+
+
+def test_library_built_curves_pass_the_public_checks():
+    from fourvertex.solver import synthesize
+
+    k = profile_from_function(lambda t: 1.5 + np.cos(2 * t))
+    circle = integrate_curve(normalize_total(k)[0])
+    for c in (circle, scale_curve(circle, ScaleFactor(-2.5)), synthesize(k).curve):
+        assert c.s.dtype == c.theta.dtype == float and c.pos.dtype == complex
+        checked = PlanarCurve(c.s, c.pos, c.theta, c.scale, c.t)
+        assert all(np.array_equal(getattr(checked, f), getattr(c, f))
+                   for f in ("s", "pos", "theta"))
+
+
+def closed_polygon(vertices, s=None) -> PlanarCurve:
+    """The closed polygon through ``vertices``, by default at unit arc-length steps."""
+    pos = np.append(np.asarray(vertices, dtype=complex), vertices[0])
+    s = np.arange(pos.size, dtype=float) if s is None else s
+    return PlanarCurve(s=s, pos=pos, theta=np.zeros(pos.size))
+
+
+def sweep_result(c):
+    _, pos, _, closed = _ring(c)
+    return integrator._sweep(pos, closed)
+
+
+class TestConvexCertificate:
+    @pytest.mark.parametrize("vertices", [
+        [0, 1, 1, 1 + 1j, 1j],               # a zero-length chord
+        [0, 0.5, 1, 1 + 1j, 1j],             # three collinear vertices
+        np.exp(2j * np.pi * np.arange(10) / 5) * 0.3,  # a pentagon wound twice
+    ], ids=["zero-chord", "collinear", "doubly-wound"])
+    def test_degenerate_polygons_take_the_sweep(self, vertices):
+        c = closed_polygon(vertices)
+        assert not integrator._strictly_convex(_ring(c)[1])
+        assert is_simple(c) == sweep_result(c)
+        if len(vertices) == 10:
+            assert not is_simple(c)[0]
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_convex_curves_are_certified(self, orientation):
+        for c in (unit_circle(), closed_polygon(np.exp(2j * np.pi * np.arange(7) / 7))):
+            if orientation < 0:
+                c = replace(c, pos=np.conj(c.pos))
+            assert integrator._strictly_convex(_ring(c)[1])
+            assert is_simple(c) == sweep_result(c) == (True, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 40), spread=st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]),
+           squash=st.sampled_from([1.0, 1e-3, 1e-6]), turns=st.sampled_from([1, -1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_sweep_on_random_polygons(self, n, spread, squash, turns, seed):
+        # vertices at sorted random angles on radii 1 + spread * noise,
+        # squashed along y: convex, nearly convex, star-shaped, thin, wound
+        # the other way or twice; the certificate may decide only where the
+        # sweep (checked against brute force elsewhere) finds the polygon simple
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n)) * turns
+        z = (1.0 + spread * rng.uniform(0.0, 1.0, n)) * np.exp(1j * angles)
+        z = z.real + 1j * squash * z.imag
+        chords = np.abs(np.diff(np.append(z, z[0])))
+        assume(np.all(chords > 0.0))
+        c = closed_polygon(z, s=np.concatenate(([0.0], np.cumsum(chords))))
+        assert is_simple(c) == sweep_result(c)

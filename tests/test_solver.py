@@ -36,7 +36,6 @@ from fourvertex.integrator import (
 from fourvertex.moebius import NumericallyDegenerate, evaluation_inverse, moebius_on_config
 from fourvertex import curvature, solver
 from fourvertex.solver import (
-    CERTIFICATE_HALF,
     BadParameter,
     NoWindingAtRadius,
     PolishDiverged,
@@ -262,17 +261,18 @@ class TestCertifiedPolish:
             find_zero_beta(k1, step)
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
-        # a Jacobian three times too steep misses the error at the corners, so
-        # the corner test refuses, and with it the zero search
+        # the polish closes an error shifted by 0.01, but the certificate
+        # reads the evaluation's own lift steps and scale, so at that root the
+        # true error is ~0.01 and h = b K eta exceeds 1/2
         k1, step, _ = warped
-        real_polish = solver._polish
+        real = solver.error_at_beta
 
-        def steep(*args):
-            beta, e_star, jac = real_polish(*args)
-            return beta, e_star, 3.0 * jac
+        def shifted(k, m):
+            e, ds, sc = real(k, m)
+            return ErrorVector(e.e + 0.01), ds, sc
 
-        monkeypatch.setattr(solver, "_polish", steep)
-        with pytest.raises(NoWindingAtRadius, match="do not certify"):
+        monkeypatch.setattr(solver, "error_at_beta", shifted)
+        with pytest.raises(NoWindingAtRadius, match="does not certify"):
             find_zero_beta(k1, step)
 
     def test_root_outside_radius_rejected(self, warped, monkeypatch):
@@ -282,19 +282,32 @@ class TestCertifiedPolish:
             find_zero_beta(k1, step)
 
     def test_certificate_winds_once_around_root_only(self, warped):
-        # the polish's model at the root predicts the corners of its own
-        # square, not those of a square ten half-widths away
+        # at the polished root the certificate proves a simple zero, around
+        # which E winds sign(det J) = +-1 times; read at a point ten ball
+        # radii away, with that evaluation's own steps and scale, it refuses
         k1, step, ref = warped
+        off = ref + 10 * solver.CERTIFICATE_RADIUS
+        _, ds, sc = error_at_beta(k1, off)
+        assert _certify(k1.samples, off, ds, sc.c) is None
+        _, ds, sc = error_at_beta(k1, ref)
+        assert _certify(k1.samples, ref, ds, sc.c).h <= 0.5
+        jac = solver._tangent_pass(k1.samples, ref, ds, sc.c).jac
+        assert abs(np.sign(np.linalg.det(jac))) == 1
 
-        def err(b):
-            return error_at_beta(k1, b)[0].e
-
-        beta, e_star, jac = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
-                                           solver.step_jacobian(step, k1.n))
-        assert beta == ref
-        assert abs(_certify(err, ref, e_star, jac)) == 1
-        off = ref + 10 * CERTIFICATE_HALF
-        assert _certify(err, off, err(off), jac) == 0
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-7, 1e-5, 2e-4, 1e-3])
+    def test_certified_ball_holds_the_root(self, warped, offset):
+        # read at a point offset from the root, the certificate either
+        # refuses, or certifies a ball that reaches the root; it refuses
+        # where h > 1/2 or the ball would leave the one on which K holds
+        k1, step, ref = warped
+        beta = ref + offset * (0.6 + 0.8j)
+        e, ds, sc = error_at_beta(k1, beta)
+        cert = _certify(k1.samples, beta, ds, sc.c)
+        if offset <= 1e-5:
+            assert cert.h <= 0.5 and cert.radius >= offset
+            assert cert.eta >= cert.b * e.magnitude
+        else:
+            assert cert is None
 
 
 def dense_square_winding(err, center, half, per_edge=64):
@@ -306,57 +319,120 @@ def dense_square_winding(err, center, half, per_edge=64):
     return winding_number(loop)
 
 
-@pytest.mark.parametrize("case", ["warped", "certificate"])
-def test_corner_certificate_agrees_with_dense_loop(case, warped, monkeypatch):
-    # where the four corners certify the root, a 256-sample loop around the
-    # same square winds sign(det J) times too
-    k1, step = warped[:2] if case == "warped" else \
-        warp_onto_step(trig_profile(*CERTIFICATE_CASE), 0.05)
-    stats = {"evaluations": 0}
-    seen = []
-    real = solver._certify
-
-    def spy(err, beta, e_star, jac):
-        start = stats["evaluations"]
-        winding = real(err, beta, e_star, jac)
-        seen.append((beta, jac, winding, stats["evaluations"] - start))
-        return winding
-
-    monkeypatch.setattr(solver, "_certify", spy)
-    find_zero_beta(k1, step, stats=stats)
-    [(beta, jac, winding, evaluations)] = seen
-    assert evaluations == 4
-    assert winding == int(np.sign(np.linalg.det(jac))) != 0
-    dense = dense_square_winding(lambda b: error_at_beta(k1, b)[0].e, beta, CERTIFICATE_HALF)
-    assert dense == winding
+# profiles and warp eps of the roots the certificate tests read; "large-scale"
+# is normalized by |c| near 300
+ROOT_CASES = {
+    "warped": (lambda: profile_from_function(lambda t: 1.5 + np.cos(2 * t)), 0.1),
+    "certificate": (lambda: trig_profile(*CERTIFICATE_CASE), 0.05),
+    "large-scale": (lambda: trig_profile(*LARGE_SCALE), 0.025),
+}
 
 
-@pytest.mark.parametrize("jac", [[[2.0, -1.0], [0.5, 1.5]], [[0.5, 1.5], [2.0, -1.0]]],
-                         ids=["det>0", "det<0"])
-@pytest.mark.parametrize("bump", [0.0, 0.5])
-def test_corner_test_falls_back_on_a_quadratic_bump(jac, bump):
-    # E = J (b - root) + C |b - root|^2 with C = bump * sigma_min / h: at
-    # bump 0.5 the remainder at the corners is sigma_min * h, twice what the
-    # corner test allows, yet below |J (b - root)| all along the boundary, so
-    # E still winds sign(det J) times; the corner test refuses it all the
-    # same, from its four evaluations, and the round it belongs to fails
-    jac = np.array(jac)
-    root = 0.01 + 0.02j
-    h = CERTIFICATE_HALF
-    c = bump * np.linalg.svd(jac, compute_uv=False)[-1] / h
-    count = [0]
+def root_case(name):
+    """(k1, step, beta*) of one ROOT_CASES profile warped onto its step."""
+    make, eps = ROOT_CASES[name]
+    k1, step = warp_onto_step(make(), eps)
+    return k1, step, find_zero_beta(k1, step).beta
+
+
+@pytest.mark.parametrize("case", list(ROOT_CASES))
+def test_certified_ball_agrees_with_dense_loop(case):
+    # a certified zero is the only one in the ball of radius
+    # CERTIFICATE_RADIUS, and J is nonsingular there: a 256-sample loop
+    # around a square inside that ball winds sign(det J) times, and one
+    # around a square beside the certified ball does not wind
+    make, eps = ROOT_CASES[case]
+    k1, step = warp_onto_step(make(), eps)
+    stats = {}
+    beta = find_zero_beta(k1, step, stats=stats).beta
+    cert = stats["certificate"]
+    assert cert.h <= 0.5 and cert.radius < 1e-9
 
     def err(b):
-        count[0] += 1
-        d = np.array([(b - root).real, (b - root).imag])
-        lin = jac @ d
-        return complex(lin[0], lin[1]) + c * float(d @ d)
+        return error_at_beta(k1, b)[0].e
 
-    winding = _certify(err, root, 0j, jac)
-    assert count[0] == 4
-    sign = int(np.sign(np.linalg.det(jac)))
-    assert winding == (sign if bump == 0.0 else 0)
-    assert dense_square_winding(err, root, h) == sign
+    _, ds, sc = error_at_beta(k1, beta)
+    jac = solver._tangent_pass(k1.samples, beta, ds, sc.c).jac
+    half = solver.CERTIFICATE_RADIUS / 2
+    assert dense_square_winding(err, beta, half) == int(np.sign(np.linalg.det(jac))) != 0
+    assert dense_square_winding(err, beta + 2 * half, 0.5 * half) == 0
+
+
+@pytest.mark.parametrize("case", list(ROOT_CASES))
+def test_tangent_pass_matches_central_differences(case):
+    # the forward-mode Jacobian against a fourth-order central difference
+    # of step 1e-4, whose own error is ~1e-9 relative here
+    k1, step, beta = root_case(case)
+    e, ds, sc = error_at_beta(k1, beta)
+    tp = solver._tangent_pass(k1.samples, beta, ds, sc.c)
+    assert tp.e == e.e
+    h = 1e-4
+    cols = []
+    for v in (1.0, 1j):
+        f = [error_at_beta(k1, beta + j * h * v)[0].e for j in (-2, -1, 1, 2)]
+        d = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
+        cols.append([d.real, d.imag])
+    fd = np.array(cols).T
+    assert np.max(np.abs(tp.jac - fd)) < 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("case", list(ROOT_CASES))
+def test_lipschitz_bound_covers_measured_variation(case):
+    # J read by the tangent pass at eight points on the rim of the ball
+    # where the bound holds moves from J(beta*) by at most K times the radius
+    k1, step, beta = root_case(case)
+    _, ds, sc = error_at_beta(k1, beta)
+    jac = solver._tangent_pass(k1.samples, beta, ds, sc.c).jac
+    bound = _certify(k1.samples, beta, ds, sc.c).k
+    rho = solver.CERTIFICATE_RADIUS
+    for j in range(8):
+        b = beta + rho * cmath.exp(2j * math.pi * j / 8)
+        _, ds, sc = error_at_beta(k1, b)
+        moved = solver._tangent_pass(k1.samples, b, ds, sc.c).jac
+        assert np.linalg.norm(moved - jac, 2) <= bound * rho
+
+
+def extended_error_and_jacobian(k, beta):
+    """E and J of the sampled route by the same formulas in long double arithmetic."""
+    ld, cld = np.longdouble, np.clongdouble
+    n, k = k.size, k.astype(ld)
+    two_pi = 8 * np.arctan(ld(1))
+    grid = two_pi * np.arange(n + 1, dtype=ld) / n
+    z = np.exp(-1j * grid.astype(cld))
+    w = 1 + cld(beta) * z
+    lift = grid + 2 * np.angle(w)
+    lift[-1] = lift[0] + two_pi
+    ds = np.diff(lift)
+    c = two_pi / (k @ ds)
+    kappa = c * k
+    theta = np.concatenate(([ld(0)], np.cumsum(kappa * ds)))
+    rot = np.exp(1j * theta.astype(cld))
+    arcs = np.diff(rot) / (1j * kappa)
+    e = np.sum(arcs)
+    q = z / w
+    dlift = 2 * np.array([q.imag, q.real])
+    dlift[:, -1] = dlift[:, 0]
+    dds = np.diff(dlift, axis=1)
+    dcc = -(dds @ k) * c / two_pi
+    dtheta = np.zeros((2, n + 1), dtype=ld)
+    dtheta[:, 1:] = np.cumsum(kappa * (dcc[:, None] * ds + dds), axis=1)
+    de = 1j * (dtheta[:, :-1] @ arcs) + dds @ rot[1:] + dcc * (rot[1:] @ ds - e)
+    return complex(e), np.array([[de[0].real, de[1].real], [de[0].imag, de[1].imag]], dtype=float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended")
+@pytest.mark.parametrize("case", list(ROOT_CASES))
+def test_roundoff_bounds_cover_extended_precision(case):
+    # the certificate's rounding bounds on E and J hold against the same
+    # pass in 64-bit-mantissa arithmetic, whose own error is ~2000 times
+    # smaller
+    k1, step, beta = root_case(case)
+    e, ds, sc = error_at_beta(k1, beta)
+    tp = solver._tangent_pass(k1.samples, beta, ds, sc.c)
+    eps_e, eps_j, _ = solver._roundoff(k1.samples, beta, ds, sc.c, tp)
+    e_ext, jac_ext = extended_error_and_jacobian(k1.samples, beta)
+    assert abs(tp.e - e_ext) < eps_e < 1e-8
+    assert np.linalg.norm(tp.jac - jac_ext, 2) < eps_j < 1e-7
 
 
 class TestSynthesize:
@@ -398,10 +474,11 @@ class TestSynthesize:
         self._check_round_trip(k, res)
 
     def test_evaluation_budget(self):
-        # E(0) and 3 secant steps from the step's Jacobian, then 4 corners
+        # E(0) and 3 secant steps from the step's Jacobian; the certificate
+        # reads the last of them
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.error_evaluations <= 8
+        assert res.diagnostics.error_evaluations <= 4
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
     @pytest.mark.parametrize("kwargs", [
@@ -575,18 +652,18 @@ def test_schedule_stops_at_four_sample_measure(monkeypatch):
 @pytest.mark.parametrize("eps", [0.1, 0.05])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
 def test_error_is_continuous_at_certificate_scale(eps, offset):
-    # the certificate reads how E winds from the square's corners, so it needs
-    # E continuous in beta at the square's scale: the same winding on every
-    # square around the root, and small phase steps between close
-    # neighbours; for step breakpoints on the grid and half a grid step off
-    # it (as synthesize places them)
+    # the certificate's Lipschitz bound and the dense winding oracle both
+    # take E as continuous in beta at the scale of the certified ball: the
+    # same winding on every square around the root, and small phase steps
+    # between close neighbours; for step breakpoints on the grid and half a
+    # grid step off it (as synthesize places them)
     k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
 
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    root, _, _ = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
-                                solver.step_jacobian(step, k1.n))
+    root = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
+                          solver.step_jacobian(step, k1.n))
     winds = {dense_square_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
     assert winds == {-1}
