@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,6 +28,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_FAILED = 3
+
+MAX_GRID = 1 << 18           # a synthesis at this grid stays under 512 MiB
+MAX_PANEL_SAMPLES = 1 << 21  # compass panels keep --grid + 1 samples each, this many in all
 
 # the chords of 512-sample corpus curves deviate from their arcs by < 3e-4 in
 # angle and relative length, those of synthesized curves by < 1e-10
@@ -223,19 +227,10 @@ def cmd_synth(args) -> int:
     except solver.SynthesisFailed as ex:
         print(ex, file=sys.stderr)
         return EXIT_FAILED
-    diag = {
-        "beta_star": [result.beta_star.beta.real, result.beta_star.beta.imag],
-        "eps_used": result.eps_used,
-        "scale": result.scale.c,
-        "sign_flipped": result.sign_flipped,
-        "final_error": result.diagnostics.final_error,
-        "position_distance": result.diagnostics.position_distance,
-        "angle_distance": result.diagnostics.angle_distance,
-        "rounds": result.diagnostics.rounds,
-        "error_evaluations": result.diagnostics.error_evaluations,
-        "certificate_h": result.diagnostics.certificate_h,
-        "certified_radius": result.diagnostics.certified_radius,
-    }
+    diag = dict(dataclasses.asdict(result.diagnostics),
+                beta_star=[result.beta_star.beta.real, result.beta_star.beta.imag],
+                eps_used=result.eps_used, scale=result.scale.c,
+                sign_flipped=result.sign_flipped)
 
     def write(d: Path):
         if args.format == "csv":
@@ -396,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kappa_file")
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--grid", type=int, default=4096,
-                   help="profile grid size (power of two, at least 512)")
+                   help=f"profile grid size (power of two, 512 to {MAX_GRID})")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--svg", action="store_true")
@@ -410,10 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="figure demos")
     p.add_argument("which", choices=("bicircle", "compass", "tetrahedron"))
-    p.add_argument("--panels", type=int, default=8)
+    p.add_argument("--panels", type=int, default=8,
+                   help=f"compass panels, at most {MAX_PANEL_SAMPLES} / --grid")
     p.add_argument("--radius", type=float, default=0.2)
     p.add_argument("--grid", type=int, default=4096,
-                   help="profile grid size (power of two, at least 512)")
+                   help=f"profile grid size (power of two, 512 to {MAX_GRID})")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_demo)
     return parser
@@ -421,9 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "grid" in args and (args.grid < 512 or args.grid & (args.grid - 1)):
-        print("error: --grid must be a power of two, at least 512",
-              file=sys.stderr)
+    if "grid" in args and (not 512 <= args.grid <= MAX_GRID or args.grid & (args.grid - 1)):
+        print(f"error: --grid must be a power of two from 512 to {MAX_GRID}", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "which", None) == "compass" and args.panels * args.grid > MAX_PANEL_SAMPLES:
+        print(f"error: --panels must be at most {MAX_PANEL_SAMPLES // args.grid} "
+              f"at --grid {args.grid}", file=sys.stderr)
         return EXIT_INPUT
     return args.func(args)
 

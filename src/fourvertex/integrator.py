@@ -3,16 +3,17 @@
 Curves are arc-length-parameterized polylines with a continuous
 tangent-angle lift.  Integration advances through exact circular arcs, one
 per grid step, so step-function curvature is reproduced without quadrature
-drift.  The winding counter here is the one both the configuration loops of
-``bicircle`` and the compass demo's error loop in ``solver`` use; the zero
-search certifies its root by a Newton-Kantorovich test instead.  All
-operations are pure.
+drift; ``_integrate`` places every integrated curve, with its endpoint
+error and unit tangents (:class:`Integration`).  The winding counter here
+is the one both the configuration loops of ``bicircle`` and the compass
+demo's error loop in ``solver`` use.  All operations are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,15 +125,32 @@ def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return theta, rot, arcs
 
 
-def _integrate(kappa: np.ndarray, ds: np.ndarray) -> PlanarCurve:
-    theta, _, arcs = _arcs(kappa, ds)
+class Integration(NamedTuple):
+    """The curve of curvature ``scale.c * k`` over the arc-length steps ``ds`` from the origin.
+
+    Its endpoint error ``e`` is its last position; ``rot`` holds its unit
+    tangents e^{i theta}, bit for bit those its chords were built from.
+    """
+
+    e: ErrorVector
+    ds: np.ndarray
+    scale: ScaleFactor
+    curve: PlanarCurve
+    rot: np.ndarray
+
+
+def _integrate(kappa: np.ndarray, ds: np.ndarray,
+               scale: ScaleFactor = ScaleFactor(1.0)) -> Integration:
+    """The curve of ``kappa`` = scale.c k over ``ds``; a half-turn step raises TooFewSamples."""
+    theta, rot, arcs = _arcs(kappa, ds)
     pos = np.empty(kappa.size + 1, dtype=complex)
     pos[0] = 0.0
     np.cumsum(arcs, out=pos[1:])
     s = np.empty(kappa.size + 1)
     s[0] = 0.0
     np.cumsum(ds, out=s[1:])
-    return PlanarCurve._built(s, pos, theta)
+    return Integration(ErrorVector(complex(pos[-1])), ds, scale, PlanarCurve._built(s, pos, theta),
+                       rot)
 
 
 def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:
@@ -143,7 +161,7 @@ def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> Planar
     circular arc, so a grid-aligned step profile integrates without
     modeling error.
     """
-    return _integrate(k.samples, np.full(k.n, TWO_PI / k.n) if ds is None else ds)
+    return _integrate(k.samples, np.full(k.n, TWO_PI / k.n) if ds is None else ds).curve
 
 
 def integrate_arcs(curvatures, lengths) -> PlanarCurve:
@@ -165,23 +183,12 @@ def integrate_arcs(curvatures, lengths) -> PlanarCurve:
         ds_parts.append(np.full(m, ell / m))
     if not kap_parts:
         raise ValueError("no arcs to integrate")
-    return _integrate(np.concatenate(kap_parts), np.concatenate(ds_parts))
+    return _integrate(np.concatenate(kap_parts), np.concatenate(ds_parts)).curve
 
 
 def error_vector(c: PlanarCurve) -> ErrorVector:
     """Final position minus initial position."""
     return ErrorVector(complex(c.pos[-1] - c.pos[0]))
-
-
-def endpoint_error(kappa: np.ndarray, ds: np.ndarray) -> ErrorVector:
-    """``error_vector(integrate_curve(CurvatureProfile(kappa), ds))``, bit for bit.
-
-    No curve and no profile is built.  The chords are summed by the same
-    sequential cumulative sum that places the curve's positions, so the two
-    routes round alike.  A non-finite curvature raises TooFewSamples, as any
-    step turning by half a turn or more does.
-    """
-    return ErrorVector(complex(np.cumsum(_arcs(kappa, ds)[2])[-1]))
 
 
 def winding_number(points) -> int:

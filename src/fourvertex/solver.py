@@ -10,13 +10,14 @@ iteration, whose Jacobian starts from the closed-form Jacobian of the
 two-value step's error there, and proves a zero next to the polished root
 by a Newton-Kantorovich test: one forward-mode pass over the polish's last
 evaluation gives the exact Jacobian, and closed-form bounds on its
-variation and on the rounding give h = b K eta <= 1/2.  A search takes
-1 + (secant steps) error evaluations; the synthesis evaluates once more at
-the accepted root.  A root that the test does not certify fails the
-synthesis round, which retries with a finer warp.  The synthesis pipeline
-warps an admissible profile onto a two-value step function, closes the
-curve by that root, and tags each sample with the original parameter the
-warp sends it to.
+variation and on the rounding give h = b K eta <= 1/2.  Each evaluation
+integrates its curve once, and the test and the synthesis read that curve.
+A search takes 1 + (secant steps) error evaluations; the synthesis
+evaluates once more at the accepted root and returns that curve.  A root
+that the test does not certify fails the synthesis round, which retries
+with a finer warp.  The synthesis pipeline warps an admissible profile
+onto a two-value step function, closes the curve by that root, and tags
+each sample with the original parameter the warp sends it to.
 """
 
 from __future__ import annotations
@@ -46,17 +47,16 @@ from .curvature import (
     normalizing_scale,
     profile_from_step,
     reflect_negate,
-    step_samples,
+    total_curvature,
 )
 from .integrator import (
     STRAIGHT_KAPPA,
     ErrorVector,
+    Integration,
     PlanarCurve,
     TooFewSamples,
-    _arcs,
     _integrate,
     curvature_samples,
-    endpoint_error,
     integrate_curve,
     is_simple,
     scale_curve,
@@ -128,10 +128,8 @@ class SynthesisResult:
     diagnostics: SynthesisDiagnostics
 
 
-def error_at_beta(
-    k1: CurvatureProfile, m
-) -> tuple[ErrorVector, np.ndarray, ScaleFactor]:
-    """Endpoint error of k1 precomposed with the Möbius map, normalized.
+def error_at_beta(k1: CurvatureProfile, m) -> Integration:
+    """Endpoint error of k1 precomposed with the Möbius map, normalized, with its curve.
 
     Substituting u = g_beta(s), the curve's curvature is c * k1(u) on k1's
     own grid u_j: sample j holds over the arc-length step
@@ -139,9 +137,8 @@ def error_at_beta(
     map g_{-beta}, and c = 2*pi / sum_j k1_j ds_j normalizes the total
     curvature.  The steps are smooth in beta, and so is the error; the curve
     starts at u = 0, which only rotates the error of a curve cut at s = 0.
-    Returns (E, ds, c) without building the curve or a scaled profile;
-    ``integrate_curve(CurvatureProfile(c * k1.samples), ds)``
-    builds it, and its endpoint error is E bit for bit.  Raises
+    Returns E, ds and c with the one integration of the curve of c * k1
+    over ds, whose last position E is (:class:`Integration`).  Raises
     ZeroTotalCurvature when the weighted total nearly vanishes,
     NumericallyDegenerate when beta lies too near the unit circle for the
     lift to resolve on k1's grid, and TooFewSamples when a step of the
@@ -149,7 +146,7 @@ def error_at_beta(
     """
     ds = moebius_lift(-_beta_value(m), n=k1.n)
     sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
-    return endpoint_error(sc.c * k1.samples, ds), ds, sc
+    return _integrate(sc.c * k1.samples, ds, sc)
 
 
 def _polish(err, x0: complex, tol, jac0: np.ndarray) -> complex:
@@ -221,18 +218,18 @@ class RootCertificate(NamedTuple):
 
 
 class _TangentPass(NamedTuple):
-    e: complex          # the error, bit for bit as error_at_beta has it
+    e: complex          # the error: the last position of the evaluation's curve
     jac: np.ndarray     # real 2x2 Jacobian of (Re E, Im E) in (Re beta, Im beta)
     kappa: np.ndarray   # c * k
     dcc: np.ndarray     # (2,): dc / c along Re beta and Im beta
 
 
-def _tangent_pass(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> _TangentPass:
+def _tangent_pass(k: np.ndarray, beta: complex, ev: Integration) -> _TangentPass:
     """E and its exact Jacobian at beta, in one forward-mode pass over the evaluation.
 
-    ``ds`` and ``c`` are the lift steps and the normalizing factor of the
-    evaluation at beta.  Along a direction v the lift t + 2 arg(1 + beta
-    e^{-it}) moves by 2 Im(v e^{-it} / (1 + beta e^{-it})), which gives each
+    ``ev`` is the evaluation at beta; E is its curve's last position.  Along
+    a direction v the lift t + 2 arg(1 + beta e^{-it}) moves by
+    2 Im(v e^{-it} / (1 + beta e^{-it})), which gives each
     step's derivative dds_j; then dc / c = -c sum_j k_j dds_j / (2 pi) and
     the turns' derivatives dturn_j = kappa_j ((dc / c) ds_j + dds_j).  A
     chord (rot_{j+1} - rot_j) / (i kappa_j), rot_j = e^{i theta_j}, moves by
@@ -247,7 +244,7 @@ def _tangent_pass(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> _Ta
     is the limit of its arc, and the formula holds for it to within
     ds_j^2 STRAIGHT_KAPPA.
     """
-    n = k.size
+    n, ds, c, rot = k.size, ev.ds, ev.scale.c, ev.rot
     _, conj_circle = _circle(n)
     q = conj_circle / (1.0 + beta * conj_circle)
     dlift = np.empty((2, n + 1))
@@ -256,10 +253,9 @@ def _tangent_pass(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> _Ta
     dlift[:, -1] = dlift[:, 0]  # the last knot is the first one a period later
     dds = np.diff(dlift, axis=1)
     kappa = c * k
-    _, rot, arcs = _arcs(kappa, ds)
-    tail = np.cumsum(arcs)
-    e = complex(tail[-1])
-    np.subtract(e, tail, out=tail)  # E - P_{j+1}
+    pos = ev.curve.pos
+    e = complex(pos[-1])
+    tail = e - pos[1:]  # E - P_{j+1}
     dcc = (-c / TWO_PI) * (dds @ k)
     dturn = kappa * (dcc[:, None] * ds + dds)
     de = 1j * (dturn @ tail) + dds @ rot[1:] + dcc * (rot[1:] @ ds - e)
@@ -357,19 +353,19 @@ def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
     return TWO_PI * (4.0 / m ** 3 + 4.0 * p1 / m ** 2 + p2 + p1 ** 2)
 
 
-def _certify(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> RootCertificate | None:
+def _certify(k: np.ndarray, beta: complex, ev: Integration) -> RootCertificate | None:
     """Newton-Kantorovich certificate of a zero of the error near beta, or None.
 
-    ``ds`` and ``c`` are those of the evaluation at beta.  One forward-mode
-    pass gives E(beta) and J = E'(beta) (:func:`_tangent_pass`) with their
-    rounding bounds eps_E and eps_J (:func:`_roundoff`).  Then
+    ``ev`` is the evaluation at beta.  One forward-mode pass over it gives
+    E(beta) and J = E'(beta) (:func:`_tangent_pass`) with their rounding
+    bounds eps_E and eps_J (:func:`_roundoff`).  Then
     ||J_exact^-1|| <= b = ||J^-1|| / (1 - ||J^-1|| eps_J) (Banach's lemma),
     eta = b (|E| + eps_E), and with K from :func:`_lipschitz_bound` the
     test is h = b K eta <= 1/2, and the zero's ball must lie inside the
     ball where K holds.  No further evaluation of the error is made.
     """
-    tp = _tangent_pass(k, beta, ds, c)
-    eps_e, eps_j, rel_t = _roundoff(k, beta, ds, c, tp)
+    tp = _tangent_pass(k, beta, ev)
+    eps_e, eps_j, rel_t = _roundoff(k, beta, ev.ds, ev.scale.c, tp)
     jac = tp.jac
     det = abs(float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]))
     frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; det = their product
@@ -379,7 +375,7 @@ def _certify(k: np.ndarray, beta: complex, ds: np.ndarray, c: float) -> RootCert
         return None
     b = inv / (1.0 - inv * eps_j)
     eta = b * (abs(tp.e) + eps_e)
-    bound = _lipschitz_bound(k, beta, ds, c, rel_t)
+    bound = _lipschitz_bound(k, beta, ev.ds, ev.scale.c, rel_t)
     h = b * bound * eta
     if not h <= 0.5:
         return None
@@ -442,20 +438,19 @@ def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
-    last = {}  # parameter, lift steps and normalizing factor of the latest evaluation
+    last = {}  # parameter and record of the latest evaluation
 
     def err(b: complex) -> complex:
         counter["evaluations"] += 1
-        e, ds, sc = error_at_beta(k1, b)
-        last.update(beta=b, ds=ds, c=sc.c)
-        return e.e
+        last.update(beta=b, ev=error_at_beta(k1, b))
+        return last["ev"].e.e
 
-    beta = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / abs(last["c"])),
+    beta = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / abs(last["ev"].scale.c)),
                    step_jacobian(step, k1.n))
     if abs(beta) + CERTIFICATE_RADIUS >= ROOT_RADIUS:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
     assert last["beta"] == beta  # the polish returns right after evaluating its root
-    cert = _certify(k1.samples, beta, last["ds"], last["c"])
+    cert = _certify(k1.samples, beta, last["ev"])
     if cert is None:
         raise NoWindingAtRadius(
             f"the Newton-Kantorovich test does not certify the root {beta:.3g}")
@@ -525,10 +520,9 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             # sliver midpoints, around which h1 sweeps most of k's domain
             step = StepSpec(abab.a, abab.b,
                             tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
-            k0 = step_samples(step, k.n)
-            with np.errstate(over="ignore"):
-                total = float(np.mean(k0) * TWO_PI)
-            ref_curve = _integrate(normalizing_scale(total, k0).c * k0, np.full(k.n, TWO_PI / k.n))
+            k0 = profile_from_step(step, k.n)
+            c0 = normalizing_scale(total_curvature(k0), k0.samples).c
+            ref_curve = _integrate(c0 * k0.samples, np.full(k.n, TWO_PI / k.n)).curve
         except (ConstructionFailed, ZeroTotalCurvature) as ex:
             history.append((len(history) + 1, float(eps0), f"set-up: {type(ex).__name__}: {ex}"))
             continue
@@ -550,11 +544,10 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 # NumericallyDegenerate: an iterate so near the unit circle
                 # that its boundary lift does not resolve
                 return f"zero search: {type(ex).__name__}: {ex}"
-            err, ds, sc = error_at_beta(k1, beta_star)
+            err, _, sc, curve, _ = error_at_beta(k1, beta_star)
             closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
             if closure >= RESIDUAL_TOL * TWO_PI:
                 return f"closure residual {closure:.2e}"
-            curve = integrate_curve(CurvatureProfile(sc.c * k1.samples), ds)
             simple, witness = is_simple(curve)
             if not simple:
                 return f"self-intersection at {witness}"
@@ -618,9 +611,8 @@ def compass_demo(
     out = []
     for j in range(n_samples):
         beta = MoebiusParameter(r * cmath.exp(2j * math.pi * j / n_samples))
-        err, ds, sc = error_at_beta(k0, beta)
-        curve = integrate_curve(CurvatureProfile(sc.c * k0.samples), ds)
-        out.append((beta, curve, err))
+        ev = error_at_beta(k0, beta)
+        out.append((beta, ev.curve, ev.e))
     w = winding_number([e.e for _, _, e in out])
     if abs(w) != 1:
         raise RuntimeError(f"error loop winding is {w}, expected a single turn")

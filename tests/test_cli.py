@@ -145,6 +145,36 @@ def test_grid_must_be_power_of_two(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["synth", "kappa.csv", "--grid", str(1 << 28)],
+                                  ["demo", "bicircle", "--grid", str(cli.MAX_GRID << 1)],
+                                  ["demo", "compass", "--panels", "513"],
+                                  ["demo", "compass", "--grid", str(cli.MAX_GRID), "--panels", "9"]],
+                         ids=["synth_grid", "demo_grid", "panels", "panels_at_max_grid"])
+def test_oversized_arguments_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # the grid and the compass panels' samples are bounded before a file is
+    # read or an array is made
+    def no_work(*args, **kwargs):
+        raise AssertionError("an oversized argument reached the work")
+
+    for name in ("cmd_synth", "cmd_demo"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "o")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["synth", "kappa.csv", "--grid", str(cli.MAX_GRID)],
+                                  ["demo", "compass", "--panels", "512"],
+                                  ["demo", "compass", "--grid", str(cli.MAX_GRID), "--panels", "8"],
+                                  ["demo", "bicircle", "--grid", str(cli.MAX_GRID),
+                                   "--panels", "1000"]])
+def test_largest_arguments_pass_the_bounds(monkeypatch, argv):
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: 7)
+    monkeypatch.setattr(cli, "cmd_demo", lambda args: 7)
+    assert cli.main(argv) == 7
+
+
 def test_analyze_ellipse(tmp_path):
     curve = ellipse_curve(2048)
     path = tmp_path / "ellipse.csv"

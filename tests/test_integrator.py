@@ -1,13 +1,14 @@
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fourvertex import integrator
+from fourvertex import integrator, solver
 from fourvertex.bicircle import Configuration, closed_form_error
 from fourvertex.curvature import (
     TWO_PI,
@@ -25,7 +26,6 @@ from fourvertex.integrator import (
     _ring,
     _segments_cross,
     curvature_samples,
-    endpoint_error,
     error_vector,
     integrate_arcs,
     integrate_curve,
@@ -337,26 +337,30 @@ def test_long_collinear_sides_decided_fast(upright):
     assert time.perf_counter() - start < 1.0
 
 
-def test_endpoint_error_matches_integrated_curve():
+def test_endpoint_error_matches_integrated_curve(monkeypatch):
+    # error_at_beta integrates once: its record's curve is integrate_curve's
+    # curve of c * k1 over the record's lift steps, array for array, and E is
+    # that curve's last position, bit for bit
     rng = np.random.default_rng(11)
     for _ in range(20):
         kappa = rng.normal(0.5, 3.0, 4096)
         kappa[rng.random(4096) < 0.1] = 0.0  # straight steps
         kappa[rng.random(4096) < 0.05] = 1e-15
-        ds = rng.uniform(0.2, 1.8, 4096) * TWO_PI / 4096
-        k = CurvatureProfile(kappa)
-        e = endpoint_error(kappa, ds)
-        assert np.array([e.e]).tobytes() == np.array([error_vector(integrate_curve(k, ds)).e]).tobytes()
-        kappa[rng.integers(4096)] = 4.0 * 4096  # one step turns by more than half a turn
-        ds[:] = TWO_PI / 4096
+        beta = 0.5 * rng.random() + 0.3j * rng.random()
+        ev = solver.error_at_beta(CurvatureProfile(kappa), beta)
+        curve = integrate_curve(CurvatureProfile(ev.scale.c * kappa), ev.ds)
+        for f in ("s", "pos", "theta"):
+            assert getattr(ev.curve, f).tobytes() == getattr(curve, f).tobytes()
+        assert np.array([ev.e.e]).tobytes() == curve.pos[-1:].tobytes()
+        assert np.array_equal(ev.rot.real, np.cos(curve.theta))
+        assert np.array_equal(ev.rot.imag, np.sin(curve.theta))
+    kappa[rng.integers(4096)] = 1e6  # that step turns by almost the whole turn
+    with pytest.raises(TooFewSamples):
+        solver.error_at_beta(CurvatureProfile(kappa), 0.1)
+    for bad in (math.inf, math.nan):  # an overflowed scale, or worse
+        monkeypatch.setattr(solver, "normalizing_scale", lambda *args: SimpleNamespace(c=bad))
         with pytest.raises(TooFewSamples):
-            endpoint_error(kappa, ds)
-        with pytest.raises(TooFewSamples):
-            integrate_curve(k, ds)
-    for bad in (math.inf, math.nan):  # an overflowed scale times k, or worse
-        kappa[0] = bad
-        with pytest.raises(TooFewSamples):
-            endpoint_error(kappa, ds)
+            solver.error_at_beta(CurvatureProfile(np.ones(64)), 0.1)
 
 
 class TestIntegrateArcs:
@@ -423,11 +427,10 @@ def test_public_routes_check_every_curve(tmp_path, route, defect, match):
 
 
 def test_library_built_curves_pass_the_public_checks():
-    from fourvertex.solver import synthesize
-
     k = profile_from_function(lambda t: 1.5 + np.cos(2 * t))
     circle = integrate_curve(normalize_total(k)[0])
-    for c in (circle, scale_curve(circle, ScaleFactor(-2.5)), synthesize(k).curve):
+    for c in (circle, scale_curve(circle, ScaleFactor(-2.5)), solver.synthesize(k).curve,
+              solver.error_at_beta(k, 0.1 + 0.05j).curve):
         assert c.s.dtype == c.theta.dtype == float and c.pos.dtype == complex
         checked = PlanarCurve(c.s, c.pos, c.theta, c.scale, c.t)
         assert all(np.array_equal(getattr(checked, f), getattr(c, f))

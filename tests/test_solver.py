@@ -34,7 +34,7 @@ from fourvertex.integrator import (
     is_simple,
 )
 from fourvertex.moebius import NumericallyDegenerate, evaluation_inverse, moebius_on_config
-from fourvertex import curvature, solver
+from fourvertex import curvature, integrator, solver
 from fourvertex.solver import (
     BadParameter,
     NoWindingAtRadius,
@@ -119,7 +119,7 @@ class TestWindingNumber:
 class TestErrorAtBeta:
     def test_step_profile_closes_at_zero(self):
         k0 = profile_from_step(StepSpec(0.5, 2.0), 4096)
-        err, ds, sc = error_at_beta(k0, 0.0)
+        err, ds, sc, _, _ = error_at_beta(k0, 0.0)
         assert err.magnitude < 1e-12
         assert ds.shape == (4096,) and np.sum(ds) == pytest.approx(TWO_PI, abs=1e-12)
         assert sc.c == pytest.approx(0.8, abs=1e-12)
@@ -167,7 +167,7 @@ class TestErrorAtBeta:
     def test_smooth_profile_uses_sampled_route(self):
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=2048)
         assert step_breakpoints(k) is None
-        err, ds, sc = error_at_beta(k, 0.1 + 0.05j)
+        err, ds, sc, _, _ = error_at_beta(k, 0.1 + 0.05j)
         assert ds.size == 2048
         assert np.isfinite(err.magnitude)
         # the returned steps and scale rebuild the curve the error belongs to
@@ -253,8 +253,8 @@ class TestCertifiedPolish:
         def shifted(k, m):
             # the shifted error has no zero in the disk; the first secant step
             # lands near |beta| = 2, where the error must not be evaluated
-            e, ds, sc = real(k, m)
-            return ErrorVector(e.e + 10.0), ds, sc
+            ev = real(k, m)
+            return ev._replace(e=ErrorVector(ev.e.e + 10.0))
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(PolishDiverged, match="unit disk"):
@@ -262,14 +262,14 @@ class TestCertifiedPolish:
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
         # the polish closes an error shifted by 0.01, but the certificate
-        # reads the evaluation's own lift steps and scale, so at that root the
-        # true error is ~0.01 and h = b K eta exceeds 1/2
+        # reads E from the evaluation's own curve, so at that root the true
+        # error is ~0.01 and h = b K eta exceeds 1/2
         k1, step, _ = warped
         real = solver.error_at_beta
 
         def shifted(k, m):
-            e, ds, sc = real(k, m)
-            return ErrorVector(e.e + 0.01), ds, sc
+            ev = real(k, m)
+            return ev._replace(e=ErrorVector(ev.e.e + 0.01))
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(NoWindingAtRadius, match="does not certify"):
@@ -284,14 +284,13 @@ class TestCertifiedPolish:
     def test_certificate_winds_once_around_root_only(self, warped):
         # at the polished root the certificate proves a simple zero, around
         # which E winds sign(det J) = +-1 times; read at a point ten ball
-        # radii away, with that evaluation's own steps and scale, it refuses
+        # radii away, from that evaluation, it refuses
         k1, step, ref = warped
         off = ref + 10 * solver.CERTIFICATE_RADIUS
-        _, ds, sc = error_at_beta(k1, off)
-        assert _certify(k1.samples, off, ds, sc.c) is None
-        _, ds, sc = error_at_beta(k1, ref)
-        assert _certify(k1.samples, ref, ds, sc.c).h <= 0.5
-        jac = solver._tangent_pass(k1.samples, ref, ds, sc.c).jac
+        assert _certify(k1.samples, off, error_at_beta(k1, off)) is None
+        ev = error_at_beta(k1, ref)
+        assert _certify(k1.samples, ref, ev).h <= 0.5
+        jac = solver._tangent_pass(k1.samples, ref, ev).jac
         assert abs(np.sign(np.linalg.det(jac))) == 1
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-7, 1e-5, 2e-4, 1e-3])
@@ -301,11 +300,11 @@ class TestCertifiedPolish:
         # where h > 1/2 or the ball would leave the one on which K holds
         k1, step, ref = warped
         beta = ref + offset * (0.6 + 0.8j)
-        e, ds, sc = error_at_beta(k1, beta)
-        cert = _certify(k1.samples, beta, ds, sc.c)
+        ev = error_at_beta(k1, beta)
+        cert = _certify(k1.samples, beta, ev)
         if offset <= 1e-5:
             assert cert.h <= 0.5 and cert.radius >= offset
-            assert cert.eta >= cert.b * e.magnitude
+            assert cert.eta >= cert.b * ev.e.magnitude
         else:
             assert cert is None
 
@@ -351,8 +350,7 @@ def test_certified_ball_agrees_with_dense_loop(case):
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    _, ds, sc = error_at_beta(k1, beta)
-    jac = solver._tangent_pass(k1.samples, beta, ds, sc.c).jac
+    jac = solver._tangent_pass(k1.samples, beta, error_at_beta(k1, beta)).jac
     half = solver.CERTIFICATE_RADIUS / 2
     assert dense_square_winding(err, beta, half) == int(np.sign(np.linalg.det(jac))) != 0
     assert dense_square_winding(err, beta + 2 * half, 0.5 * half) == 0
@@ -363,9 +361,9 @@ def test_tangent_pass_matches_central_differences(case):
     # the forward-mode Jacobian against a fourth-order central difference
     # of step 1e-4, whose own error is ~1e-9 relative here
     k1, step, beta = root_case(case)
-    e, ds, sc = error_at_beta(k1, beta)
-    tp = solver._tangent_pass(k1.samples, beta, ds, sc.c)
-    assert tp.e == e.e
+    ev = error_at_beta(k1, beta)
+    tp = solver._tangent_pass(k1.samples, beta, ev)
+    assert tp.e == ev.e.e
     h = 1e-4
     cols = []
     for v in (1.0, 1j):
@@ -381,14 +379,13 @@ def test_lipschitz_bound_covers_measured_variation(case):
     # J read by the tangent pass at eight points on the rim of the ball
     # where the bound holds moves from J(beta*) by at most K times the radius
     k1, step, beta = root_case(case)
-    _, ds, sc = error_at_beta(k1, beta)
-    jac = solver._tangent_pass(k1.samples, beta, ds, sc.c).jac
-    bound = _certify(k1.samples, beta, ds, sc.c).k
+    ev = error_at_beta(k1, beta)
+    jac = solver._tangent_pass(k1.samples, beta, ev).jac
+    bound = _certify(k1.samples, beta, ev).k
     rho = solver.CERTIFICATE_RADIUS
     for j in range(8):
         b = beta + rho * cmath.exp(2j * math.pi * j / 8)
-        _, ds, sc = error_at_beta(k1, b)
-        moved = solver._tangent_pass(k1.samples, b, ds, sc.c).jac
+        moved = solver._tangent_pass(k1.samples, b, error_at_beta(k1, b)).jac
         assert np.linalg.norm(moved - jac, 2) <= bound * rho
 
 
@@ -427,9 +424,9 @@ def test_roundoff_bounds_cover_extended_precision(case):
     # pass in 64-bit-mantissa arithmetic, whose own error is ~2000 times
     # smaller
     k1, step, beta = root_case(case)
-    e, ds, sc = error_at_beta(k1, beta)
-    tp = solver._tangent_pass(k1.samples, beta, ds, sc.c)
-    eps_e, eps_j, _ = solver._roundoff(k1.samples, beta, ds, sc.c, tp)
+    ev = error_at_beta(k1, beta)
+    tp = solver._tangent_pass(k1.samples, beta, ev)
+    eps_e, eps_j, _ = solver._roundoff(k1.samples, beta, ev.ds, ev.scale.c, tp)
     e_ext, jac_ext = extended_error_and_jacobian(k1.samples, beta)
     assert abs(tp.e - e_ext) < eps_e < 1e-8
     assert np.linalg.norm(tp.jac - jac_ext, 2) < eps_j < 1e-7
@@ -623,7 +620,7 @@ def test_polished_root_closes_the_scaled_curve(eps):
     # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
     # not enough, so the polish must go on until the scaled bound holds
     k1, step = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
-    err, _ds, sc = error_at_beta(k1, find_zero_beta(k1, step))
+    err, _, sc, _, _ = error_at_beta(k1, find_zero_beta(k1, step))
     assert abs(sc.c) > 100.0
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
 
@@ -689,6 +686,24 @@ def test_large_grid_synthesis_in_bounded_memory():
                           text=True, timeout=60, preexec_fn=cap_address_space)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+def test_one_integration_per_evaluation(monkeypatch):
+    # each error evaluation integrates its curve once; the certificate and
+    # the returned curve read those records, so a round adds only the
+    # repeated evaluation at the root and the reference step curve
+    calls = [0]
+    real = integrator._arcs
+
+    def counted(kappa, ds):
+        calls[0] += 1
+        return real(kappa, ds)
+
+    monkeypatch.setattr(integrator, "_arcs", counted)
+    monkeypatch.setattr(solver, "_arcs", counted, raising=False)
+    diag = synthesize(profile_from_function(lambda t: 1.5 + np.cos(2 * t))).diagnostics
+    assert diag.rounds == 1
+    assert calls[0] == diag.error_evaluations + 2
 
 
 def test_estimated_curvature_tracks_profile_away_from_slivers():
