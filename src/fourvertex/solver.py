@@ -5,19 +5,18 @@ disk of special Möbius maps, winds once around the origin along small
 parameter circles, so it vanishes somewhere inside.  Each evaluation
 integrates the profile on its own grid, with arc-length steps given by the
 inverse map's boundary lift, so the error is smooth in the parameter.  The
-zero search polishes from the disk center with a two-variable secant
-iteration, whose Jacobian starts from the closed-form Jacobian of the
-two-value step's error there, and proves a zero next to the polished root
-by a Newton-Kantorovich test: one forward-mode pass over the polish's last
-evaluation gives the exact Jacobian, and closed-form bounds on its
-variation and on the rounding give h = b K eta <= 1/2.  Each evaluation
-integrates its curve once, and the test and the synthesis read that curve.
-A search takes 1 + (secant steps) error evaluations; the synthesis
-evaluates once more at the accepted root and returns that curve.  A root
-that the test does not certify fails the synthesis round, which retries
-with a finer warp.  The synthesis pipeline warps an admissible profile
-onto a two-value step function, closes the curve by that root, and tags
-each sample with the original parameter the warp sends it to.
+zero search polishes from the disk center by a damped Newton iteration and
+proves a zero next to the polished root by a Newton-Kantorovich test.  Both
+read the exact Jacobian from one forward-mode pass over an evaluation; the
+test adds closed-form bounds on its variation and on the rounding, and
+requires h = b K eta <= 1/2.  Each evaluation integrates its curve once,
+and the Newton step, the test and the synthesis read that curve.  A search
+takes 1 + (Newton steps) + (damped trial points) error evaluations; the
+synthesis evaluates once more at the accepted root and returns that curve.
+A root that the test does not certify fails the synthesis round, which
+retries with a finer warp.  The synthesis pipeline warps an admissible
+profile onto a two-value step function, closes the curve by that root, and
+tags each sample with the original parameter the warp sends it to.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .moebius import MoebiusParameter, NumericallyDegenerate, _beta_value, _circ
 RESIDUAL_TOL = 1e-9
 CERTIFICATE_RADIUS = 1e-4  # the ball around a polished root on which its certificate bounds J
 ROUNDOFF = 2.0 ** -53      # unit roundoff of float64
-POLISH_MAX_ITER = 80     # secant steps before the polish stops
+POLISH_MAX_ITER = 80     # Newton steps before the polish stops
 ROOT_RADIUS = 0.2        # an accepted root lies inside this disk
 C1_POSITION_TOL = 0.1
 C1_ANGLE_TOL = 0.1
@@ -149,52 +148,50 @@ def error_at_beta(k1: CurvatureProfile, m) -> Integration:
     return _integrate(sc.c * k1.samples, ds, sc)
 
 
-def _polish(err, x0: complex, tol, jac0: np.ndarray) -> complex:
-    """Two-variable secant iteration with a rank-one update and damping.
+def _polish(k1: CurvatureProfile, counter: dict) -> tuple[complex, Integration]:
+    """Damped Newton iteration from beta = 0 for a zero of the error, with its evaluation.
 
-    The secant Jacobian starts from ``jac0``, a real 2x2 map of (Re, Im).
-    The iteration stops once |err| < ``tol()``, read after the latest
-    evaluation, and returns that iterate, so the last evaluation is at the
-    root.  An iterate on or outside the unit circle, where no Möbius
-    parameter exists, ends the iteration as a divergence without being
-    evaluated.
+    Each iterate's Jacobian is exact: one forward-mode pass over its own
+    evaluation (:func:`_tangent_pass`), taken only at an iterate that steps
+    on, not at the damped trial points.  A step is halved, at most four
+    times, until |E| decreases; the shortest is taken anyway.
+    The iteration stops once |E| < RESIDUAL_TOL * min(1, 2*pi / |c|), c the
+    iterate's normalizing scale, so that the scaled curve closes too, and
+    returns that iterate with its evaluation.  An iterate on or outside the
+    unit circle, where no Möbius parameter exists, ends the iteration as a
+    divergence without being evaluated.  ``counter["evaluations"]`` counts
+    the evaluations.
     """
-    best_x, best_r = x0, math.inf
+    best_x, best_r = 0j, math.inf
 
-    def fvec(b):
+    def evaluate(b: complex) -> Integration:
         if abs(b) >= 1.0:
             raise PolishDiverged(best_x, best_r, "left the unit disk")
-        e = err(b)
-        return np.array([e.real, e.imag]), abs(e)
+        counter["evaluations"] += 1
+        return error_at_beta(k1, b)
 
-    f0, r0 = fvec(x0)
-    best_r = r0
-    jac = np.array(jac0, dtype=float)
-    if r0 < tol():
-        return x0
-    x, f, r = x0, f0, r0
-    for _ in range(POLISH_MAX_ITER):
+    x, ev = 0j, evaluate(0j)
+    for steps in itertools.count():
+        r = ev.e.magnitude
+        if r < best_r:
+            best_x, best_r = x, r
+        if r < RESIDUAL_TOL * min(1.0, TWO_PI / abs(ev.scale.c)):
+            return x, ev
+        if steps == POLISH_MAX_ITER:
+            break
+        e = ev.e.e
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = np.linalg.solve(_tangent_pass(k1.samples, x, ev).jac, [-e.real, -e.imag])
         except np.linalg.LinAlgError:
             break
-        xn, fn, rn = x, f, r
         step = 1.0
         for _ in range(6):
             xn = x + complex(dx[0], dx[1]) * step
-            fn, rn = fvec(xn)
-            if rn < r or step < 0.1:
+            evn = evaluate(xn)
+            if evn.e.magnitude < r or step < 0.1:
                 break
             step *= 0.5
-        dxv = np.array([xn.real - x.real, xn.imag - x.imag])
-        denom = float(dxv @ dxv)
-        if denom > 0.0:
-            jac += np.outer(fn - f - jac @ dxv, dxv) / denom
-        x, f, r = xn, fn, rn
-        if r < best_r:
-            best_x, best_r = x, r
-        if r < tol():
-            return x
+        x, ev = xn, evn
     raise PolishDiverged(best_x, best_r)
 
 
@@ -385,72 +382,29 @@ def _certify(k: np.ndarray, beta: complex, ev: Integration) -> RootCertificate |
     return RootCertificate(b, eta, bound, h, radius)
 
 
-def step_jacobian(step: StepSpec, n: int) -> np.ndarray:
-    """First-order Jacobian at beta = 0 of ``error_at_beta(profile_from_step(step, n), beta)``.
-
-    Returned as a real 2x2 map of (Re beta, Im beta) to (Re E, Im E).  On
-    the grid, sample j holds over cell j, so the arcs a, b, a, b start at
-    the grid points p_q = p_0 + q*pi/2, p_0 the first grid point at or past
-    the first breakpoint.  The lift of g_{-beta} moves p_q by
-    dphi_q = 2 (Im beta cos p_q - Re beta sin p_q) to first order, and the
-    error of the normalized step curve cut at p_0 is
-
-        (b - a) [(1 + e^{i alpha}) (dphi_1 - dphi_0) / b
-                 + (1 - e^{i alpha}) (dphi_2 - dphi_1) / a]
-
-    with alpha = pi a / (a + b), the turn of an a-arc.  The curve starts
-    at u = 0, a b-arc of length p_0 earlier, which rotates the error by
-    e^{i sigma b p_0}, sigma = 2 / (a + b).  Exact for quarter-spaced
-    breakpoints when 4 divides n; otherwise it is the Jacobian of the
-    nearest such step, which still serves as the polish's starting guess.
-    """
-    a, b = step.a, step.b
-    alpha = math.pi * a / (a + b)
-    p0 = TWO_PI / n * math.ceil((step.breakpoints[0] - 1e-12) * n / TWO_PI)
-    rot = cmath.exp(2j * b * p0 / (a + b))
-    w1 = 2.0 * rot * (b - a) * (1.0 + cmath.exp(1j * alpha)) / b
-    w2 = 2.0 * rot * (b - a) * (1.0 - cmath.exp(1j * alpha)) / a
-    p = p0 + 0.5 * math.pi * np.arange(3)
-    sin, cos = np.sin(p), np.cos(p)
-    d_re = w1 * (sin[0] - sin[1]) + w2 * (sin[1] - sin[2])
-    d_im = w1 * (cos[1] - cos[0]) + w2 * (cos[2] - cos[1])
-    return np.array([[d_re.real, d_im.real], [d_re.imag, d_im.imag]])
-
-
-def find_zero_beta(k1: CurvatureProfile, step: StepSpec,
-                   stats: dict | None = None) -> MoebiusParameter:
+def find_zero_beta(k1: CurvatureProfile, stats: dict | None = None) -> MoebiusParameter:
     """Parameter inside the disk of radius ROOT_RADIUS at which the error vanishes.
 
-    ``step`` is the two-value step that k1 is close to in measure.  The
-    root is polished from beta = 0, with the secant Jacobian started at the
-    step's exact Jacobian there (:func:`step_jacobian`, no evaluation),
-    until |E| < RESIDUAL_TOL and the curve scaled by the normalizing factor
-    c closes too, |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when the
-    ball of radius CERTIFICATE_RADIUS around it lies inside the disk and
-    the Newton-Kantorovich test proves a zero of the error within that
-    ball (:func:`_certify`), from the polish's last evaluation, which is at
-    the root.  A search thus takes 1 + (polish steps) evaluations.  A root
-    outside the disk, or one that the test does not certify, raises
-    NoWindingAtRadius; a polish that stalls or leaves the unit disk raises
-    PolishDiverged.  ``stats["evaluations"]`` counts the error evaluations
-    and ``stats["certificate"]`` holds the latest :class:`RootCertificate`.
-    The search is deterministic.
+    The root is polished from beta = 0 by Newton's method on the exact
+    Jacobian (:func:`_polish`) until |E| < RESIDUAL_TOL and the curve
+    scaled by the normalizing factor c closes too,
+    |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when the ball of radius
+    CERTIFICATE_RADIUS around it lies inside the disk and the
+    Newton-Kantorovich test proves a zero of the error within that ball
+    (:func:`_certify`), read from the evaluation at the root that the
+    polish returns.  A search thus takes 1 + (Newton steps) + (damped trial
+    points) evaluations.  A root outside the disk, or one that the test does
+    not certify, raises NoWindingAtRadius; a polish that stalls or leaves
+    the unit disk raises PolishDiverged.  ``stats["evaluations"]`` counts
+    the error evaluations and ``stats["certificate"]`` holds the latest
+    :class:`RootCertificate`.  The search is deterministic.
     """
     counter = stats if stats is not None else {}
     counter.setdefault("evaluations", 0)
-    last = {}  # parameter and record of the latest evaluation
-
-    def err(b: complex) -> complex:
-        counter["evaluations"] += 1
-        last.update(beta=b, ev=error_at_beta(k1, b))
-        return last["ev"].e.e
-
-    beta = _polish(err, 0j, lambda: RESIDUAL_TOL * min(1.0, TWO_PI / abs(last["ev"].scale.c)),
-                   step_jacobian(step, k1.n))
+    beta, ev = _polish(k1, counter)
     if abs(beta) + CERTIFICATE_RADIUS >= ROOT_RADIUS:
         raise NoWindingAtRadius(f"polished root {beta:.3g} lies outside radius {ROOT_RADIUS}")
-    assert last["beta"] == beta  # the polish returns right after evaluating its root
-    cert = _certify(k1.samples, beta, last["ev"])
+    cert = _certify(k1.samples, beta, ev)
     if cert is None:
         raise NoWindingAtRadius(
             f"the Newton-Kantorovich test does not certify the root {beta:.3g}")
@@ -536,7 +490,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 return f"warp construction: {ex}"
             k1 = compose(work, h1)
             try:
-                beta_star = find_zero_beta(k1, step, stats=stats)
+                beta_star = find_zero_beta(k1, stats=stats)
             except (NoWindingAtRadius, PolishDiverged, TooFewSamples,
                     ZeroTotalCurvature, NumericallyDegenerate) as ex:
                 # TooFewSamples and ZeroTotalCurvature: the sliver mass left
@@ -557,8 +511,8 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 return f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"
 
             # the curve scaled by c; sample j carries k1(u_j) = k(h1(u_j))
-            s, pos = curve.s * abs(sc.c), curve.pos * sc.c
-            theta = curve.theta + (math.pi if sc.c < 0 else 0.0)
+            scaled = scale_curve(curve, sc)
+            s, pos, theta = scaled.s, scaled.pos, scaled.theta
             tags = mod_two_pi(h1(TWO_PI * np.arange(k.n + 1) / k.n))
             if flipped:  # traversed backwards, so it carries k at 2*pi - t
                 s, pos, theta = s[-1] - s[::-1], pos[::-1], theta[::-1] + math.pi

@@ -187,22 +187,22 @@ class TestErrorAtBeta:
 @pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.7, 2.3), (0.1, 3.0)])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["on-grid", "half-step"])
 def test_step_jacobian_matches_central_differences(n, a, b, offset):
-    # the breakpoints on the grid, and half a grid step off it as synthesize
-    # places them, where the curve starts one grid step before the first arc
+    # the tangent pass's Jacobian of a step profile's error at beta = 0, where
+    # every polish starts; the breakpoints on the grid, and half a grid step
+    # off it as synthesize places them
     step = StepSpec(a, b, tuple(0.5 * math.pi * q + offset * TWO_PI / n for q in range(4)))
     k0 = profile_from_step(step, n)
     h = 1e-6
     cols = [(error_at_beta(k0, d)[0].e - error_at_beta(k0, -d)[0].e) / (2 * h) for d in (h, 1j * h)]
     fd = np.array([[cols[0].real, cols[1].real], [cols[0].imag, cols[1].imag]])
-    jac = solver.step_jacobian(step, n)
+    jac = solver._tangent_pass(k0.samples, 0j, error_at_beta(k0, 0.0)).jac
     assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(fd))
 
 
 class TestFindZero:
     def test_step_profile_zero_at_origin(self):
-        step = StepSpec(0.5, 2.0)
-        k0 = profile_from_step(step, 2048)
-        beta = find_zero_beta(k0, step)
+        k0 = profile_from_step(StepSpec(0.5, 2.0), 2048)
+        beta = find_zero_beta(k0)
         assert abs(beta.beta) < 1e-6
         assert error_at_beta(k0, beta)[0].magnitude < 1e-9
 
@@ -210,7 +210,7 @@ class TestFindZero:
         spec = StepSpec(0.5, 2.0, (0.0, math.pi / 2 + 0.1, math.pi,
                                    3 * math.pi / 2))
         kp = profile_from_step(spec, 4096)
-        beta = find_zero_beta(kp, StepSpec(0.5, 2.0))
+        beta = find_zero_beta(kp)
         assert abs(beta.beta) > 1e-3
         assert error_at_beta(kp, beta)[0].magnitude < 1e-9
         # independent route: the grid-snapped step pattern factors through a
@@ -222,49 +222,48 @@ class TestFindZero:
     def test_constant_profile_has_no_winding(self):
         k = profile_from_function(lambda t: np.ones_like(t), n=512)
         with pytest.raises(NoWindingAtRadius):
-            find_zero_beta(k, StepSpec(0.5, 2.0))
+            find_zero_beta(k)
 
 
 @pytest.fixture(scope="module")
 def warped():
-    """The 1.5 + cos 2t profile warped onto its step at eps = 0.1, the step, and the root."""
+    """The 1.5 + cos 2t profile warped onto its step at eps = 0.1, and the root."""
     k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
     ab = find_abab_points(k)
-    step = StepSpec(ab.a, ab.b)
-    k1 = compose(k, build_h1(k, ab, step, 0.1))
-    return k1, step, find_zero_beta(k1, step).beta
+    k1 = compose(k, build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1))
+    return k1, find_zero_beta(k1).beta
 
 
 class TestCertifiedPolish:
     def test_diverged_polish_propagates(self, monkeypatch, warped):
-        k1, step, _ = warped
+        k1, _ = warped
 
-        def stall(err, x0, tol, *args, **kwargs):
-            raise PolishDiverged(x0, 1.0)
+        def stall(k1, counter):
+            raise PolishDiverged(0j, 1.0)
 
         monkeypatch.setattr(solver, "_polish", stall)
         with pytest.raises(PolishDiverged, match="stalled"):
-            find_zero_beta(k1, step)
+            find_zero_beta(k1)
 
     def test_polish_leaving_unit_disk_propagates(self, monkeypatch, warped):
-        k1, step, _ = warped
+        k1, _ = warped
         real = solver.error_at_beta
 
         def shifted(k, m):
-            # the shifted error has no zero in the disk; the first secant step
-            # lands near |beta| = 2, where the error must not be evaluated
+            # the shifted error has no zero in the disk; the first Newton step
+            # lands outside the unit circle, where the error must not be evaluated
             ev = real(k, m)
             return ev._replace(e=ErrorVector(ev.e.e + 10.0))
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(PolishDiverged, match="unit disk"):
-            find_zero_beta(k1, step)
+            find_zero_beta(k1)
 
     def test_uncertified_root_rejected(self, monkeypatch, warped):
         # the polish closes an error shifted by 0.01, but the certificate
         # reads E from the evaluation's own curve, so at that root the true
         # error is ~0.01 and h = b K eta exceeds 1/2
-        k1, step, _ = warped
+        k1, _ = warped
         real = solver.error_at_beta
 
         def shifted(k, m):
@@ -273,19 +272,19 @@ class TestCertifiedPolish:
 
         monkeypatch.setattr(solver, "error_at_beta", shifted)
         with pytest.raises(NoWindingAtRadius, match="does not certify"):
-            find_zero_beta(k1, step)
+            find_zero_beta(k1)
 
     def test_root_outside_radius_rejected(self, warped, monkeypatch):
-        k1, step, ref = warped
+        k1, ref = warped
         monkeypatch.setattr(solver, "ROOT_RADIUS", 0.5 * abs(ref))
         with pytest.raises(NoWindingAtRadius, match="outside radius"):
-            find_zero_beta(k1, step)
+            find_zero_beta(k1)
 
     def test_certificate_winds_once_around_root_only(self, warped):
         # at the polished root the certificate proves a simple zero, around
         # which E winds sign(det J) = +-1 times; read at a point ten ball
         # radii away, from that evaluation, it refuses
-        k1, step, ref = warped
+        k1, ref = warped
         off = ref + 10 * solver.CERTIFICATE_RADIUS
         assert _certify(k1.samples, off, error_at_beta(k1, off)) is None
         ev = error_at_beta(k1, ref)
@@ -298,7 +297,7 @@ class TestCertifiedPolish:
         # read at a point offset from the root, the certificate either
         # refuses, or certifies a ball that reaches the root; it refuses
         # where h > 1/2 or the ball would leave the one on which K holds
-        k1, step, ref = warped
+        k1, ref = warped
         beta = ref + offset * (0.6 + 0.8j)
         ev = error_at_beta(k1, beta)
         cert = _certify(k1.samples, beta, ev)
@@ -328,10 +327,10 @@ ROOT_CASES = {
 
 
 def root_case(name):
-    """(k1, step, beta*) of one ROOT_CASES profile warped onto its step."""
+    """(k1, beta*) of one ROOT_CASES profile warped onto its step."""
     make, eps = ROOT_CASES[name]
-    k1, step = warp_onto_step(make(), eps)
-    return k1, step, find_zero_beta(k1, step).beta
+    k1 = warp_onto_step(make(), eps)
+    return k1, find_zero_beta(k1).beta
 
 
 @pytest.mark.parametrize("case", list(ROOT_CASES))
@@ -341,9 +340,9 @@ def test_certified_ball_agrees_with_dense_loop(case):
     # around a square inside that ball winds sign(det J) times, and one
     # around a square beside the certified ball does not wind
     make, eps = ROOT_CASES[case]
-    k1, step = warp_onto_step(make(), eps)
+    k1 = warp_onto_step(make(), eps)
     stats = {}
-    beta = find_zero_beta(k1, step, stats=stats).beta
+    beta = find_zero_beta(k1, stats=stats).beta
     cert = stats["certificate"]
     assert cert.h <= 0.5 and cert.radius < 1e-9
 
@@ -359,26 +358,28 @@ def test_certified_ball_agrees_with_dense_loop(case):
 @pytest.mark.parametrize("case", list(ROOT_CASES))
 def test_tangent_pass_matches_central_differences(case):
     # the forward-mode Jacobian against a fourth-order central difference
-    # of step 1e-4, whose own error is ~1e-9 relative here
-    k1, step, beta = root_case(case)
-    ev = error_at_beta(k1, beta)
-    tp = solver._tangent_pass(k1.samples, beta, ev)
-    assert tp.e == ev.e.e
-    h = 1e-4
-    cols = []
-    for v in (1.0, 1j):
-        f = [error_at_beta(k1, beta + j * h * v)[0].e for j in (-2, -1, 1, 2)]
-        d = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
-        cols.append([d.real, d.imag])
-    fd = np.array(cols).T
-    assert np.max(np.abs(tp.jac - fd)) < 1e-7 * np.max(np.abs(fd))
+    # of step 1e-4, whose own error is ~1e-9 relative here; at the root,
+    # which the certificate reads, and at beta = 0, where the polish starts
+    k1, root = root_case(case)
+    for beta in (root, 0j):
+        ev = error_at_beta(k1, beta)
+        tp = solver._tangent_pass(k1.samples, beta, ev)
+        assert tp.e == ev.e.e
+        h = 1e-4
+        cols = []
+        for v in (1.0, 1j):
+            f = [error_at_beta(k1, beta + j * h * v)[0].e for j in (-2, -1, 1, 2)]
+            d = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
+            cols.append([d.real, d.imag])
+        fd = np.array(cols).T
+        assert np.max(np.abs(tp.jac - fd)) < 1e-7 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("case", list(ROOT_CASES))
 def test_lipschitz_bound_covers_measured_variation(case):
     # J read by the tangent pass at eight points on the rim of the ball
     # where the bound holds moves from J(beta*) by at most K times the radius
-    k1, step, beta = root_case(case)
+    k1, beta = root_case(case)
     ev = error_at_beta(k1, beta)
     jac = solver._tangent_pass(k1.samples, beta, ev).jac
     bound = _certify(k1.samples, beta, ev).k
@@ -423,7 +424,7 @@ def test_roundoff_bounds_cover_extended_precision(case):
     # the certificate's rounding bounds on E and J hold against the same
     # pass in 64-bit-mantissa arithmetic, whose own error is ~2000 times
     # smaller
-    k1, step, beta = root_case(case)
+    k1, beta = root_case(case)
     ev = error_at_beta(k1, beta)
     tp = solver._tangent_pass(k1.samples, beta, ev)
     eps_e, eps_j, _ = solver._roundoff(k1.samples, beta, ev.ds, ev.scale.c, tp)
@@ -471,12 +472,17 @@ class TestSynthesize:
         self._check_round_trip(k, res)
 
     def test_evaluation_budget(self):
-        # E(0) and 3 secant steps from the step's Jacobian; the certificate
-        # reads the last of them
+        # E(0) and 2 Newton steps; the certificate reads the last of them
         k = profile_from_function(lambda t: 1.5 + np.cos(2 * t), n=4096)
         res = synthesize(k)
-        assert res.diagnostics.error_evaluations <= 4
+        assert res.diagnostics.error_evaluations <= 3
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
+
+    def test_evaluation_budget_over_seven_rounds(self):
+        # LARGE_SCALE's own pass fails every round it tries, and the flipped
+        # pass closes it in round 7; 23 evaluations over all of them
+        diag = synthesize(trig_profile(*LARGE_SCALE)).diagnostics
+        assert diag.rounds == 7 and diag.error_evaluations <= 24
 
     @pytest.mark.parametrize("kwargs", [
         {"eps0": 0.0}, {"eps0": -0.0}, {"eps0": -0.1}, {"eps0": 7.0},
@@ -570,11 +576,11 @@ LARGE_SCALE = (-0.7284428043915223,
 
 
 def warp_onto_step(k, eps, offset=0.5):
-    """(k warped onto its step at eps, the step), the breakpoints ``offset`` grid steps off the grid."""
+    """k warped onto its step at eps, the breakpoints ``offset`` grid steps off the grid."""
     ab = find_abab_points(k)
     shift = offset * TWO_PI / k.n
     step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + shift for q in range(4)))
-    return compose(k, build_h1(k, ab, step, eps)), step
+    return compose(k, build_h1(k, ab, step, eps))
 
 
 @settings(max_examples=10, deadline=None)
@@ -619,8 +625,8 @@ def test_polished_root_closes_the_scaled_curve(eps):
     # synthesize returns the curve scaled by c and requires |E|*|c| below
     # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
     # not enough, so the polish must go on until the scaled bound holds
-    k1, step = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
-    err, _, sc, _, _ = error_at_beta(k1, find_zero_beta(k1, step))
+    k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
+    err, _, sc, _, _ = error_at_beta(k1, find_zero_beta(k1))
     assert abs(sc.c) > 100.0
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
 
@@ -641,7 +647,7 @@ def test_schedule_stops_at_four_sample_measure(monkeypatch):
     monkeypatch.setattr(solver, "build_h1", spy)
     res = synthesize(k)
     assert res.sign_flipped
-    assert res.beta_star.beta == -0.001509819746479292 + 0.0016582204468211328j
+    assert res.beta_star.beta == -0.0015098197386953253 + 0.0016582205185108117j
     assert res.diagnostics.rounds == 7
     assert min(tried) > 8.0 * math.pi / k.n
 
@@ -654,13 +660,12 @@ def test_error_is_continuous_at_certificate_scale(eps, offset):
     # same winding on every square around the root, and small phase steps
     # between close neighbours; for step breakpoints on the grid and half a
     # grid step off it (as synthesize places them)
-    k1, step = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
+    k1 = warp_onto_step(trig_profile(*CERTIFICATE_CASE), eps, offset)
 
     def err(b):
         return error_at_beta(k1, b)[0].e
 
-    root = solver._polish(err, 0j, lambda: solver.RESIDUAL_TOL,
-                          solver.step_jacobian(step, k1.n))
+    root = find_zero_beta(k1).beta
     winds = {dense_square_winding(err, root, half)
              for half in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)}
     assert winds == {-1}
@@ -704,6 +709,41 @@ def test_one_integration_per_evaluation(monkeypatch):
     diag = synthesize(profile_from_function(lambda t: 1.5 + np.cos(2 * t))).diagnostics
     assert diag.rounds == 1
     assert calls[0] == diag.error_evaluations + 2
+
+
+def test_one_tangent_pass_per_evaluation(monkeypatch):
+    # the polish reads J at each iterate that takes a Newton step, not at its
+    # damped trial points, and the certificate reads it at the root, which
+    # takes none: at most one forward-mode pass per evaluation in every round
+    calls = [0]
+    real = solver._tangent_pass
+
+    def counted(k, beta, ev):
+        calls[0] += 1
+        return real(k, beta, ev)
+
+    monkeypatch.setattr(solver, "_tangent_pass", counted)
+    for k in (profile_from_function(lambda t: 1.5 + np.cos(2 * t)), trig_profile(*LARGE_SCALE)):
+        calls[0] = 0
+        diag = synthesize(k).diagnostics
+        assert 0 < calls[0] <= diag.error_evaluations
+
+
+def test_synthesis_unchanged_under_optimized_python():
+    # python -O strips asserts; the certificate reads the evaluation that the
+    # polish returns with its root, so no assert holds that contract and the
+    # diagnostics are the same
+    script = ("import numpy as np, fourvertex as fv\n"
+              "k = fv.profile_from_function(lambda t: 1.5 + np.cos(2 * t))\n"
+              "print(__debug__)\n"
+              "print(repr(fv.synthesize(k).diagnostics))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).resolve().parents[1]),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    diag = synthesize(profile_from_function(lambda t: 1.5 + np.cos(2 * t))).diagnostics
+    assert proc.stdout.splitlines() == ["False", repr(diag)]
 
 
 def test_estimated_curvature_tracks_profile_away_from_slivers():
