@@ -147,8 +147,10 @@ def min_enclosing_circle(points) -> EnclosingCircle:
 
     Farthest-point support iteration (Elzinga and Hearn, 1972): keep at most
     three support points, take their smallest circle, and add the input
-    point farthest from its center while that point lies outside.  The
-    radius grows strictly, so the loop ends; it is capped all the same.
+    point farthest from its center while that point lies outside.  It
+    starts from the circle on a near-diameter: the point farthest from the
+    points' mean and the point farthest from that one.  The radius grows
+    strictly, so the loop ends; it is capped all the same.
     The points are scaled by a power of two, which is exact, so that the
     circumcenter's cubic terms neither overflow nor underflow.  The result
     is verified to contain every input point, from the distances the loop
@@ -162,7 +164,9 @@ def min_enclosing_circle(points) -> EnclosingCircle:
     extent = max(float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
     scale = math.ldexp(1.0, math.frexp(extent)[1])
     pts = pts / scale
-    support, center, radius = [complex(pts[0])], complex(pts[0]), 0.0
+    a = complex(pts[int(np.argmax(np.abs(pts - pts.mean())))])
+    b = complex(pts[int(np.argmax(np.abs(pts - a)))])
+    support, center, radius = _support_circle([a, b])
     for _ in range(_MEC_MAX_ITER):
         dist = np.abs(pts - center)
         far = int(np.argmax(dist))
@@ -254,12 +258,9 @@ def detect_vertices(c: PlanarCurve) -> VertexReport:
     plateaus = plateau_extrema(values)
     if not plateaus:
         raise ConstantCurvature("curvature has no extrema")
-    params = _params(c, values.size)
-    vertices = []
-    for p in plateaus:
-        t0 = params[p.start]
-        t1 = params[(p.start + p.length - 1) % values.size]
-        vertices.append(((float(t0), float(t1)), p.kind, float(p.value)))
+    ends = _params(c, values.size)[[(p.start, (p.start + p.length - 1) % values.size)
+                                    for p in plateaus]].tolist()
+    vertices = [(tuple(t), p.kind, p.value) for t, p in zip(ends, plateaus)]
     kinds = [v[1] for v in vertices]
     if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
         raise RuntimeError("vertex kinds failed to alternate")

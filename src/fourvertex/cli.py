@@ -31,6 +31,7 @@ EXIT_FAILED = 3
 
 MAX_GRID = 1 << 18           # a synthesis at this grid stays under 512 MiB
 MAX_PANEL_SAMPLES = 1 << 21  # compass panels keep --grid + 1 samples each, this many in all
+DRAWN_PANEL_SAMPLES = 4097   # a compass panel draws about this many, all at the default grid
 
 # the chords of 512-sample corpus curves deviate from their arcs by < 3e-4 in
 # angle and relative length, those of synthesized curves by < 1e-10
@@ -326,7 +327,8 @@ def _demo_compass(args, out_dir: Path) -> int:
     for j, (beta, curve, err) in enumerate(panels):
         phi = TWO_PI * j / len(panels)
         anchor = spread * complex(math.cos(phi), math.sin(phi))
-        d.path(curve.pos + anchor)
+        stride = -(-curve.pos.size // DRAWN_PANEL_SAMPLES)
+        d.path(np.append(curve.pos[:-1:stride], curve.pos[-1]) + anchor)
         tip = anchor + err.e
         d.arrow(anchor.real, anchor.imag, tip.real, tip.imag)
     winding = solver.winding_number([e.e for _, _, e in panels])

@@ -271,8 +271,10 @@ def plateau_extrema(values) -> list[Plateau]:
     # step above 2*PLATEAU_TOL (plus slack for the rounding of the means)
     # always starts a new group; the running-mean rule runs only inside runs
     # of smaller steps.
-    big = 2.0 * PLATEAU_TOL + 16.0 * np.finfo(float).eps * np.max(np.abs(v))
-    head = np.concatenate(([True], np.abs(np.diff(v)) > big))  # first sample of a group
+    big = 2.0 * PLATEAU_TOL + 16.0 * 2.0 ** -52 * np.max(np.abs(v))
+    head = np.empty(n, dtype=bool)  # first sample of a group
+    head[0] = True
+    np.greater(np.abs(np.diff(v)), big, out=head[1:])
     start = np.flatnonzero(head)
     count = np.diff(start, append=n)
     total = v  # each group's sum, kept at its first sample
@@ -302,8 +304,9 @@ def plateau_extrema(values) -> list[Plateau]:
     nxt = np.concatenate((mean[1:], mean[:1]))
     is_max = (mean > prev) & (mean > nxt)
     is_min = (mean < prev) & (mean < nxt)
-    return [Plateau(int(start[g]), int(count[g]), "max" if is_max[g] else "min", mean[g])
-            for g in np.flatnonzero(is_max | is_min)]
+    g = np.flatnonzero(is_max | is_min)
+    return [Plateau(a, length, "max" if up else "min", value) for a, length, up, value
+            in zip(start[g].tolist(), count[g].tolist(), is_max[g].tolist(), mean[g].tolist())]
 
 
 def _cyclic_between(start: int, end: int, query: int, n: int) -> bool:

@@ -279,7 +279,7 @@ def _segments_cross(p, q, r, w):
 def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     """Check that no two non-adjacent polyline segments intersect.
 
-    A closed curve that :func:`_strictly_convex` certifies is simple
+    A closed curve that :func:`_star_shaped` certifies is simple
     without a sweep; every other curve takes the sweep below, and the
     result is the same either way.
 
@@ -298,39 +298,49 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     witness), the witness a pair of segment indices or None.
     """
     _, pos, _, closed = _ring(c)
-    if closed and _strictly_convex(pos):
+    if closed and _star_shaped(pos):
         return True, None
     return _sweep(pos, closed)
 
 
-def _strictly_convex(pos: np.ndarray) -> bool:
-    """Whether the closed polygon through ``pos`` is strictly convex, by a rounding-proof test.
+def _star_shaped(pos: np.ndarray) -> bool:
+    """Whether the closed polygon through ``pos`` is star-shaped about its vertex mean.
 
-    Every cross product of consecutive chords must have one sign, by more
-    than 8 u times the moduli of its two products (u = 2^-53; the computed
-    chords and products err by at most 5 u of those) plus a few subnormal
-    units, so that each turn lies in (0, pi), or each in (-pi, 0).  The
-    chord direction must then turn once in total: it passes +x exactly
-    once, counted as the steps from a chord with negative y-component to
-    one without, mirrored across the x-axis when the turns are clockwise;
-    the sign of a computed chord component is exact.  A polygon turning
-    locally convexly with rotation index +-1 is convex (the classical
-    result for locally convex closed curves), so simple.  Zero chords and
-    three collinear vertices fail the margin.  O(n).
+    The test is proof against rounding.  With z the computed vertex mean, a
+    float point taken as exact, every cross product of consecutive rays
+    v - z must have one sign, by more than 8 u times the moduli of its two
+    products (u = 2^-53) plus a few subnormal units, so that each ray turns
+    by an angle in (0, pi), or each in (-pi, 0).  The margin covers the
+    rounding: a computed ray component fl(v - z) errs by at most u of
+    itself, as a computed chord does, so the computed products and their
+    difference err by at most 5 u of the products' moduli.  The ray must
+    then turn once in total: it passes +x exactly once, counted as the steps
+    from a ray with negative y-component to one without, mirrored across
+    the x-axis when the turns are clockwise; the sign of a computed ray
+    component is exact.  The edges' angular sectors about z then tile the
+    plane once, each narrower than a half turn, and z lies on no edge, so
+    two edges meet only where adjacent ones share a vertex: the polygon is
+    star-shaped about z (Lee and Preparata, J. ACM 26, 1979), so simple.
+    Every strictly convex polygon is star-shaped about its vertex mean.
+    Zero chords fail the margin.  O(n).
     """
-    d = np.roll(pos, -1) - pos
-    e = np.roll(d, -1)
-    p1, p2 = d.real * e.imag, d.imag * e.real
+    d = np.empty(pos.size + 1, dtype=complex)
+    np.subtract(pos, pos.mean(), out=d[:-1])
+    d[-1] = d[0]
+    x, y = d.real, d.imag
+    p1, p2 = x[:-1] * y[1:], y[:-1] * x[1:]
     cross = p1 - p2
-    slack = (8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2))
-             + 8.0 * np.finfo(float).smallest_subnormal)
-    if np.all(cross > slack):
-        lower = d.imag < 0.0
-    elif np.all(cross < -slack):
-        lower = d.imag > 0.0
+    if cross.min() > 0.0:
+        lower = y < 0.0
+    elif cross.max() < 0.0:
+        lower = y > 0.0
     else:
         return False
-    return int(np.count_nonzero(lower & ~np.roll(lower, -1))) == 1
+    slack = (8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2))
+             + 8.0 * np.finfo(float).smallest_subnormal)
+    if not np.all(np.abs(cross) > slack):
+        return False
+    return int(np.count_nonzero(lower[:-1] & ~lower[1:])) == 1
 
 
 def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]:

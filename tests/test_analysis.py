@@ -118,9 +118,9 @@ class TestMinEnclosingCircle:
             min_enclosing_circle([0j, 1 + 1j, bad, 2j])
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # two points take one support update and a check; an acute triangle
-        # needs a second update after its diameter
-        monkeypatch.setattr(analysis, "_MEC_MAX_ITER", 2)
+        # two points take only the check of the starting pair's circle; an
+        # acute triangle needs one update after the pair's diameter
+        monkeypatch.setattr(analysis, "_MEC_MAX_ITER", 1)
         assert min_enclosing_circle([0j, 2 + 0j]).radius == 1.0
         with pytest.raises(EnclosingCircleFailed):
             min_enclosing_circle([0j, 2 + 0j, 1 + 1.5j])
@@ -178,11 +178,16 @@ def test_enclosing_circle_matches_brute_force(pts):
     assert np.all(np.abs(np.asarray(pts) - c.center) <= c.radius * (1 + 1e-12))
 
 
-def brute_force_support(points):
+def brute_force_support(points, through_last=False):
     """The first circle of strictly smallest radius over every pair's midpoint
-    and every triple's circumcenter, in the order of ``combinations``."""
+    and every triple's circumcenter, in the order of ``combinations``; with
+    ``through_last``, over the pairs and triples that end in the last point."""
     best = None
-    for sub in chain(combinations(points, 2), combinations(points, 3)):
+    ids = range(len(points))
+    for sub in chain(combinations(ids, 2), combinations(ids, 3)):
+        if through_last and sub[-1] != ids[-1]:
+            continue
+        sub = [points[i] for i in sub]
         center = 0.5 * (sub[0] + sub[1]) if len(sub) == 2 else analysis._circumcenter(*sub)
         if center is None:
             continue
@@ -203,7 +208,11 @@ def test_support_circle_matches_brute_force(points):
     *rest, new = points
     _, center, radius = brute_force_support(rest) if len(rest) > 1 else (rest, rest[0], 0.0)
     assume(abs(new - center) > radius * analysis._IN_CIRCLE_EPS)
-    assert repr(analysis._support_circle(points)) == repr(brute_force_support(points))
+    got = analysis._support_circle(points)
+    assert repr(got) == repr(brute_force_support(points, through_last=True))
+    # Welzl's lemma: no pair or triple of all the points gives a smaller
+    # circle; a repeated point can tie it with one that omits the new point
+    assert got[2] <= brute_force_support(points)[2] * (1 + 1e-12)
 
 
 def reference_contact_components(near, params):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import fourvertex as fv
+from fourvertex.integrator import _ring, _star_shaped, _sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -50,16 +51,33 @@ def test_traced_names_are_where_the_bench_looks():
     assert {"analysis.osserman_check", "solver.synthesize"} <= names
 
 
-def test_bench_synth_roots_are_certified(monkeypatch):
-    # the zero search certifies every root it returns (Newton-Kantorovich,
-    # h = b K eta <= 1/2); on the bench's own seed-1 synth profiles each
-    # synthesis therefore carries a certificate, and the largest h is printed
+def bench_worker(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # worker.py imports tracing from bench/
     spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
+    return worker
+
+
+def test_bench_synth_roots_are_certified(monkeypatch):
+    # the zero search certifies every root it returns (Newton-Kantorovich,
+    # h = b K eta <= 1/2); on the bench's own seed-1 synth profiles each
+    # synthesis therefore carries a certificate, and the largest h is printed
+    worker = bench_worker(monkeypatch)
     profiles = worker.synth_profiles(fv, np.random.default_rng(1), 128)
     diags = [fv.solver.synthesize(k).diagnostics for k in profiles]
     assert all(0.0 < d.certificate_h <= 0.5 and d.certified_radius > 0.0 for d in diags)
     print(f"largest certificate h over {len(diags)} bench profiles: "
           f"{max(d.certificate_h for d in diags):.3g}")
+
+
+def test_star_certificate_decides_the_bench_curves(monkeypatch):
+    # is_simple decides these without the pair sweep, and the sweep agrees
+    worker = bench_worker(monkeypatch)
+    rng = np.random.default_rng(1)
+    curves = worker.analysis_curves(worker.CORPUS_N)(fv, rng, 256)
+    curves += [fv.solver.synthesize(k).curve for k in worker.synth_profiles(fv, rng, 32)]
+    for c in curves:
+        _, pos, _, closed = _ring(c)
+        assert closed and _star_shaped(pos)
+        assert _sweep(pos, closed) == (True, None)

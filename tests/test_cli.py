@@ -362,6 +362,14 @@ def test_demos_emit_wellformed_svg(tmp_path, which):
     assert "viewBox" in root.attrib
 
 
+def test_demo_compass_file_size_bounded_on_large_grids(tmp_path):
+    # each panel draws about DRAWN_PANEL_SAMPLES of its samples; every
+    # sample of all 8 panels at this grid would take ~9 MB
+    out = tmp_path / "demo"
+    assert cli.main(["demo", "compass", "--grid", "65536", "--out-dir", str(out)]) == 0
+    assert (out / "compass.svg").stat().st_size < 1_000_000
+
+
 @pytest.mark.parametrize("command", ["synth", "analyze", "demo"])
 def test_out_dir_naming_a_file_exits_io(tmp_path, capsys, command):
     afile = tmp_path / "afile"

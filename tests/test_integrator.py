@@ -449,25 +449,38 @@ def sweep_result(c):
     return integrator._sweep(pos, closed)
 
 
+def chord_polygon(vertices) -> PlanarCurve:
+    """The closed polygon through ``vertices``, its arc length the chord lengths."""
+    z = np.asarray(vertices, dtype=complex)
+    chords = np.abs(np.diff(np.append(z, z[0])))
+    return closed_polygon(z, s=np.concatenate(([0.0], np.cumsum(chords))))
+
+
+def star_certified(c) -> bool:
+    return integrator._star_shaped(_ring(c)[1])
+
+
 class TestConvexCertificate:
     @pytest.mark.parametrize("vertices", [
         [0, 1, 1, 1 + 1j, 1j],               # a zero-length chord
-        [0, 0.5, 1, 1 + 1j, 1j],             # three collinear vertices
         np.exp(2j * np.pi * np.arange(10) / 5) * 0.3,  # a pentagon wound twice
-    ], ids=["zero-chord", "collinear", "doubly-wound"])
+    ], ids=["zero-chord", "doubly-wound"])
     def test_degenerate_polygons_take_the_sweep(self, vertices):
         c = closed_polygon(vertices)
-        assert not integrator._strictly_convex(_ring(c)[1])
+        assert not star_certified(c)
         assert is_simple(c) == sweep_result(c)
         if len(vertices) == 10:
             assert not is_simple(c)[0]
 
     @pytest.mark.parametrize("orientation", [1, -1])
     def test_convex_curves_are_certified(self, orientation):
-        for c in (unit_circle(), closed_polygon(np.exp(2j * np.pi * np.arange(7) / 7))):
+        # the square with three collinear vertices is convex, not strictly,
+        # and star-shaped about its vertex mean
+        for c in (unit_circle(), closed_polygon(np.exp(2j * np.pi * np.arange(7) / 7)),
+                  closed_polygon([0, 0.5, 1, 1 + 1j, 1j])):
             if orientation < 0:
                 c = replace(c, pos=np.conj(c.pos))
-            assert integrator._strictly_convex(_ring(c)[1])
+            assert star_certified(c)
             assert is_simple(c) == sweep_result(c) == (True, None)
 
     @settings(max_examples=200, deadline=None)
@@ -487,3 +500,28 @@ class TestConvexCertificate:
         assume(np.all(chords > 0.0))
         c = closed_polygon(z, s=np.concatenate(([0.0], np.cumsum(chords))))
         assert is_simple(c) == sweep_result(c)
+
+
+class TestStarCertificate:
+    def test_alternating_star_is_certified_in_linear_time(self):
+        # radii alternating 1 and 0.05: every chord is long, so the pair sweep
+        # pairs each with thousands of others; the certificate decides in O(n)
+        n = 1 << 16
+        radii = np.where(np.arange(n) % 2 == 0, 1.0, 0.05)
+        c = closed_polygon(radii * np.exp(2j * np.pi * np.arange(n) / n))
+        start = time.perf_counter()
+        assert is_simple(c) == (True, None)
+        assert time.perf_counter() - start < 0.5
+        assert star_certified(c)
+
+    @pytest.mark.parametrize("vertices", [
+        np.concatenate((np.exp(1j * np.linspace(0.3, 2 * np.pi - 0.3, 64)),
+                        0.9 * np.exp(1j * np.linspace(2 * np.pi - 0.3, 0.3, 64)))),
+        # five teeth of height 0.8 on a spine of height 0.2
+        [0, 9] + [complex(x, y) for i in range(4, -1, -1)
+                  for x, y in ((2 * i + 1, 1), (2 * i, 1), (2 * i, 0.2), (2 * i - 1, 0.2))][:-2],
+    ], ids=["thin-C", "comb"])
+    def test_simple_polygons_not_star_about_the_mean_take_the_sweep(self, vertices):
+        c = chord_polygon(vertices)
+        assert not star_certified(c)
+        assert is_simple(c) == sweep_result(c) == (True, None)
