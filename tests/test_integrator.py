@@ -461,13 +461,16 @@ def star_certified(c) -> bool:
 
 
 class TestConvexCertificate:
-    @pytest.mark.parametrize("vertices", [
-        [0, 1, 1, 1 + 1j, 1j],               # a zero-length chord
-        np.exp(2j * np.pi * np.arange(10) / 5) * 0.3,  # a pentagon wound twice
-    ], ids=["zero-chord", "doubly-wound"])
-    def test_degenerate_polygons_take_the_sweep(self, vertices):
+    @pytest.mark.parametrize("vertices, certified", [
+        ([0, 1, 1, 1 + 1j, 1j], False),      # a zero-length chord
+        ([0, 0.5, 1, 1 + 1j, 1j], True),     # three collinear vertices
+        (np.exp(2j * np.pi * np.arange(10) / 5) * 0.3, False),  # a pentagon wound twice
+    ], ids=["zero-chord", "collinear", "doubly-wound"])
+    def test_degenerate_polygons_take_the_sweep(self, vertices, certified):
+        # the collinear square is simple and star-shaped, so the certificate
+        # decides it; its answer must still be the sweep's
         c = closed_polygon(vertices)
-        assert not star_certified(c)
+        assert star_certified(c) == certified
         assert is_simple(c) == sweep_result(c)
         if len(vertices) == 10:
             assert not is_simple(c)[0]
