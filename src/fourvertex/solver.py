@@ -155,10 +155,11 @@ def _polish(k1: CurvatureProfile, counter: dict) -> tuple[complex, Integration]:
     evaluation (:func:`_tangent_pass`), taken only at an iterate that steps
     on, not at the damped trial points.  A step is halved, at most four
     times, until |E| decreases; the shortest is taken anyway.
-    The iteration stops once |E| < RESIDUAL_TOL * min(1, 2*pi / |c|), c the
-    iterate's normalizing scale, so that the scaled curve closes too, and
-    returns that iterate with its evaluation.  An iterate on or outside the
-    unit circle, where no Möbius parameter exists, ends the iteration as a
+    The iteration stops once |E| < RESIDUAL_TOL and
+    |E| * |c| < 2*pi*RESIDUAL_TOL, c the iterate's normalizing scale, so
+    that the curve synthesize returns, scaled by c, closes too; it returns
+    that iterate with its evaluation.  An iterate on or outside the unit
+    circle, where no Möbius parameter exists, ends the iteration as a
     divergence without being evaluated.  ``counter["evaluations"]`` counts
     the evaluations.
     """
@@ -175,7 +176,7 @@ def _polish(k1: CurvatureProfile, counter: dict) -> tuple[complex, Integration]:
         r = ev.e.magnitude
         if r < best_r:
             best_x, best_r = x, r
-        if r < RESIDUAL_TOL * min(1.0, TWO_PI / abs(ev.scale.c)):
+        if r < RESIDUAL_TOL and r * abs(ev.scale.c) < RESIDUAL_TOL * TWO_PI:
             return x, ev
         if steps == POLISH_MAX_ITER:
             break
@@ -388,7 +389,9 @@ def find_zero_beta(k1: CurvatureProfile, stats: dict | None = None) -> MoebiusPa
     The root is polished from beta = 0 by Newton's method on the exact
     Jacobian (:func:`_polish`) until |E| < RESIDUAL_TOL and the curve
     scaled by the normalizing factor c closes too,
-    |E| * |c| < 2*pi*RESIDUAL_TOL.  It is accepted when the ball of radius
+    |E| * |c| < 2*pi*RESIDUAL_TOL; a re-evaluation at the returned root
+    reproduces these products bit for bit, so the curve needs no further
+    closure check.  It is accepted when the ball of radius
     CERTIFICATE_RADIUS around it lies inside the disk and the
     Newton-Kantorovich test proves a zero of the error within that ball
     (:func:`_certify`), read from the evaluation at the root that the
@@ -420,7 +423,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     function, the winding argument closes the curve at some Möbius
     parameter, and the curve is scaled and tagged with the original
     parameter.  A round ends at its first failed check (the warp, the zero
-    search, closure, simplicity, the reference distance, the curvature
+    search, simplicity, the reference distance, the curvature
     mismatch) and logs its reason; the schedule then halves eps, the only
     retry.  When the profile admits no positive value window, or every
     round of its schedule fails, the reflected negation -k(2*pi - t) runs a
@@ -499,9 +502,6 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
                 # that its boundary lift does not resolve
                 return f"zero search: {type(ex).__name__}: {ex}"
             err, _, sc, curve, _ = error_at_beta(k1, beta_star)
-            closure = err.magnitude * abs(sc.c)  # the curve is returned scaled by sc
-            if closure >= RESIDUAL_TOL * TWO_PI:
-                return f"closure residual {closure:.2e}"
             simple, witness = is_simple(curve)
             if not simple:
                 return f"self-intersection at {witness}"

@@ -193,7 +193,7 @@ def test_criterion_9_ellipse_fixture():
     ell = ellipse_curve(4096)
     circle = fv.min_enclosing_circle(ell.pos)
     assert abs(circle.radius - 2.0) < 1e-6
-    comps = fv.contact_components(ell, circle, band=1e-7 * circle.radius)
+    comps = fv.contact_components(ell, circle)
     assert [c.kind for c in comps] == ["point", "point"]
     t0, t1 = comps[0].interval[0], comps[1].interval[0]
     assert abs(abs(t1 - t0) - math.pi) < 1e-6

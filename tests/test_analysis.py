@@ -22,10 +22,12 @@ from fourvertex.analysis import (
     random_convex_curve,
     random_star_curve,
 )
-from fourvertex.curvature import StepSpec, normalize_total, profile_from_function, profile_from_step
-from fourvertex.integrator import PlanarCurve, integrate_curve
+from fourvertex.curvature import (
+    ScaleFactor, StepSpec, normalize_total, profile_from_function, profile_from_step)
+from fourvertex.integrator import PlanarCurve, integrate_curve, scale_curve
+from fourvertex.solver import synthesize
 
-from conftest import ellipse_kappa
+from conftest import ellipse_curve, ellipse_kappa
 
 
 def unit_circle_curve(n=2048):
@@ -276,7 +278,7 @@ class TestContactComponents:
 
     def test_ellipse_two_antipodal_points(self, ellipse):
         mec = min_enclosing_circle(ellipse.pos)
-        comps = contact_components(ellipse, mec, band=1e-7 * mec.radius)
+        comps = contact_components(ellipse, mec)
         assert [c.kind for c in comps] == ["point", "point"]
         t0 = comps[0].interval[0]
         t1 = comps[1].interval[0]
@@ -287,7 +289,7 @@ class TestContactComponents:
         # enclosing circle meets them in two antipodal single points
         c = bicircle_curve()
         mec = min_enclosing_circle(c.pos)
-        comps = contact_components(c, mec, band=1e-7 * mec.radius)
+        comps = contact_components(c, mec)
         assert len(comps) == 2
         assert all(comp.kind == "point" for comp in comps)
 
@@ -296,7 +298,7 @@ class TestContactComponents:
         mec = min_enclosing_circle(c.pos)
         inflated = EnclosingCircle(mec.center, mec.radius * (1 + 1e-3))
         with pytest.raises(NoContact):
-            contact_components(c, inflated, band=1e-9 * mec.radius)
+            contact_components(c, inflated)
 
     def test_contact_gap_never_exceeds_half_turn(self, ellipse):
         mec = min_enclosing_circle(ellipse.pos)
@@ -342,7 +344,7 @@ class TestDetectVertices:
 
 class TestOsserman:
     def test_ellipse_bound_with_equality(self, ellipse):
-        rep = osserman_check(ellipse, band=1e-7)
+        rep = osserman_check(ellipse)
         assert rep.n == 2
         assert rep.vertex_count == 4
         assert rep.bound_2n_satisfied
@@ -401,6 +403,45 @@ class TestSingleArcContact:
         rep = detect_vertices(self.dented_circle())
         plateau = [v for v in rep.vertices if abs(v[2] - 1.0) < 1e-6]
         assert len(plateau) == 1 and plateau[0][1] == "min"
+
+
+def synthesized_curve(n):
+    """The curve synthesize builds for 1.5 + cos 2t + 0.1 sin 3t on n samples."""
+    k = profile_from_function(lambda t: 1.5 + np.cos(2 * t) + 0.1 * np.sin(3 * t), n=n)
+    return synthesize(k).curve
+
+
+class TestContactBand:
+    """Contacts judged at CONTACT_BAND * R, from the smallest grid to cli.MAX_GRID."""
+
+    @pytest.mark.parametrize("n", [512, 4096, 65536, 262144])
+    @pytest.mark.parametrize("make", [ellipse_curve, bicircle_curve, synthesized_curve],
+                             ids=["ellipse", "bicircle", "synthesized"])
+    def test_two_point_contacts_at_every_grid(self, make, n):
+        # each curve bulges to its circle at two antipodal samples; the
+        # strengthened bound needs every component to be an arc, so it is not judged
+        rep = osserman_check(make(n))
+        assert [comp.kind for comp in rep.components] == ["point", "point"]
+        assert rep.bonus_vertices == 0
+        assert rep.bonus_bound_satisfied is None
+
+    @pytest.mark.parametrize("n", [512, 4096, 65536, 262144])
+    def test_circle_is_one_arc_of_all_samples(self, n):
+        c = unit_circle_curve(n)
+        comps = contact_components(c, min_enclosing_circle(c.pos))
+        assert [(comp.kind, comp.index_start, comp.index_count) for comp in comps] == [
+            ("arc", 0, n)]
+
+    @pytest.mark.parametrize("make", [random_convex_curve, random_star_curve])
+    def test_contacts_do_not_depend_on_scale(self, make):
+        c = make(np.random.default_rng(1))
+        rep = osserman_check(c)
+        for factor in (2.0**-20, 2.0**20):
+            scaled = osserman_check(scale_curve(c, ScaleFactor(factor)))
+            assert [x.kind for x in scaled.components] == [x.kind for x in rep.components]
+            assert scaled.n == rep.n
+            assert scaled.bonus_vertices == rep.bonus_vertices
+            assert scaled.bonus_bound_satisfied == rep.bonus_bound_satisfied
 
 
 class TestRandomCorpus:

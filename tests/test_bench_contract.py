@@ -8,6 +8,7 @@ code against the library as it stands.
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,3 +82,18 @@ def test_star_certificate_decides_the_bench_curves(monkeypatch):
         _, pos, _, closed = _ring(c)
         assert closed and _star_shaped(pos)
         assert _sweep(pos, closed) == (True, None)
+
+
+def test_bench_curves_meet_their_circles_in_points(monkeypatch):
+    # the bench's corpus curves and synth outputs touch their enclosing
+    # circles in single samples, so no report judges the strengthened bound,
+    # and none reports it failing
+    worker = bench_worker(monkeypatch)
+    rng = np.random.default_rng(1)
+    curves = worker.analysis_curves(worker.CORPUS_N)(fv, rng, 256)
+    curves += [fv.solver.synthesize(k).curve for k in worker.synth_profiles(fv, rng, 32)]
+    for c in curves:
+        rep = fv.analysis.osserman_check(c)
+        assert all(comp.kind == "point" for comp in rep.components)
+        assert rep.bonus_bound_satisfied is None
+        assert rep.contact_gap <= math.pi + 1e-12

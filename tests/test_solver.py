@@ -620,14 +620,21 @@ def test_own_window_realized_without_flip(case):
     assert res.diagnostics.rounds <= 3
 
 
-@pytest.mark.parametrize("eps", [0.025, 0.00625, 0.0015625])
-def test_polished_root_closes_the_scaled_curve(eps):
-    # synthesize returns the curve scaled by c and requires |E|*|c| below
-    # 2*pi*RESIDUAL_TOL; with |c| near 300 a residual |E| < RESIDUAL_TOL is
-    # not enough, so the polish must go on until the scaled bound holds
-    k1 = warp_onto_step(trig_profile(*LARGE_SCALE), eps)
+@pytest.mark.parametrize("case, eps", [(LARGE_SCALE, 0.025), (LARGE_SCALE, 0.00625),
+                                       (LARGE_SCALE, 0.0015625), (SMALL_WINDOW, 0.05),
+                                       (CERTIFICATE_CASE, 0.05)],
+                         ids=["0.025", "0.00625", "0.0015625", "small-window-0.05",
+                              "certificate-case-0.05"])
+def test_polished_root_closes_the_scaled_curve(case, eps):
+    # synthesize returns the curve scaled by c and checks no closure of its
+    # own: the re-evaluation at the root must give |E| < RESIDUAL_TOL and
+    # |E|*|c| < 2*pi*RESIDUAL_TOL.  With |c| near 300 (LARGE_SCALE) a residual
+    # |E| < RESIDUAL_TOL is not enough, so the polish must go on until the
+    # scaled bound holds
+    k1 = warp_onto_step(trig_profile(*case), eps)
     err, _, sc, _, _ = error_at_beta(k1, find_zero_beta(k1))
-    assert abs(sc.c) > 100.0
+    assert abs(sc.c) > 100.0 or case is not LARGE_SCALE
+    assert err.magnitude < solver.RESIDUAL_TOL
     assert err.magnitude * abs(sc.c) < TWO_PI * solver.RESIDUAL_TOL
 
 
