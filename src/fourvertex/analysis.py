@@ -97,14 +97,22 @@ STAR_HARMONICS, STAR_AMPLITUDE = 4, 0.15
 
 
 def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
-    # shift toward the bounding-box center for conditioning
-    o = complex(
-        0.5 * (min(a.real, b.real, c.real) + max(a.real, b.real, c.real)),
-        0.5 * (min(a.imag, b.imag, c.imag) + max(a.imag, b.imag, c.imag)),
-    )
-    ax, ay = a.real - o.real, a.imag - o.imag
-    bx, by = b.real - o.real, b.imag - o.imag
-    cx, cy = c.real - o.real, c.imag - o.imag
+    ar, ai, br, bi, cr, ci = a.real, a.imag, b.real, b.imag, c.real, c.imag
+    # shift toward the bounding-box center for conditioning; the running
+    # minimum and maximum are those of min() and max() on the three values
+    lo = br if br < ar else ar
+    lo = cr if cr < lo else lo
+    hi = br if br > ar else ar
+    hi = cr if cr > hi else hi
+    ox = 0.5 * (lo + hi)
+    lo = bi if bi < ai else ai
+    lo = ci if ci < lo else lo
+    hi = bi if bi > ai else ai
+    hi = ci if ci > hi else hi
+    oy = 0.5 * (lo + hi)
+    ax, ay = ar - ox, ai - oy
+    bx, by = br - ox, bi - oy
+    cx, cy = cr - ox, ci - oy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
         return None
@@ -112,7 +120,7 @@ def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
          + (cx * cx + cy * cy) * (ay - by)) / d
     y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
          + (cx * cx + cy * cy) * (bx - ax)) / d
-    return o + complex(x, y)
+    return complex(ox + x, oy + y)
 
 
 def _support_circle(points: list[complex]) -> tuple[list[complex], complex, float]:
@@ -129,13 +137,12 @@ def _support_circle(points: list[complex]) -> tuple[list[complex], complex, floa
     center and radius.
     """
     *rest, new = points
-    subs = [(p, new) for p in rest] + [(p, q, new) for p, q in combinations(rest, 2)]
-    best = None
-    for sub in subs:
-        center = 0.5 * (sub[0] + sub[1]) if len(sub) == 2 else _circumcenter(*sub)
+    subs = [([p, new], 0.5 * (p + new)) for p in rest]
+    subs += [([p, q, new], _circumcenter(p, q, new)) for p, q in combinations(rest, 2)]
+    best, bound = None, math.inf
+    for sub, center in subs:
         if center is None:
             continue
-        bound = math.inf if best is None else best[2]
         radius = 0.0
         for p in points:
             d = abs(p - center)
@@ -144,7 +151,7 @@ def _support_circle(points: list[complex]) -> tuple[list[complex], complex, floa
             if d > radius:
                 radius = d
         else:
-            best = (list(sub), center, radius)
+            best, bound = (sub, center, radius), radius
     return best
 
 
@@ -164,20 +171,21 @@ def min_enclosing_circle(points) -> EnclosingCircle:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("need a non-empty sequence of points")
-    if not np.all(np.isfinite(pts)):
+    # the largest |coordinate|, which is NaN or inf when a coordinate is
+    extent = np.abs(np.ascontiguousarray(pts).view(float)).max().item()
+    if not math.isfinite(extent):
         raise ValueError("points must be finite")
-    extent = max(float(np.max(np.abs(pts.real))), float(np.max(np.abs(pts.imag))))
     scale = math.ldexp(1.0, math.frexp(extent)[1])
     pts = pts / scale
-    a = complex(pts[int(np.argmax(np.abs(pts - pts.mean())))])
-    b = complex(pts[int(np.argmax(np.abs(pts - a)))])
+    a = pts.item(np.abs(pts - pts.mean()).argmax())
+    b = pts.item(np.abs(pts - a).argmax())
     support, center, radius = _support_circle([a, b])
     for _ in range(_MEC_MAX_ITER):
         dist = np.abs(pts - center)
-        far = int(np.argmax(dist))
-        if dist[far] <= radius * _IN_CIRCLE_EPS:
+        far = dist.argmax()
+        if dist.item(far) <= radius * _IN_CIRCLE_EPS:
             break
-        support, center, radius = _support_circle(support + [complex(pts[far])])
+        support, center, radius = _support_circle(support + [pts.item(far)])
     else:
         raise EnclosingCircleFailed(
             f"no enclosing circle after {_MEC_MAX_ITER} support updates")
@@ -194,7 +202,7 @@ def _contact_band(c: PlanarCurve, circle: EnclosingCircle) -> tuple[np.ndarray, 
     """Ring positions and the mask of those within CONTACT_BAND * R of the circle."""
     _, pos, _, _ = _ring(c)
     near = np.abs(np.abs(pos - circle.center) - circle.radius) < CONTACT_BAND * circle.radius
-    if not np.any(near):
+    if not near.any():
         raise NoContact("no curve sample within the contact band")
     return pos, near
 
@@ -209,8 +217,9 @@ def contact_components(c: PlanarCurve, circle: EnclosingCircle) -> list[ContactC
     m = pos.size
     params = _params(c, m)
 
-    padded = np.concatenate(([False], near, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])  # run starts and ends, alternating
+    padded = np.zeros(m + 2, dtype=bool)
+    padded[1:-1] = near
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]  # run starts and ends, alternating
     starts, counts = edges[::2], edges[1::2] - edges[::2]
     if starts.size > 1 and near[0] and near[m - 1]:
         # cyclic wrap: the last run continues into the first
@@ -230,9 +239,11 @@ def contact_angular_gap(c: PlanarCurve, circle: EnclosingCircle) -> float:
     which the smallest enclosing circle rules out.
     """
     pos, near = _contact_band(c, circle)
-    ang = np.sort(np.angle(pos[near] - circle.center))
-    gaps = np.diff(np.concatenate((ang, [ang[0] + TWO_PI])))
-    return float(np.max(gaps))
+    d = pos[near] - circle.center
+    ang = np.arctan2(d.imag, d.real)  # np.angle(d)
+    ang.sort()
+    wrap = ang.item(0) + TWO_PI - ang.item(-1)
+    return (ang[1:] - ang[:-1]).max(initial=wrap).item()
 
 
 def detect_vertices(c: PlanarCurve) -> VertexReport:
@@ -247,11 +258,13 @@ def detect_vertices(c: PlanarCurve) -> VertexReport:
     plateaus = plateau_extrema(values)
     if not plateaus:
         raise ConstantCurvature("curvature has no extrema")
-    ends = _params(c, values.size)[[(p.start, (p.start + p.length - 1) % values.size)
-                                    for p in plateaus]].tolist()
-    vertices = [(tuple(t), p.kind, p.value) for t, p in zip(ends, plateaus)]
-    kinds = [v[1] for v in vertices]
-    if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
+    m = values.size
+    params = _params(c, m).tolist()
+    vertices = [((params[p.start], params[(p.start + p.length - 1) % m]), p.kind, p.value)
+                for p in plateaus]
+    # two kinds alternate cyclically when the list repeats its first two, which differ
+    kinds = [p.kind for p in plateaus]
+    if len(kinds) % 2 or kinds[0] == kinds[1] or kinds != kinds[:2] * (len(kinds) // 2):
         raise RuntimeError("vertex kinds failed to alternate")
     return VertexReport(vertices, len(vertices))
 
@@ -287,8 +300,8 @@ def osserman_check(c: PlanarCurve) -> OssermanReport:
     highs = []
     for comp in comps:
         a = comp.index_start
-        j = (a + int(np.argmax(twice[a:a + comp.index_count]))) % m
-        highs.append((float(params[j]), float(kappa[j])))
+        j = (a + int(twice[a:a + comp.index_count].argmax())) % m
+        highs.append((params.item(j), kappa.item(j)))
     lows = []
     n = len(comps)
     for i in range(n):
@@ -298,8 +311,8 @@ def osserman_check(c: PlanarCurve) -> OssermanReport:
         count = (nxt.index_start - start) % m
         if count == 0:
             continue
-        j = (start + int(np.argmin(twice[start:start + count]))) % m
-        lows.append((float(params[j]), float(kappa[j])))
+        j = (start + int(twice[start:start + count].argmin())) % m
+        lows.append((params.item(j), kappa.item(j)))
 
     bonus = 2 * sum(1 for comp in comps if comp.kind == "arc")
     all_arcs = all(comp.kind == "arc" for comp in comps)
@@ -356,11 +369,14 @@ def random_convex_curve(rng, n: int = 512) -> PlanarCurve:
     for k, ak, bk in coefs:
         ak *= damp
         bk *= damp
-        h += ak * np.cos(k * t) + bk * np.sin(k * t)
-        hp += -ak * k * np.sin(k * t) + bk * k * np.cos(k * t)
-        hpp += -(k * k) * (ak * np.cos(k * t) + bk * np.sin(k * t))
+        cos_kt, sin_kt = np.cos(k * t), np.sin(k * t)
+        term = ak * cos_kt + bk * sin_kt
+        h += term
+        hp += -ak * k * sin_kt + bk * k * cos_kt
+        hpp += -(k * k) * term
     rho = h + hpp  # curvature radius; positive by the damping above
-    gamma = h * np.exp(1j * t) + hp * 1j * np.exp(1j * t)
+    turn = np.exp(1j * t)
+    gamma = h * turn + hp * 1j * turn
     theta = t + 0.5 * math.pi
     return _closed_fixture(t, gamma, rho, theta)
 
@@ -372,13 +388,15 @@ def random_star_curve(rng, n: int = 512) -> PlanarCurve:
     rp = np.zeros_like(t)
     for k in range(1, 1 + STAR_HARMONICS):
         ak, bk = rng.normal(0.0, STAR_AMPLITUDE / (k + 1), size=2)
-        r += ak * np.cos(k * t) + bk * np.sin(k * t)
-        rp += -ak * k * np.sin(k * t) + bk * k * np.cos(k * t)
-    if np.min(r) < 0.1:
-        shift = 0.1 - float(np.min(r))
-        r = r + shift
-    gamma = r * np.exp(1j * t)
-    dgamma = (rp + 1j * r) * np.exp(1j * t)
+        cos_kt, sin_kt = np.cos(k * t), np.sin(k * t)
+        r += ak * cos_kt + bk * sin_kt
+        rp += -ak * k * sin_kt + bk * k * cos_kt
+    low = float(r.min())
+    if low < 0.1:
+        r = r + (0.1 - low)
+    turn = np.exp(1j * t)
+    gamma = r * turn
+    dgamma = (rp + 1j * r) * turn
     speed = np.abs(dgamma)
     theta = np.unwrap(np.angle(dgamma))
     theta[-1] = theta[0] + TWO_PI

@@ -271,16 +271,17 @@ def plateau_extrema(values) -> list[Plateau]:
     # step above 2*PLATEAU_TOL (plus slack for the rounding of the means)
     # always starts a new group; the running-mean rule runs only inside runs
     # of smaller steps.
-    big = 2.0 * PLATEAU_TOL + 16.0 * 2.0 ** -52 * np.max(np.abs(v))
-    head = np.empty(n, dtype=bool)  # first sample of a group
-    head[0] = True
-    np.greater(np.abs(np.diff(v)), big, out=head[1:])
-    start = np.flatnonzero(head)
-    count = np.diff(start, append=n)
+    big = 2.0 * PLATEAU_TOL + 16.0 * 2.0 ** -52 * np.abs(v).max()
+    head = np.empty(n + 1, dtype=bool)  # first sample of a group, and a sentinel at n
+    head[0] = head[n] = True
+    np.greater(np.abs(v[1:] - v[:-1]), big, out=head[1:n])
+    edges = head.nonzero()[0]
+    start, count = edges[:-1], edges[1:] - edges[:-1]
     total = v  # each group's sum, kept at its first sample
     if count.max() > 1:
         total = v.copy()
-        for a, length in zip(start[count > 1].tolist(), count[count > 1].tolist()):
+        long = count > 1
+        for a, length in zip(start[long].tolist(), count[long].tolist()):
             g, s = a, float(v[a])
             for j, x in enumerate(v[a + 1:a + length].tolist(), a + 1):
                 if abs(x - s / (j - g)) <= PLATEAU_TOL:
@@ -288,8 +289,8 @@ def plateau_extrema(values) -> list[Plateau]:
                 else:
                     total[g], head[j], g, s = s, True, j, x
             total[g] = s
-        start = np.flatnonzero(head)
-        count = np.diff(start, append=n)
+        edges = head.nonzero()[0]
+        start, count = edges[:-1], edges[1:] - edges[:-1]
     total = total[start]
     mean = total / count
     if start.size > 1 and abs(mean[0] - mean[-1]) <= PLATEAU_TOL:
@@ -300,11 +301,12 @@ def plateau_extrema(values) -> list[Plateau]:
         start, count, mean = start[:-1], count[:-1], mean[:-1]
     if start.size < 2:
         return []
-    prev = np.concatenate((mean[-1:], mean[:-1]))
-    nxt = np.concatenate((mean[1:], mean[:1]))
-    is_max = (mean > prev) & (mean > nxt)
-    is_min = (mean < prev) & (mean < nxt)
-    g = np.flatnonzero(is_max | is_min)
+    ring = np.empty(mean.size + 2)  # the plateau means with each neighbour wrapped in
+    ring[1:-1] = mean
+    ring[0], ring[-1] = mean[-1], mean[0]
+    is_max = (mean > ring[:-2]) & (mean > ring[2:])
+    is_min = (mean < ring[:-2]) & (mean < ring[2:])
+    g = (is_max | is_min).nonzero()[0]
     return [Plateau(a, length, "max" if up else "min", value) for a, length, up, value
             in zip(start[g].tolist(), count[g].tolist(), is_max[g].tolist(), mean[g].tolist())]
 

@@ -84,10 +84,10 @@ class PlanarCurve:
 
     @property
     def length(self) -> float:
-        return float(self.s[-1])
+        return self.s.item(-1)
 
     def endpoint_gap(self) -> float:
-        return float(abs(self.pos[-1] - self.pos[0]))
+        return abs(self.pos.item(-1) - self.pos.item(0))
 
     @property
     def closed(self) -> bool:
@@ -243,11 +243,16 @@ def curvature_samples(c: PlanarCurve) -> np.ndarray:
     if m < 5:
         raise TooFewSamples("need at least 5 samples")
     if closed:
-        period_s = c.s[-1]
-        period_theta = c.theta[-1] - c.theta[0]
-        s_ext = np.concatenate(([s[-1] - period_s], s, [s[0] + period_s]))
-        th_ext = np.concatenate(([theta[-1] - period_theta], theta,
-                                 [theta[0] + period_theta]))
+        period_s = c.s.item(-1)
+        period_theta = c.theta.item(-1) - c.theta.item(0)
+        s_ext = np.empty(m + 2)
+        s_ext[1:-1] = s
+        s_ext[0] = s.item(-1) - period_s
+        s_ext[-1] = s.item(0) + period_s
+        th_ext = np.empty(m + 2)
+        th_ext[1:-1] = theta
+        th_ext[0] = theta.item(-1) - period_theta
+        th_ext[-1] = theta.item(0) + period_theta
         return (th_ext[2:] - th_ext[:-2]) / (s_ext[2:] - s_ext[:-2])
     out = np.empty(m)
     out[1:-1] = (theta[2:] - theta[:-2]) / (s[2:] - s[:-2])
@@ -336,11 +341,10 @@ def _star_shaped(pos: np.ndarray) -> bool:
         lower = y > 0.0
     else:
         return False
-    slack = (8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2))
-             + 8.0 * np.finfo(float).smallest_subnormal)
-    if not np.all(np.abs(cross) > slack):
+    slack = 8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2)) + 8.0 * math.ulp(0.0)
+    if not (np.abs(cross) > slack).all():
         return False
-    return int(np.count_nonzero(lower[:-1] & ~lower[1:])) == 1
+    return int((lower[:-1] & ~lower[1:]).sum()) == 1
 
 
 def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]:

@@ -23,7 +23,7 @@ from fourvertex.analysis import (
     random_star_curve,
 )
 from fourvertex.curvature import (
-    ScaleFactor, StepSpec, normalize_total, profile_from_function, profile_from_step)
+    Plateau, ScaleFactor, StepSpec, normalize_total, profile_from_function, profile_from_step)
 from fourvertex.integrator import PlanarCurve, integrate_curve, scale_curve
 from fourvertex.solver import synthesize
 
@@ -118,6 +118,23 @@ class TestMinEnclosingCircle:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             min_enclosing_circle([0j, 1 + 1j, bad, 2j])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_imaginary_part_of_array_rejected(self, bad):
+        pts = np.array([0j, 1 + 1j, 2j, 1 + 0j])
+        pts.imag[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_enclosing_circle(pts)
+
+    def test_strided_array_same_as_contiguous_copy(self):
+        pos = random_star_curve(np.random.default_rng(5)).pos
+        strided = pos[::3]
+        assert not strided.flags.c_contiguous
+        assert min_enclosing_circle(strided) == min_enclosing_circle(strided.copy())
+
+    def test_real_valued_list(self):
+        c = min_enclosing_circle([-1.0, 3.0, 0.5])
+        assert c == EnclosingCircle(1 + 0j, 2.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # two points take only the check of the starting pair's circle; an
@@ -305,6 +322,42 @@ class TestContactComponents:
         assert contact_angular_gap(ellipse, mec) <= math.pi + 1e-6
 
 
+def reference_angular_gap(c, circle):
+    """The former formula: sorted contact angles, the first appended a turn later, largest step."""
+    pos = c.pos[:-1] if c.closed else c.pos
+    band = analysis.CONTACT_BAND * circle.radius
+    near = np.abs(np.abs(pos - circle.center) - circle.radius) < band
+    ang = np.sort(np.angle(pos[near] - circle.center))
+    return float(np.max(np.diff(np.concatenate((ang, [ang[0] + 2 * math.pi])))))
+
+
+class TestContactAngularGap:
+    def test_matches_former_formula_on_corpus(self):
+        rng = np.random.default_rng(11)
+        for i in range(40):
+            c = random_convex_curve(rng) if i % 2 == 0 else random_star_curve(rng)
+            mec = min_enclosing_circle(c.pos)
+            assert contact_angular_gap(c, mec) == reference_angular_gap(c, mec)
+
+    def test_largest_gap_wraps_around(self):
+        # contact angles 0.1, 1.2 and 2.9 rad: the gap from 2.9 back to 0.1 is the largest
+        pos = np.exp(1j * np.array([0.1, 1.2, 2.9, 0.5, 1.0]))
+        pos[3:] *= 0.5
+        c = PlanarCurve._built(np.arange(5.0), pos, np.zeros(5), t=np.arange(5.0))
+        circle = EnclosingCircle(0j, 1.0)
+        gap = contact_angular_gap(c, circle)
+        assert gap == reference_angular_gap(c, circle)
+        assert gap == pytest.approx(2 * math.pi - 2.8, abs=1e-12)
+
+    def test_single_contact_sample_is_a_full_turn(self):
+        pos = np.array([1.0, 0.5j, -0.5, -0.5j, 0.25 + 0.25j]) * np.exp(0.3j)
+        c = PlanarCurve._built(np.arange(5.0), pos, np.zeros(5), t=np.arange(5.0))
+        circle = EnclosingCircle(0j, 1.0)
+        gap = contact_angular_gap(c, circle)
+        assert gap == reference_angular_gap(c, circle)
+        assert gap == pytest.approx(2 * math.pi, abs=1e-15)
+
+
 class TestDetectVertices:
     def test_ellipse_four_vertices(self, ellipse):
         rep = detect_vertices(ellipse)
@@ -340,6 +393,14 @@ class TestDetectVertices:
     def test_circle_raises(self):
         with pytest.raises(ConstantCurvature):
             detect_vertices(unit_circle_curve())
+
+    @pytest.mark.parametrize("kinds", [["max", "max", "min", "min"], ["max", "min", "max"]],
+                             ids=["repeated", "odd"])
+    def test_kinds_that_fail_to_alternate_raise(self, ellipse, monkeypatch, kinds):
+        plateaus = [Plateau(100 * i, 1, kind, float(i)) for i, kind in enumerate(kinds)]
+        monkeypatch.setattr(analysis, "plateau_extrema", lambda values: plateaus)
+        with pytest.raises(RuntimeError, match="vertex kinds failed to alternate"):
+            detect_vertices(ellipse)
 
 
 class TestOsserman:
@@ -463,3 +524,62 @@ class TestRandomCorpus:
         rng = np.random.default_rng(37)
         for _ in range(40):
             self.check(osserman_check(random_star_curve(rng)))
+
+
+def reference_convex_curve(rng, n):
+    """random_convex_curve's formulas with each harmonic's cosine and sine
+    evaluated where used, and e^{it} twice: the reference for its arithmetic."""
+    t = 2 * math.pi * np.arange(n + 1) / n
+    h = np.ones_like(t)
+    hp = np.zeros_like(t)
+    hpp = np.zeros_like(t)
+    budget = 0.0
+    coefs = []
+    for k in range(2, 2 + analysis.CONVEX_HARMONICS):
+        ak, bk = rng.normal(0.0, analysis.CONVEX_AMPLITUDE / k**2, size=2)
+        coefs.append((k, ak, bk))
+        budget += (k * k + 1.0) * math.hypot(ak, bk)
+    if budget < 0.01:
+        coefs[0] = (2, 0.02, 0.0)
+        budget += 0.1
+    damp = min(1.0, 0.5 / budget) if budget > 0 else 1.0
+    for k, ak, bk in coefs:
+        ak *= damp
+        bk *= damp
+        h += ak * np.cos(k * t) + bk * np.sin(k * t)
+        hp += -ak * k * np.sin(k * t) + bk * k * np.cos(k * t)
+        hpp += -(k * k) * (ak * np.cos(k * t) + bk * np.sin(k * t))
+    rho = h + hpp
+    gamma = h * np.exp(1j * t) + hp * 1j * np.exp(1j * t)
+    return analysis._closed_fixture(t, gamma, rho, t + 0.5 * math.pi)
+
+
+def reference_star_curve(rng, n):
+    """random_star_curve's formulas, written out the same way."""
+    t = 2 * math.pi * np.arange(n + 1) / n
+    r = np.ones_like(t)
+    rp = np.zeros_like(t)
+    for k in range(1, 1 + analysis.STAR_HARMONICS):
+        ak, bk = rng.normal(0.0, analysis.STAR_AMPLITUDE / (k + 1), size=2)
+        r += ak * np.cos(k * t) + bk * np.sin(k * t)
+        rp += -ak * k * np.sin(k * t) + bk * k * np.cos(k * t)
+    if np.min(r) < 0.1:
+        r = r + (0.1 - float(np.min(r)))
+    gamma = r * np.exp(1j * t)
+    dgamma = (rp + 1j * r) * np.exp(1j * t)
+    theta = np.unwrap(np.angle(dgamma))
+    theta[-1] = theta[0] + 2 * math.pi
+    return analysis._closed_fixture(t, gamma, np.abs(dgamma), theta)
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_random_curves_match_reference_formulas(seed, n):
+    # each harmonic's cosine and sine are computed once; the curves are bit for bit the same
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(16):
+        make, old = ((random_convex_curve, reference_convex_curve) if i % 2 == 0
+                     else (random_star_curve, reference_star_curve))
+        got, want = make(rng, n=n), old(ref, n)
+        for name in ("s", "pos", "theta", "t"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)

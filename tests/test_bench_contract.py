@@ -37,11 +37,16 @@ def test_bench_runs_every_workload_without_failure(trace):
     assert result["correct"] and result["failed"] == 0
 
 
-def test_traced_names_are_where_the_bench_looks():
-    # recording() raises when a caller module no longer holds a name in WRAPPED
+def bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_are_where_the_bench_looks():
+    # recording() raises when a caller module no longer holds a name in WRAPPED
+    tracing = bench_tracing()
     tracer = tracing.Tracer()
     curve = fv.random_convex_curve(np.random.default_rng(0))
     k = fv.profile_from_function(lambda t: 1.5 + np.cos(2 * t))
@@ -50,6 +55,24 @@ def test_traced_names_are_where_the_bench_looks():
         fv.solver.synthesize(k)
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"analysis.osserman_check", "solver.synthesize"} <= names
+
+
+def test_analysis_call_structure():
+    # the bench's per-layer metrics divide each stage's spans by the checks
+    # run; one check calls each stage once, and curvature_samples twice
+    tracer = bench_tracing().Tracer()
+    with tracer.recording(fv, 0):
+        fv.analysis.osserman_check(fv.random_star_curve(np.random.default_rng(1)))
+    calls = {name: total[1] for name, total in tracer.totals_by_op()[0].items()}
+    assert calls == {
+        "analysis.osserman_check": 1,
+        "integrator.is_simple": 1,
+        "analysis.min_enclosing_circle": 1,
+        "analysis.contact_components": 1,
+        "analysis.contact_angular_gap": 1,
+        "analysis.detect_vertices": 1,
+        "integrator.curvature_samples": 2,
+    }
 
 
 def bench_worker(monkeypatch):
