@@ -70,16 +70,27 @@ class CurvatureProfile:
     def __call__(self, t):
         """Evaluate at parameter(s) t; evaluation is 2*pi periodic."""
         t = np.asarray(t, dtype=float)
-        frac = mod_two_pi(t) / TWO_PI * self.n
-        whole = np.floor(frac)
-        w = frac - whole
+        if not t.ndim:
+            return float(self(t.reshape(1))[0])
+        w = mod_two_pi(t)  # a new array, then the weight of the right-hand sample
+        w /= TWO_PI
+        w *= self.n
+        i0 = np.floor(w)
+        w -= i0
         # snap to the grid so sampling at grid points is exact
         hi = w > 1.0 - 1e-9
-        i0 = whole.astype(int) + hi
-        w = np.where(hi | (w < 1e-9), 0.0, w)
-        out = (1.0 - w) * self.samples.take(i0, mode="wrap") \
-            + w * self.samples.take(i0 + 1, mode="wrap")
-        return out if out.ndim else float(out)
+        i0 = i0.astype(np.intp)
+        i0 += hi
+        hi |= w < 1e-9
+        np.copyto(w, 0.0, where=hi)
+        out = self.samples.take(i0, mode="wrap")
+        i0 += 1
+        right = self.samples.take(i0, mode="wrap")
+        right *= w
+        np.subtract(1.0, w, out=w)
+        out *= w
+        out += right
+        return out
 
 
 def mod_two_pi(t: np.ndarray) -> np.ndarray:
@@ -187,12 +198,20 @@ class CircleDiffeo:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        span = self.knots[-1] - self.knots[0]
-        vspan = self.values[-1] - self.values[0]
-        wind = np.floor((t - self.knots[0]) / span)
-        tr = t - span * wind
-        out = np.interp(tr, self.knots, self.values) + vspan * wind
-        return out if out.ndim else float(out)
+        if not t.ndim:
+            return float(self(t.reshape(1))[0])
+        k0 = self.knots.item(0)
+        span = self.knots.item(-1) - k0
+        vspan = self.values.item(-1) - self.values.item(0)
+        wind = np.subtract(t, k0)
+        wind /= span
+        np.floor(wind, out=wind)
+        tr = np.multiply(wind, span)
+        np.subtract(t, tr, out=tr)
+        out = np.interp(tr, self.knots, self.values)
+        wind *= vspan
+        out += wind
+        return out
 
     def inverse(self) -> "CircleDiffeo":
         """Exact inverse: a piecewise-linear lift with axes swapped."""
@@ -236,7 +255,7 @@ def total_curvature(k: CurvatureProfile) -> float:
 
 def normalizing_scale(total: float, samples: np.ndarray) -> ScaleFactor:
     """Factor taking a total curvature of ``total`` to 2*pi; rejects a near-zero or inf total."""
-    if abs(total) < ZERO_TOTAL_REL * float(np.max(np.abs(samples))) * TWO_PI:
+    if abs(total) < ZERO_TOTAL_REL * max(samples.max(), -samples.min()) * TWO_PI:
         raise ZeroTotalCurvature(f"total curvature {total:.3e} below threshold")
     if not math.isfinite(total):
         raise ZeroTotalCurvature(f"total curvature {total} overflows")
@@ -321,13 +340,16 @@ def _first_crossing(
 ) -> tuple[float, int]:
     """First grid-cell crossing of ``level`` in cells j0 -> j1, both included, cyclically."""
     n = w.size
-    cells = (j0 + np.arange((j1 - j0) % n + 1)) % n
-    w0, w1 = w[cells], w[(cells + 1) % n]
+    j0 %= n
+    stop = j0 + (j1 - j0) % n + 1  # one past the last cell, counted on past n
+    ring = w if stop < n else np.concatenate((w, w[:stop - n + 1]))
+    w0, w1 = ring[j0:stop], ring[j0 + 1:stop + 1]
     hit = (w0 < level) & (level <= w1) if upward else (w1 < level) & (level <= w0)
     if not hit.any():
         raise ConstructionFailed("level crossing not found")
-    j = int(cells[np.argmax(hit)])
-    frac = (level - w[j]) / (w[(j + 1) % n] - w[j])
+    j = (j0 + int(hit.argmax())) % n
+    lo = w.item(j)
+    frac = (level - lo) / (w.item((j + 1) % n) - lo)
     return (TWO_PI * j / n + frac * (TWO_PI / n)) % TWO_PI, j
 
 
@@ -405,32 +427,61 @@ def _unwrap_cyclic(params) -> np.ndarray:
     return np.array(u)
 
 
-def _window_radius(k: CurvatureProfile, centre: float, target: float,
-                   start: float, cap: float) -> float:
-    """First radius of start, 0.6 * start, ... above 1e-11 on which k stays near target.
+def _window_radii(k: CurvatureProfile, centres, targets, starts, cap: float) -> np.ndarray:
+    """Per window, the first of start, 0.6 * start, ... above 1e-11 where k stays near target.
 
     A radius d passes when |k - target| <= cap on all of
     [centre - d, centre + d].  k is linear between grid samples, so there
     |k - target| peaks at a grid sample inside the interval or at one of
     its two ends: d passes when it is below the distance from the centre to
     the nearest sample beyond the cap on either side, and both ends keep
-    within the cap.  One profile call decides every radius.  When none
-    passes, the result is the 1e-11 floor.
+    within the cap.  One profile call decides every radius of every window.
+    When none passes, the window's result is the 1e-11 floor.
     """
     h = TWO_PI / k.n
-    # the samples that the widest interval holds, and their offsets from the centre
-    j = np.arange(math.floor((centre - start) / h), math.ceil((centre + start) / h) + 1)
-    offset = j * h - centre
-    far = np.abs(np.take(k.samples, j, mode="wrap") - target) > cap
-    reach = np.min(np.abs(offset[far]), initial=math.inf)
-    radii = []
-    while start > 1e-11:
-        radii.append(start)
-        start *= 0.6
-    d = np.array(radii)
-    ends = np.abs(k(centre + np.concatenate((-d, d))) - target).reshape(2, -1)
-    ok = np.flatnonzero((d < reach) & (np.max(ends, axis=0) <= cap))
-    return float(d[ok[0]]) if ok.size else 1e-11
+    centres, targets, starts = (np.asarray(v, dtype=float) for v in (centres, targets, starts))
+    # the samples that each widest interval holds, and their offsets from its centre
+    spans = [np.arange(math.floor((c - s) / h), math.ceil((c + s) / h) + 1)
+             for c, s in zip(centres.tolist(), starts.tolist())]
+    sizes = [j.size for j in spans]
+    j = np.concatenate(spans)
+    offset = np.abs(j * h - np.repeat(centres, sizes))
+    dev = k.samples.take(j, mode="wrap")
+    dev -= np.repeat(targets, sizes)
+    np.copyto(offset, math.inf, where=np.abs(dev, out=dev) <= cap)  # keep the far samples
+    reach = np.minimum.reduceat(offset, np.cumsum([0] + sizes[:-1]))
+    # row i: start_i, 0.6 * start_i, ..., each a product of the one before
+    count = math.log(max(starts.max(), 1e-11) / 1e-11) / math.log(1.0 / 0.6)
+    d = np.full((starts.size, int(count) + 3), 0.6)
+    d[:, 0] = starts
+    np.multiply.accumulate(d, axis=1, out=d)
+    ends = np.multiply.outer((-1.0, 1.0), d)
+    ends += centres[:, None]
+    ends = k(ends.ravel()).reshape(ends.shape)
+    ends -= targets[:, None]
+    np.abs(ends, out=ends)
+    ok = (d > 1e-11) & (d < reach[:, None]) & (np.maximum(ends[0], ends[1]) <= cap)
+    pick = ok.argmax(axis=1)
+    return np.where(ok.any(axis=1), d[np.arange(starts.size), pick], 1e-11)
+
+
+def _step_at_sorted(step: StepSpec, x: np.ndarray) -> np.ndarray:
+    """``step.value_at(x)`` bit for bit for ascending x, filled block by block.
+
+    value_at compares fl((x mod 2*pi) + 1e-12) with each breakpoint; those
+    keys rise along x except where x passes a multiple of 2*pi, so on each
+    run between such drops the value changes only at the first key to
+    reach each breakpoint.
+    """
+    key = mod_two_pi(x)
+    key += 1e-12
+    edges = [0, *(np.flatnonzero(key[1:] < key[:-1]) + 1).tolist(), x.size]
+    out = np.full(x.size, step.b)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        first = (lo + np.searchsorted(key[lo:hi], step.breakpoints)).tolist()
+        out[first[0]:first[1]] = step.a
+        out[first[2]:first[3]] = step.a
+    return out
 
 
 def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
@@ -442,29 +493,50 @@ def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
     merged in by binary search.  On each piece h1 is linear, the step is
     constant and k is linear between neighbouring grid points, so
     f = k(h1(t)) - step(t) is linear there and the measure of {|f| > eps}
-    on the piece has a closed form.  Time and memory are O(n + number of
-    knots).
+    on the piece has a closed form.  The step's value on each piece is
+    filled in block by block over the sorted piece midpoints
+    (``_step_at_sorted``).  Time and memory are O(n + number of knots).
     """
-    lo, hi = h1.values[0], h1.values[-1]
+    lo, hi = h1.values.item(0), h1.values.item(-1)
     n = k.n
     m = np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
-    breaks = h1.knots[0] + np.mod(np.asarray(step.breakpoints) - h1.knots[0], TWO_PI)
+    k0 = h1.knots.item(0)
+    breaks = [k0 + (p - k0) % TWO_PI for p in step.breakpoints]
     cuts = np.sort(np.concatenate((h1.knots, breaks)), kind="stable")
     # a cut that repeats only adds a piece of length zero
-    pre = np.interp(TWO_PI / n * m, h1.values, h1.knots)
-    at = np.searchsorted(pre, cuts)
-    t = np.insert(pre, at, cuts)
-    kt = np.insert(np.take(k.samples, m, mode="wrap"), at, k(h1(cuts)))
-    target = step.value_at(0.5 * (t[:-1] + t[1:]))
+    grid = m * (TWO_PI / n)
+    pre = np.interp(grid, h1.values, h1.knots)
+    # merge the cuts in, in the order np.insert(pre, searchsorted(pre, cuts), cuts) gives
+    slot = np.searchsorted(pre, cuts)
+    slot += np.arange(cuts.size)
+    t = np.empty(pre.size + cuts.size)
+    kt = np.empty(t.size)
+    is_pre = np.ones(t.size, dtype=bool)
+    is_pre[slot] = False
+    t[slot] = cuts
+    t[is_pre] = pre
+    kt[slot] = k(h1(cuts))
+    kt[is_pre] = k.samples.take(m, mode="wrap")
+    mid = t[:-1] + t[1:]
+    mid *= 0.5
+    target = _step_at_sorted(step, mid)
     fa, fb = kt[:-1] - target, kt[1:] - target
-    rise = np.abs(fb - fa)
+    rise = np.subtract(fb, fa)
+    np.abs(rise, out=rise)
+    sloped = rise > 0.0
+    width = np.subtract(t[1:], t[:-1], out=mid)
+    above, below = np.maximum(fa, fb), np.minimum(fa, fb)
+    np.negative(below, out=below)
     measure = 0.0
-    for top in (np.maximum(fa, fb) - eps, -np.minimum(fa, fb) - eps):
+    for top in (above, below):
         # share of the piece where f > eps (then -f > eps): f passes eps
         # linearly, or lies wholly above or below it on a flat piece
-        share = np.divide(np.clip(top, 0.0, rise), rise, out=(top > 0.0).astype(float),
-                          where=rise > 0.0)
-        measure += float(np.diff(t) @ share)
+        top -= eps
+        share = (top > 0.0).astype(float)
+        np.maximum(top, 0.0, out=top)
+        np.minimum(top, rise, out=top)  # np.clip(top, 0.0, rise)
+        np.divide(top, rise, out=share, where=sloped)
+        measure += float(width @ share)
     return measure
 
 
@@ -479,6 +551,8 @@ def build_h1(
     Each step arc, except for thin slivers at its ends, is mapped onto a
     small neighbourhood of the matching window point (where k is within
     eps/8 of the arc's value); the slivers absorb the rest of k's domain.
+    One profile call decides the four neighbourhoods' radii
+    (``_window_radii``).
     The measure bound
 
         measure{ t : |k(h1(t)) - step(t)| > eps } < eps
@@ -504,20 +578,21 @@ def build_h1(
     if np.any(np.abs(k(u) - targets) > 1e-6 * np.maximum(1.0, targets)):
         raise ValueError("window points do not attain the window values")
 
-    bps = np.asarray(step.breakpoints)
-    arc_len = np.diff(np.append(bps, bps[0] + TWO_PI))
-    gaps = np.diff(np.append(u, u[0] + TWO_PI))
-    starts = 0.4 * np.minimum(np.roll(gaps, 1), gaps)  # window radii before shrinking
+    bps = step.breakpoints
+    arc_len = [q - p for p, q in zip(bps, bps[1:] + (bps[0] + TWO_PI,))]
+    uu = u.tolist()
+    gaps = [q - p for p, q in zip(uu, uu[1:] + [uu[0] + TWO_PI])]
+    # window radii before shrinking
+    starts = [0.4 * min(p, q) for p, q in zip(gaps[-1:] + gaps[:-1], gaps)]
 
-    sliver = min(eps / 32.0, 0.25 * float(np.min(arc_len)))
-    deltas = np.array([_window_radius(k, u[i], targets[i], starts[i], eps / 8.0)
-                       for i in range(4)])
-    end_mid = 0.5 * ((u[3] + deltas[3]) + (u[0] + TWO_PI - deltas[0]))
+    sliver = min(eps / 32.0, 0.25 * min(arc_len))
+    deltas = _window_radii(k, u, targets, starts, eps / 8.0).tolist()
+    end_mid = 0.5 * ((uu[3] + deltas[3]) + (uu[0] + TWO_PI - deltas[0]))
     knots = [bps[0]]
     vals = [end_mid - TWO_PI]
     for i in range(4):
         knots.extend([bps[i] + sliver, bps[i] + arc_len[i] - sliver])
-        vals.extend([u[i] - deltas[i], u[i] + deltas[i]])
+        vals.extend([uu[i] - deltas[i], uu[i] + deltas[i]])
     knots.append(bps[0] + TWO_PI)
     vals.append(end_mid)
     try:

@@ -108,19 +108,28 @@ class ErrorVector:
 
 def _arcs(kappa: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tangent angles theta at the n + 1 samples, e^{i theta}, and the n chords of the arcs."""
-    turn = kappa * ds
-    if not np.all(np.abs(turn) < math.pi):  # NaN fails too
-        raise TooFewSamples("a grid step turns by half a turn or more")
-    theta = np.empty(kappa.size + 1)
+    n = kappa.size
+    theta = np.empty(n + 1)
     theta[0] = 0.0
-    np.cumsum(turn, out=theta[1:])
-    rot = np.empty(theta.size, dtype=complex)  # e^{i theta}, bit for bit
+    turn = np.multiply(kappa, ds, out=theta[1:])
+    if not (turn.max() < math.pi and turn.min() > -math.pi):  # NaN fails too
+        raise TooFewSamples("a grid step turns by half a turn or more")
+    turn.cumsum(out=turn)
+    rot = np.empty(n + 1, dtype=complex)  # e^{i theta}, bit for bit
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
-    straight = np.abs(kappa) < STRAIGHT_KAPPA
-    arcs = np.empty(kappa.size, dtype=complex)
-    np.divide(np.diff(rot), 1j * kappa, out=arcs, where=~straight)
-    if np.any(straight):
+    # a chord is d / (i kappa), d = rot_{j+1} - rot_j; numpy divides by i kappa
+    # (real part +-0) as (Im d (1 / kappa), -Re d (1 / kappa)), so the two
+    # real products below are its bits
+    ak = np.abs(kappa)
+    straight = ak < STRAIGHT_KAPPA if ak.min() < STRAIGHT_KAPPA else None
+    inv = np.divide(1.0, kappa, out=ak, where=True if straight is None else ~straight)
+    arcs = np.empty(n, dtype=complex)
+    np.subtract(rot.imag[1:], rot.imag[:-1], out=arcs.real)
+    arcs.real *= inv
+    np.subtract(rot.real[:-1], rot.real[1:], out=arcs.imag)
+    arcs.imag *= inv
+    if straight is not None:
         arcs[straight] = (ds * rot[:-1])[straight]
     return theta, rot, arcs
 
@@ -145,12 +154,11 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray,
     theta, rot, arcs = _arcs(kappa, ds)
     pos = np.empty(kappa.size + 1, dtype=complex)
     pos[0] = 0.0
-    np.cumsum(arcs, out=pos[1:])
+    arcs.cumsum(out=pos[1:])
     s = np.empty(kappa.size + 1)
     s[0] = 0.0
-    np.cumsum(ds, out=s[1:])
-    return Integration(ErrorVector(complex(pos[-1])), ds, scale, PlanarCurve._built(s, pos, theta),
-                       rot)
+    ds.cumsum(out=s[1:])
+    return Integration(ErrorVector(pos.item(-1)), ds, scale, PlanarCurve._built(s, pos, theta), rot)
 
 
 def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:

@@ -83,10 +83,14 @@ def moebius_lift(m, n: int = 4096) -> np.ndarray:
     """
     beta = _beta_value(m)
     grid, conj_circle = _circle(n)
-    values = grid + 2.0 * np.angle(1.0 - beta * conj_circle)
+    w = beta * conj_circle
+    np.subtract(1.0, w, out=w)
+    values = np.arctan2(w.imag, w.real)  # np.angle(w)
+    values *= 2.0
+    values += grid
     values[-1] = values[0] + TWO_PI
-    steps = np.diff(values)
-    if not np.all(steps > 0.0):
+    steps = np.subtract(values[1:], values[:-1])
+    if not steps.min() > 0.0:  # NaN fails too
         raise NumericallyDegenerate(
             f"lift at |beta| = {abs(beta)!r}: lift must be strictly increasing")
     return steps

@@ -144,7 +144,7 @@ def error_at_beta(k1: CurvatureProfile, m) -> Integration:
     scaled profile turns by half a turn or more (or c * k1 overflows).
     """
     ds = moebius_lift(-_beta_value(m), n=k1.n)
-    sc = normalizing_scale(float(k1.samples @ ds), k1.samples)
+    sc = normalizing_scale((k1.samples @ ds).item(), k1.samples)
     return _integrate(sc.c * k1.samples, ds, sc)
 
 
@@ -244,18 +244,22 @@ def _tangent_pass(k: np.ndarray, beta: complex, ev: Integration) -> _TangentPass
     """
     n, ds, c, rot = k.size, ev.ds, ev.scale.c, ev.rot
     _, conj_circle = _circle(n)
-    q = conj_circle / (1.0 + beta * conj_circle)
+    q = beta * conj_circle
+    q += 1.0
+    np.divide(conj_circle, q, out=q)
     dlift = np.empty((2, n + 1))
     np.multiply(q.imag, 2.0, out=dlift[0])
     np.multiply(q.real, 2.0, out=dlift[1])
     dlift[:, -1] = dlift[:, 0]  # the last knot is the first one a period later
-    dds = np.diff(dlift, axis=1)
+    dds = np.subtract(dlift[:, 1:], dlift[:, :-1])
     kappa = c * k
     pos = ev.curve.pos
-    e = complex(pos[-1])
-    tail = e - pos[1:]  # E - P_{j+1}
+    e = pos.item(-1)
+    tail = np.subtract(e, pos[1:])  # E - P_{j+1}
     dcc = (-c / TWO_PI) * (dds @ k)
-    dturn = kappa * (dcc[:, None] * ds + dds)
+    dturn = np.multiply.outer(dcc, ds)
+    dturn += dds
+    dturn *= kappa
     de = 1j * (dturn @ tail) + dds @ rot[1:] + dcc * (rot[1:] @ ds - e)
     jac = np.array([[de[0].real, de[1].real], [de[0].imag, de[1].imag]])
     return _TangentPass(e, jac, kappa, dcc)
@@ -296,16 +300,17 @@ def _roundoff(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
               + STRAIGHT_KAPPA * float(np.sum(ds[straight] ** 2)))
     e_e = e_arcs + g * span
 
-    adcc = np.abs(tp.dcc)  # per column of J
-    sum_dds = n * h1
-    sum_dturn = abs(c) * (a_k * adcc + s_k * h1)
-    e_dcc = (s_k * e_dds + g * s_k * h1) * abs(c) / TWO_PI + adcc * (rel_t + 3.0 * u)
-    e_dturn = (abs(c) * (a_k * e_dcc + s_k * (adcc * e_ds + e_dds))
-               + (rel_t + 4.0 * u) * sum_dturn)
-    e_jac = (span * e_dturn + sum_dturn * (e_arcs + 2.0 * g * span) + n * e_dds
-             + 2.0 * span * e_dcc + adcc * (e_e + n * e_ds)
-             + (e_theta + 2.0 * u) * (sum_dds + span * adcc) + g * (sum_dds + 2.0 * span * adcc))
-    return e_e, float(np.hypot(e_jac[0], e_jac[1])), rel_t
+    def column(adcc: float) -> float:  # the bound on one column of J
+        sum_dds = n * h1
+        sum_dturn = abs(c) * (a_k * adcc + s_k * h1)
+        e_dcc = (s_k * e_dds + g * s_k * h1) * abs(c) / TWO_PI + adcc * (rel_t + 3.0 * u)
+        e_dturn = (abs(c) * (a_k * e_dcc + s_k * (adcc * e_ds + e_dds))
+                   + (rel_t + 4.0 * u) * sum_dturn)
+        return (span * e_dturn + sum_dturn * (e_arcs + 2.0 * g * span) + n * e_dds
+                + 2.0 * span * e_dcc + adcc * (e_e + n * e_ds)
+                + (e_theta + 2.0 * u) * (sum_dds + span * adcc) + g * (sum_dds + 2.0 * span * adcc))
+
+    return e_e, float(np.hypot(*map(column, np.abs(tp.dcc).tolist()))), rel_t
 
 
 def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
@@ -445,8 +450,8 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     """
     if not 0.0 < eps0 <= TWO_PI:
         raise BadParameter(f"eps0 must lie in (0, 2*pi], got {eps0}")
-    peak = float(np.max(np.abs(k.samples)))
-    spread = float(np.max(k.samples) - np.min(k.samples))
+    top, bottom = k.samples.max(), k.samples.min()
+    peak, spread = float(max(top, -bottom)), float(top - bottom)
     if spread <= 1e-9 * max(1.0, peak):
         value = float(np.mean(k.samples))
         if abs(value) < 1e-8:
@@ -505,23 +510,26 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             simple, witness = is_simple(curve)
             if not simple:
                 return f"self-intersection at {witness}"
-            c0_dist = float(np.max(np.abs(curve.pos - ref_curve.pos)))
-            c1_dist = float(np.max(np.abs(curve.theta - ref_curve.theta)))
+            c0_dist = np.abs(curve.pos - ref_curve.pos).max().item()
+            c1_dist = np.abs(curve.theta - ref_curve.theta).max().item()
             if c0_dist >= C1_POSITION_TOL or c1_dist >= C1_ANGLE_TOL:
                 return f"reference distance {c0_dist:.3f}/{c1_dist:.3f}"
 
             # the curve scaled by c; sample j carries k1(u_j) = k(h1(u_j))
             scaled = scale_curve(curve, sc)
             s, pos, theta = scaled.s, scaled.pos, scaled.theta
-            tags = mod_two_pi(h1(TWO_PI * np.arange(k.n + 1) / k.n))
+            tags = mod_two_pi(h1(_circle(k.n)[0]))
             if flipped:  # traversed backwards, so it carries k at 2*pi - t
                 s, pos, theta = s[-1] - s[::-1], pos[::-1], theta[::-1] + math.pi
                 tags = mod_two_pi(TWO_PI - tags[::-1])
             final = PlanarCurve._built(s, pos, theta, sc.c, tags)
-            kap_hat = curvature_samples(final)
-            target = np.asarray(k(final.t[: kap_hat.size]))
-            bad = np.abs(kap_hat - target) >= tol_kappa
-            bad_measure = float(np.mean(bad)) * TWO_PI
+            kap_hat = curvature_samples(final)  # n values: the curve closes
+            # unflipped, k at the tags is k1: compose read k at h1 of the same
+            # grid, and k reduces its argument mod 2*pi as the tags do
+            target = k(final.t[:k.n]) if flipped else k1.samples
+            np.subtract(kap_hat, target, out=kap_hat)
+            bad = np.abs(kap_hat, out=kap_hat) >= tol_kappa
+            bad_measure = np.count_nonzero(bad) / bad.size * TWO_PI
             if bad_measure >= eps:
                 return f"curvature mismatch on measure {bad_measure:.3f}"
 

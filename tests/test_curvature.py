@@ -27,7 +27,8 @@ from fourvertex.curvature import (
     total_curvature,
 )
 from fourvertex import curvature
-from fourvertex.curvature import AbabPoints, _first_crossing, _mismatch_measure, _window_radius
+from fourvertex.curvature import (AbabPoints, _first_crossing, _mismatch_measure, _step_at_sorted,
+                                  _window_radii)
 
 from conftest import trig_profile
 
@@ -347,7 +348,7 @@ class TestFirstCrossingOracle:
 
 
 def reference_window_radius(k, centre, target, start, cap):
-    """The reference for _window_radius: one profile call per radius.
+    """The reference for _window_radii, one window: one profile call per radius.
 
     k is linear between grid samples, so |k - target| on an interval peaks
     at a grid sample inside it or at one of its two ends.
@@ -395,8 +396,25 @@ class TestWindowRadiusOracle:
     @example(samples=NARROW, centre=0.0, offset=0.0, start=1.0, cap=0.5)
     def test_matches_one_call_per_radius(self, samples, centre, offset, start, cap):
         k = CurvatureProfile(samples)
-        args = (k, centre, float(k(centre)) + offset, start, cap)
-        assert _window_radius(*args) == reference_window_radius(*args)
+        target = float(k(centre)) + offset
+        assert _window_radii(k, [centre], [target], [start], cap)[0] \
+            == reference_window_radius(k, centre, target, start, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=64),
+           windows=st.lists(st.tuples(st.floats(-1.0, 8.0), st.floats(-0.5, 0.5),
+                                      st.floats(-13.0, 0.5).map(lambda e: 10.0 ** e)),
+                            min_size=1, max_size=5),
+           cap=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
+    def test_windows_decided_together(self, samples, windows, cap):
+        # one call decides each window as the reference decides it alone
+        k = CurvatureProfile(samples)
+        centres = [c for c, _, _ in windows]
+        targets = [float(k(c)) + offset for c, offset, _ in windows]
+        starts = [start for _, _, start in windows]
+        got = _window_radii(k, centres, targets, starts, cap)
+        assert got.tolist() == [reference_window_radius(k, *w, cap)
+                                for w in zip(centres, targets, starts)]
 
     def test_examples_reach_their_cases(self):
         k = CurvatureProfile(RIDGE_64)
@@ -530,14 +548,20 @@ class TestBuildH1:
             build_h1(k, ab, StepSpec(ab.a, ab.b), 0.1)
 
 
-def reference_mismatch_measure(k, h1, step, eps):
-    """The reference for _mismatch_measure: every cut sorted, k(h1(t)) evaluated at each."""
+def piece_cuts(k, h1, step):
+    """The ends of _mismatch_measure's pieces: h1's knots, the step's breakpoints
+    and the h1-preimages of k's grid over one period, sorted."""
     lo, hi = h1.values[0], h1.values[-1]
     n = k.n
     grid = TWO_PI / n * np.arange(math.ceil(lo * n / TWO_PI), math.floor(hi * n / TWO_PI) + 1)
     breaks = h1.knots[0] + np.mod(np.asarray(step.breakpoints) - h1.knots[0], TWO_PI)
-    t = np.sort(np.concatenate((h1.knots, breaks, np.interp(grid, h1.values, h1.knots))),
-                kind="stable")
+    return np.sort(np.concatenate((h1.knots, breaks, np.interp(grid, h1.values, h1.knots))),
+                   kind="stable")
+
+
+def reference_mismatch_measure(k, h1, step, eps):
+    """The reference for _mismatch_measure: every cut sorted, k(h1(t)) evaluated at each."""
+    t = piece_cuts(k, h1, step)
     mid = 0.5 * (t[:-1] + t[1:])
     target = step.value_at(mid)
     kt = np.asarray(k(h1(t)))
@@ -632,6 +656,54 @@ class TestMismatchMeasure:
         eps = rng.uniform(0.01, 1.0)
         assert _mismatch_measure(k, h1, step, eps) == pytest.approx(
             reference_mismatch_measure(k, h1, step, eps), abs=1e-12)
+
+
+class TestStepAtSorted:
+    """_step_at_sorted fills the step at ascending points; value_at is its reference."""
+
+    BUILT = [(lambda t: 1.5 + np.cos(2 * t), 0.1), (lambda t: 1.5 + np.cos(2 * t), 0.02),
+             (lambda t: np.cos(2 * t) + 0.05 + 0.1 * np.cos(5 * t + 1.0), 0.1)]
+
+    def test_piece_midpoints_of_built_warps(self):
+        # build_h1's first knot is the first breakpoint, so that cut repeats:
+        # a piece of length zero whose midpoint is the breakpoint itself; the
+        # period runs from it past 2*pi, so the last pieces wrap
+        for fn, eps in self.BUILT:
+            k = profile_from_function(fn, n=4096)
+            ab = find_abab_points(k)
+            step = StepSpec(ab.a, ab.b, tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
+            t = piece_cuts(k, build_h1(k, ab, step, eps), step)
+            mid = 0.5 * (t[:-1] + t[1:])
+            assert np.any(t[1:] == t[:-1]) and mid[-1] > TWO_PI
+            assert np.array_equal(_step_at_sorted(step, mid), step.value_at(mid))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_piece_midpoints_of_random_warps(self, seed):
+        rng = np.random.default_rng(seed)
+        k = CurvatureProfile(rng.uniform(-2.0, 2.0, int(rng.choice([8, 64, 512]))))
+        h1 = random_lift(rng, int(rng.integers(1, 12)))
+        step = StepSpec(0.5, 2.0, tuple(np.sort(rng.uniform(0.0, TWO_PI, 4))))
+        t = piece_cuts(k, h1, step)
+        mid = 0.5 * (t[:-1] + t[1:])
+        assert np.array_equal(_step_at_sorted(step, mid), step.value_at(mid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), start=st.floats(-8.0, 14.0),
+           size=st.integers(0, 200))
+    def test_points_on_and_next_to_the_breakpoints(self, seed, start, size):
+        # points within rounding of a breakpoint (value_at adds 1e-12 before
+        # comparing), of a multiple of 2*pi, repeated, over up to a period
+        rng = np.random.default_rng(seed)
+        bps = tuple(np.sort(rng.uniform(0.0, TWO_PI, 4)))
+        step = StepSpec(0.5, 2.0, bps)
+        x = start + rng.uniform(0.0, TWO_PI, size)
+        base = TWO_PI * math.floor(start / TWO_PI)
+        near = [b + p + d for b in (base, base + TWO_PI) for p in bps + (TWO_PI,)
+                for d in (-1e-12, 0.0)]
+        near += [np.nextafter(v, s) for v in near for s in (-math.inf, math.inf)]
+        x = np.sort(np.concatenate((x, [v for v in near if start <= v < start + TWO_PI], x[:3])))
+        assert np.array_equal(_step_at_sorted(step, x), step.value_at(x))
 
 
 def test_reflect_negate_pointwise():

@@ -363,6 +363,31 @@ def test_endpoint_error_matches_integrated_curve(monkeypatch):
             solver.error_at_beta(CurvatureProfile(np.ones(64)), 0.1)
 
 
+def reference_chords(kappa, ds, rot):
+    """The chords as a complex division by i kappa: the oracle for _arcs's chords."""
+    straight = np.abs(kappa) < integrator.STRAIGHT_KAPPA
+    arcs = np.empty(kappa.size, dtype=complex)
+    np.divide(np.diff(rot), 1j * kappa, out=arcs, where=~straight)
+    arcs[straight] = (ds * rot[:-1])[straight]
+    return arcs
+
+
+@pytest.mark.parametrize("n", [8, 4096])
+@pytest.mark.parametrize("straight", [False, True])
+def test_chords_match_complex_division(n, straight):
+    rng = np.random.default_rng(n + straight)
+    for _ in range(50):
+        kappa = 10.0 ** rng.uniform(-13.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        if straight:
+            idx = rng.choice(n, size=max(2, n // 10), replace=False)
+            kappa[idx] = rng.choice([0.0, -0.0, 5e-15, -9.9e-15], idx.size)
+        ds = rng.uniform(0.05, 1.0, n) / np.maximum(1.0, np.abs(kappa) / 3.0)  # turns below pi
+        theta, rot, arcs = integrator._arcs(kappa, ds)
+        assert np.array_equal(theta[1:], np.cumsum(kappa * ds))
+        assert np.array_equal(rot.real, np.cos(theta)) and np.array_equal(rot.imag, np.sin(theta))
+        assert np.array_equal(arcs.view(float), reference_chords(kappa, ds, rot).view(float))
+
+
 class TestIntegrateArcs:
     def test_matches_profile_route(self):
         spec = StepSpec(0.5, 2.0)
