@@ -193,9 +193,7 @@ def min_enclosing_circle(points) -> EnclosingCircle:
 
 
 def _params(c: PlanarCurve, ring_size: int) -> np.ndarray:
-    if c.t is not None:
-        return np.asarray(c.t[:ring_size], dtype=float)
-    return np.asarray(c.s[:ring_size], dtype=float)
+    return (c.s if c.t is None else c.t)[:ring_size]
 
 
 def _contact_band(c: PlanarCurve, circle: EnclosingCircle) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +330,17 @@ def osserman_check(c: PlanarCurve) -> OssermanReport:
     )
 
 
-def _closed_fixture(t, gamma, speed, theta, params=None) -> PlanarCurve:
+def _closed_fixture(t, gamma, speed, theta) -> PlanarCurve:
     """Assemble a closed curve from dense parameter samples.
 
     ``gamma`` are complex positions, ``speed`` the parameter speed |d gamma|
     and ``theta`` the tangent-angle lift, all sampled at ``t`` including the
-    duplicated endpoint.
+    duplicated endpoint; ``t`` tags the samples.  Built to pass every
+    check of PlanarCurve, the curve is taken unchecked.
     """
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t)
     s = np.concatenate(([0.0], np.cumsum(ds)))
-    tags = t if params is None else params
-    return PlanarCurve(s=s, pos=gamma, theta=theta, t=tags)
+    return PlanarCurve._built(s, gamma, theta, t=t)
 
 
 def random_convex_curve(rng, n: int = 512) -> PlanarCurve:

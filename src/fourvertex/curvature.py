@@ -132,38 +132,20 @@ class StepSpec:
             raise ValueError("breakpoints must be strictly increasing")
 
     def value_at(self, t):
-        """Step value at parameter(s) t (arcs are closed on the left)."""
-        t = mod_two_pi(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.breakpoints, t + 1e-12, side="right") - 1
-        idx = np.where(idx < 0, 3, idx)
-        out = np.where(idx % 2 == 0, self.a, self.b)
+        """Step value at parameter(s) t: a on [p0, p1) and [p2, p3), b elsewhere.
+
+        Each breakpoint is compared with the key (t mod 2*pi) + 1e-12, so the
+        arcs are closed on the left; NaN and +-inf give b.
+        """
+        key = mod_two_pi(np.asarray(t, dtype=float)) + 1e-12
+        p0, p1, p2, p3 = self.breakpoints
+        out = np.where(((p0 <= key) & (key < p1)) | ((p2 <= key) & (key < p3)), self.a, self.b)
         return out if out.ndim else float(out)
-
-
-def step_samples(spec: StepSpec, n: int) -> np.ndarray:
-    """``spec.value_at`` on the n-point grid, bit for bit, filled block by block.
-
-    Grid point j lies on the arc from breakpoint q on when
-    2*pi*j/n + 1e-12 >= breakpoint q, the comparison value_at makes; the
-    first such j is found from an estimate and that same comparison.
-    """
-    first = []
-    for p in spec.breakpoints:
-        j = math.ceil((p - 1e-12) * n / TWO_PI)
-        while j > 0 and TWO_PI * (j - 1) / n + 1e-12 >= p:
-            j -= 1
-        while j < n and TWO_PI * j / n + 1e-12 < p:
-            j += 1
-        first.append(j)
-    out = np.full(n, spec.b)
-    out[first[0]:first[1]] = spec.a
-    out[first[2]:first[3]] = spec.a
-    return out
 
 
 def profile_from_step(spec: StepSpec, n: int = 4096) -> CurvatureProfile:
     """The step's values on the uniform grid, interpolated linearly between them."""
-    return CurvatureProfile(step_samples(spec, n))
+    return CurvatureProfile(spec.value_at(TWO_PI * np.arange(n) / n))
 
 
 @dataclass(frozen=True)
@@ -358,8 +340,6 @@ def _pick_window(plateaus: list[Plateau], samples: np.ndarray):
     n = samples.size
     maxima = [p for p in plateaus if p.kind == "max"]
     minima = [p for p in plateaus if p.kind == "min"]
-    if len(maxima) < 2 or len(minima) < 2:
-        return None
     top = sorted(maxima, key=lambda p: -p.value)[:2]
     ma, mb = sorted(top, key=lambda p: p.start)
     arc1 = [p for p in minima if _cyclic_between(ma.start, mb.start, p.start, n)]
@@ -465,25 +445,6 @@ def _window_radii(k: CurvatureProfile, centres, targets, starts, cap: float) -> 
     return np.where(ok.any(axis=1), d[np.arange(starts.size), pick], 1e-11)
 
 
-def _step_at_sorted(step: StepSpec, x: np.ndarray) -> np.ndarray:
-    """``step.value_at(x)`` bit for bit for ascending x, filled block by block.
-
-    value_at compares fl((x mod 2*pi) + 1e-12) with each breakpoint; those
-    keys rise along x except where x passes a multiple of 2*pi, so on each
-    run between such drops the value changes only at the first key to
-    reach each breakpoint.
-    """
-    key = mod_two_pi(x)
-    key += 1e-12
-    edges = [0, *(np.flatnonzero(key[1:] < key[:-1]) + 1).tolist(), x.size]
-    out = np.full(x.size, step.b)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        first = (lo + np.searchsorted(key[lo:hi], step.breakpoints)).tolist()
-        out[first[0]:first[1]] = step.a
-        out[first[2]:first[3]] = step.a
-    return out
-
-
 def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
                       eps: float) -> float:
     """Exact measure{ t in one period : |k(h1(t)) - step(t)| > eps }.
@@ -493,9 +454,8 @@ def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
     merged in by binary search.  On each piece h1 is linear, the step is
     constant and k is linear between neighbouring grid points, so
     f = k(h1(t)) - step(t) is linear there and the measure of {|f| > eps}
-    on the piece has a closed form.  The step's value on each piece is
-    filled in block by block over the sorted piece midpoints
-    (``_step_at_sorted``).  Time and memory are O(n + number of knots).
+    on the piece has a closed form; the step's value on a piece is its value
+    at the piece's midpoint.  Time and memory are O(n + number of knots).
     """
     lo, hi = h1.values.item(0), h1.values.item(-1)
     n = k.n
@@ -519,7 +479,7 @@ def _mismatch_measure(k: CurvatureProfile, h1: CircleDiffeo, step: StepSpec,
     kt[is_pre] = k.samples.take(m, mode="wrap")
     mid = t[:-1] + t[1:]
     mid *= 0.5
-    target = _step_at_sorted(step, mid)
+    target = step.value_at(mid)
     fa, fb = kt[:-1] - target, kt[1:] - target
     rise = np.subtract(fb, fa)
     np.abs(rise, out=rise)

@@ -86,13 +86,10 @@ class PlanarCurve:
     def length(self) -> float:
         return self.s.item(-1)
 
-    def endpoint_gap(self) -> float:
-        return abs(self.pos.item(-1) - self.pos.item(0))
-
     @property
     def closed(self) -> bool:
         """The endpoints meet within 1e-6 of the length."""
-        return self.endpoint_gap() < 1e-6 * self.length
+        return abs(self.pos.item(-1) - self.pos.item(0)) < 1e-6 * self.length
 
 
 @dataclass(frozen=True)
@@ -161,15 +158,14 @@ def _integrate(kappa: np.ndarray, ds: np.ndarray,
     return Integration(ErrorVector(pos.item(-1)), ds, scale, PlanarCurve._built(s, pos, theta), rot)
 
 
-def integrate_curve(k: CurvatureProfile, ds: np.ndarray | None = None) -> PlanarCurve:
+def integrate_curve(k: CurvatureProfile) -> PlanarCurve:
     """Curve starting at the origin heading along +x with curvature k(s).
 
-    Sample j's curvature is held over the j-th arc-length step ``ds[j]``
-    (uniform 2*pi/n by default) and the position advances along the exact
-    circular arc, so a grid-aligned step profile integrates without
-    modeling error.
+    Sample j's curvature is held over the j-th arc-length step of 2*pi/n
+    and the position advances along the exact circular arc, so a
+    grid-aligned step profile integrates without modeling error.
     """
-    return _integrate(k.samples, np.full(k.n, TWO_PI / k.n) if ds is None else ds).curve
+    return _integrate(k.samples, np.full(k.n, TWO_PI / k.n)).curve
 
 
 def integrate_arcs(curvatures, lengths) -> PlanarCurve:

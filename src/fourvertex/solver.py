@@ -42,11 +42,10 @@ from .curvature import (
     compose,
     find_abab_points,
     mod_two_pi,
-    normalize_total,  # unused here; bench/tracing.py wraps it at solver.normalize_total
+    normalize_total,
     normalizing_scale,
     profile_from_step,
     reflect_negate,
-    total_curvature,
 )
 from .integrator import (
     STRAIGHT_KAPPA,
@@ -265,7 +264,7 @@ def _tangent_pass(k: np.ndarray, beta: complex, ev: Integration) -> _TangentPass
     return _TangentPass(e, jac, kappa, dcc)
 
 
-def _roundoff(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
+def _roundoff(beta: complex, ds: np.ndarray, c: float, s_k: float, a_k: float,
               tp: _TangentPass) -> tuple[float, float, float]:
     """Rounding bounds of the pass: on E, on J in the spectral norm, and on T = 2 pi / c, relative.
 
@@ -281,15 +280,14 @@ def _roundoff(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
     (|theta| + 4) u / |kappa_j| to cancellation, and a straight step is off
     its arc by ds_j^2 STRAIGHT_KAPPA.  The chords' moduli and the steps sum
     to at most ``span`` = 2 pi + n 64 u; the sums over |dds_j| and
-    |dturn_j| are bounded through h1.
+    |dturn_j| are bounded through h1.  ``s_k`` = sum_j |k_j| and
+    ``a_k`` = sum_j |k_j| ds_j.
     """
-    n, u = k.size, ROUNDOFF
+    n, u = ds.size, ROUNDOFF
     g = 1.01 * n * u
     m0 = 1.0 - abs(beta)
     e_ds, e_dds, h1 = 64.0 * u, 64.0 * u / m0, 2.0 * TWO_PI / n / m0 ** 2
     span = TWO_PI + n * e_ds
-    ak = np.abs(k)
-    s_k, a_k = float(np.sum(ak)), float(ak @ ds)
     rel_t = (s_k * e_ds + g * a_k) * abs(c) / TWO_PI + 2.0 * u
     e_turn = abs(c) * (a_k * (rel_t + 2.0 * u) + s_k * e_ds)  # over all the turns
     e_theta = e_turn + g * abs(c) * a_k                        # any tangent angle
@@ -313,7 +311,7 @@ def _roundoff(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
     return e_e, float(np.hypot(*map(column, np.abs(tp.dcc).tolist()))), rel_t
 
 
-def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
+def _lipschitz_bound(beta: complex, n: int, c: float, s_k: float, a_k: float,
                      rel_t: float) -> float:
     """Bound on the Lipschitz constant of J over the ball |beta' - beta| <= CERTIFICATE_RADIUS.
 
@@ -324,9 +322,9 @@ def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
       beta-derivatives |d_t d L| <= 2 / m^2 and |d_t d^2 L| <= 4 / m^3, so
       a step ds_j = L(t_{j+1}) - L(t_j) moves by |d ds_j| <= 2h / m^2 and
       |d^2 ds_j| <= 4h / m^3: h times the sup, not twice the sup of L;
-    - with S = sum_j |k_j|, every partial sum W of k_j ds_j, T among
-      them, has |dW| <= a1 = 2hS / m^2 and |d^2 W| <= a2 = 4hS / m^3, and
-      |W| <= A = sum_j |k_j| ds_j + rho a1, while |T| >= T_min
+    - with S = sum_j |k_j| (``s_k``), every partial sum W of k_j ds_j, T
+      among them, has |dW| <= a1 = 2hS / m^2 and |d^2 W| <= a2 = 4hS / m^3,
+      and |W| <= A = sum_j |k_j| ds_j (``a_k``) + rho a1, while |T| >= T_min
       = |T(beta)| - rho a1;
     - c = 2 pi / T then has |c| <= c_max = 2 pi / T_min,
       |dc| <= c_max a1 / T_min and |d^2 c| <= c_max (2 a1^2 / T_min^2
@@ -341,10 +339,9 @@ def _lipschitz_bound(k: np.ndarray, beta: complex, ds: np.ndarray, c: float,
     """
     rho = CERTIFICATE_RADIUS
     m = 1.0 - abs(beta) - rho
-    ak = np.abs(k)
-    a1 = 2.0 * TWO_PI / k.size * float(np.sum(ak)) / m ** 2
+    a1 = 2.0 * TWO_PI / n * s_k / m ** 2
     a2 = 2.0 * a1 / m
-    big_a = float(ak @ ds) * (1.0 + rel_t) + rho * a1
+    big_a = a_k * (1.0 + rel_t) + rho * a1
     t_min = TWO_PI / abs(c) * (1.0 - rel_t) - rho * a1
     if not t_min > 0.0:
         return math.inf
@@ -365,10 +362,13 @@ def _certify(k: np.ndarray, beta: complex, ev: Integration) -> RootCertificate |
     ||J_exact^-1|| <= b = ||J^-1|| / (1 - ||J^-1|| eps_J) (Banach's lemma),
     eta = b (|E| + eps_E), and with K from :func:`_lipschitz_bound` the
     test is h = b K eta <= 1/2, and the zero's ball must lie inside the
-    ball where K holds.  No further evaluation of the error is made.
+    ball where K holds.  Both bounds read sum_j |k_j| and sum_j |k_j| ds_j,
+    taken once here.  No further evaluation of the error is made.
     """
     tp = _tangent_pass(k, beta, ev)
-    eps_e, eps_j, rel_t = _roundoff(k, beta, ev.ds, ev.scale.c, tp)
+    ak = np.abs(k)
+    s_k, a_k = float(np.sum(ak)), float(ak @ ev.ds)
+    eps_e, eps_j, rel_t = _roundoff(beta, ev.ds, ev.scale.c, s_k, a_k, tp)
     jac = tp.jac
     det = abs(float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]))
     frob = float(np.sum(jac * jac))  # sigma_max^2 + sigma_min^2; det = their product
@@ -378,7 +378,7 @@ def _certify(k: np.ndarray, beta: complex, ev: Integration) -> RootCertificate |
         return None
     b = inv / (1.0 - inv * eps_j)
     eta = b * (abs(tp.e) + eps_e)
-    bound = _lipschitz_bound(k, beta, ev.ds, ev.scale.c, rel_t)
+    bound = _lipschitz_bound(beta, k.size, ev.scale.c, s_k, a_k, rel_t)
     h = b * bound * eta
     if not h <= 0.5:
         return None
@@ -482,9 +482,7 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             # sliver midpoints, around which h1 sweeps most of k's domain
             step = StepSpec(abab.a, abab.b,
                             tuple(0.5 * math.pi * q + math.pi / k.n for q in range(4)))
-            k0 = profile_from_step(step, k.n)
-            c0 = normalizing_scale(total_curvature(k0), k0.samples).c
-            ref_curve = _integrate(c0 * k0.samples, np.full(k.n, TWO_PI / k.n)).curve
+            ref_curve = integrate_curve(normalize_total(profile_from_step(step, k.n))[0])
         except (ConstructionFailed, ZeroTotalCurvature) as ex:
             history.append((len(history) + 1, float(eps0), f"set-up: {type(ex).__name__}: {ex}"))
             continue

@@ -6,6 +6,7 @@ without failing any library test.  These checks run the benchmark's own
 code against the library as it stands.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -176,3 +177,78 @@ def test_bench_digests_pinned(monkeypatch, workload, seed):
         lines.append(worker.outcome(wl, out))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     assert digest == BENCH_DIGESTS[workload, seed]
+
+
+def curve_bytes(c) -> bytes:
+    return b"".join(a.tobytes() for a in (c.s, c.pos, c.theta, c.t))
+
+
+def synth_bytes(res) -> bytes:
+    """Every output of a synthesis, as raw bytes."""
+    numbers = [res.scale.c, res.eps_used, *dataclasses.astuple(res.diagnostics)]
+    return b"".join((curve_bytes(res.curve), res.h1.knots.tobytes(), res.h1.values.tobytes(),
+                     np.complex128(res.beta_star.beta).tobytes(),
+                     np.array(numbers, dtype=float).tobytes(), bytes([res.sign_flipped])))
+
+
+def report_bytes(curve, rep) -> bytes:
+    return curve_bytes(curve) + repr(rep).encode()
+
+
+# SHA-256 over the raw bytes of every output of the leading operations of
+# each seed-1 workload.  The bench digests above print beta* to 9 decimals
+# and cover 4 synth operations, so they miss a change in the last bits; these
+# do not.
+OUTPUT_BYTES = {"synth": (16, "fef143c309f0a00e"), "analyze-corpus": (256, "a6d2752d62a4bbcb")}
+
+
+@pytest.mark.parametrize("workload", list(OUTPUT_BYTES))
+def test_outputs_pinned_to_the_bit(monkeypatch, workload):
+    worker = bench_worker(monkeypatch)
+    wl = worker.WORKLOADS[workload]
+    ops, expected = OUTPUT_BYTES[workload]
+    inputs = wl.make_inputs(fv, np.random.default_rng(1), wl.pool)[:ops]
+    h = hashlib.sha256()
+    for x in inputs:
+        out = wl.run(fv, x)
+        h.update(synth_bytes(out) if workload == "synth" else report_bytes(x, out))
+    assert h.hexdigest()[:16] == expected
+
+
+def test_synth_call_structure():
+    # the bench's per-layer metrics divide each stage's spans by the
+    # operations run; a WRAPPED name whose stage stops calling it reads 0
+    tracer = bench_tracing().Tracer()
+    k = fv.profile_from_function(lambda t: 1.5 + np.cos(2 * t))
+    with tracer.recording(fv, 0):
+        res = fv.solver.synthesize(k)
+    calls = {name: total[1] for name, total in tracer.totals_by_op()[0].items()}
+    evaluations = res.diagnostics.error_evaluations
+    assert calls == {
+        "solver.synthesize": 1,
+        "curvature.find_abab_points": 1,
+        "curvature.normalize_total": 1,
+        "integrator.integrate_curve": 1,
+        "curvature.build_h1": 1,
+        "curvature.compose": 1,
+        "solver.find_zero_beta": 1,
+        "solver.error_at_beta": evaluations + 1,
+        "moebius.moebius_lift": evaluations + 1,
+        "integrator.is_simple": 1,
+        "integrator.curvature_samples": 1,
+    }
+
+
+def test_corpus_curves_pass_the_validating_constructor(monkeypatch):
+    # random_convex_curve and random_star_curve build their curves unchecked;
+    # each would pass PlanarCurve's checks and keep its arrays
+    worker = bench_worker(monkeypatch)
+    curves = worker.analysis_curves(worker.CORPUS_N)(fv, np.random.default_rng(1), 1024)
+    rng = np.random.default_rng(2)
+    curves += [make(rng, n) for n in (64, 4096)
+               for make in (fv.random_convex_curve, fv.random_star_curve)]
+    for c in curves:
+        checked = fv.PlanarCurve(c.s, c.pos, c.theta, c.scale, c.t)
+        assert all(np.array_equal(getattr(checked, f), getattr(c, f)) and
+                   getattr(checked, f).dtype == getattr(c, f).dtype
+                   for f in ("s", "pos", "theta", "t"))

@@ -23,12 +23,10 @@ from fourvertex.curvature import (
     profile_from_function,
     profile_from_step,
     reflect_negate,
-    step_samples,
     total_curvature,
 )
 from fourvertex import curvature
-from fourvertex.curvature import (AbabPoints, _first_crossing, _mismatch_measure, _step_at_sorted,
-                                  _window_radii)
+from fourvertex.curvature import AbabPoints, _first_crossing, _mismatch_measure, _window_radii
 
 from conftest import trig_profile
 
@@ -563,7 +561,7 @@ def reference_mismatch_measure(k, h1, step, eps):
     """The reference for _mismatch_measure: every cut sorted, k(h1(t)) evaluated at each."""
     t = piece_cuts(k, h1, step)
     mid = 0.5 * (t[:-1] + t[1:])
-    target = step.value_at(mid)
+    target = searchsorted_value_at(step, mid)
     kt = np.asarray(k(h1(t)))
     fa, fb = kt[:-1] - target, kt[1:] - target
     rise = np.abs(fb - fa)
@@ -658,8 +656,16 @@ class TestMismatchMeasure:
             reference_mismatch_measure(k, h1, step, eps), abs=1e-12)
 
 
+def searchsorted_value_at(step: StepSpec, t) -> np.ndarray:
+    """The reference for StepSpec.value_at: the arc of each key, found by binary search."""
+    t = np.mod(np.asarray(t, dtype=float), TWO_PI)
+    idx = np.searchsorted(step.breakpoints, t + 1e-12, side="right") - 1
+    idx = np.where(idx < 0, 3, idx)
+    return np.where(idx % 2 == 0, step.a, step.b)
+
+
 class TestStepAtSorted:
-    """_step_at_sorted fills the step at ascending points; value_at is its reference."""
+    """value_at at ascending points, bit for bit the binary-search reference."""
 
     BUILT = [(lambda t: 1.5 + np.cos(2 * t), 0.1), (lambda t: 1.5 + np.cos(2 * t), 0.02),
              (lambda t: np.cos(2 * t) + 0.05 + 0.1 * np.cos(5 * t + 1.0), 0.1)]
@@ -675,7 +681,7 @@ class TestStepAtSorted:
             t = piece_cuts(k, build_h1(k, ab, step, eps), step)
             mid = 0.5 * (t[:-1] + t[1:])
             assert np.any(t[1:] == t[:-1]) and mid[-1] > TWO_PI
-            assert np.array_equal(_step_at_sorted(step, mid), step.value_at(mid))
+            assert np.array_equal(step.value_at(mid), searchsorted_value_at(step, mid))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -686,7 +692,7 @@ class TestStepAtSorted:
         step = StepSpec(0.5, 2.0, tuple(np.sort(rng.uniform(0.0, TWO_PI, 4))))
         t = piece_cuts(k, h1, step)
         mid = 0.5 * (t[:-1] + t[1:])
-        assert np.array_equal(_step_at_sorted(step, mid), step.value_at(mid))
+        assert np.array_equal(step.value_at(mid), searchsorted_value_at(step, mid))
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), start=st.floats(-8.0, 14.0),
@@ -703,7 +709,18 @@ class TestStepAtSorted:
                 for d in (-1e-12, 0.0)]
         near += [np.nextafter(v, s) for v in near for s in (-math.inf, math.inf)]
         x = np.sort(np.concatenate((x, [v for v in near if start <= v < start + TWO_PI], x[:3])))
-        assert np.array_equal(_step_at_sorted(step, x), step.value_at(x))
+        assert np.array_equal(step.value_at(x), searchsorted_value_at(step, x))
+
+
+def test_value_at_off_the_reals_and_at_scalars():
+    step = StepSpec(0.5, 2.0)
+    x = np.array([math.nan, math.inf, -math.inf, -1e300, 1e300, 0.0, -0.0, 1.0])
+    with np.errstate(invalid="ignore"):  # np.mod of +-inf
+        assert np.array_equal(step.value_at(x), searchsorted_value_at(step, x))
+        for v in x.tolist():
+            assert type(step.value_at(v)) is float
+            assert step.value_at(v) == searchsorted_value_at(step, v)
+    assert step.value_at(math.nan) == 2.0
 
 
 def test_reflect_negate_pointwise():
@@ -720,9 +737,10 @@ def test_scale_factor_rejects_zero():
 
 @pytest.mark.parametrize("n", [8, 64, 510, 512, 4096])
 def test_step_samples_match_value_at(n):
-    # bit for bit what value_at gives on the grid, for breakpoints on grid
-    # points, within value_at's 1e-12 of one, half a step off the grid (as
-    # synthesize places them), past the last grid point, and at random
+    # value_at and profile_from_step on the grid, bit for bit the binary-search
+    # reference, for breakpoints on grid points, within value_at's 1e-12 of
+    # one, half a step off the grid (as synthesize places them), past the last
+    # grid point, and at random
     h = TWO_PI / n
     rng = np.random.default_rng(n)
     specs = [StepSpec(0.5, 2.0),
@@ -732,5 +750,5 @@ def test_step_samples_match_value_at(n):
     specs += [StepSpec(1.0, 2.0, tuple(np.sort(rng.uniform(0.0, TWO_PI, 4)))) for _ in range(20)]
     grid = TWO_PI * np.arange(n) / n
     for spec in specs:
-        assert np.array_equal(step_samples(spec, n), spec.value_at(grid))
+        assert np.array_equal(spec.value_at(grid), searchsorted_value_at(spec, grid))
         assert np.array_equal(profile_from_step(spec, n).samples, spec.value_at(grid))

@@ -22,6 +22,7 @@ from fourvertex.curvature import (
 from fourvertex.integrator import (
     PlanarCurve,
     TooFewSamples,
+    _integrate,
     _orient,
     _ring,
     _segments_cross,
@@ -338,9 +339,9 @@ def test_long_collinear_sides_decided_fast(upright):
 
 
 def test_endpoint_error_matches_integrated_curve(monkeypatch):
-    # error_at_beta integrates once: its record's curve is integrate_curve's
-    # curve of c * k1 over the record's lift steps, array for array, and E is
-    # that curve's last position, bit for bit
+    # error_at_beta integrates once: its record's curve is the curve of c * k1
+    # that _integrate places over the record's lift steps, array for array,
+    # and E is that curve's last position, bit for bit
     rng = np.random.default_rng(11)
     for _ in range(20):
         kappa = rng.normal(0.5, 3.0, 4096)
@@ -348,7 +349,7 @@ def test_endpoint_error_matches_integrated_curve(monkeypatch):
         kappa[rng.random(4096) < 0.05] = 1e-15
         beta = 0.5 * rng.random() + 0.3j * rng.random()
         ev = solver.error_at_beta(CurvatureProfile(kappa), beta)
-        curve = integrate_curve(CurvatureProfile(ev.scale.c * kappa), ev.ds)
+        curve = _integrate(ev.scale.c * kappa, ev.ds).curve
         for f in ("s", "pos", "theta"):
             assert getattr(ev.curve, f).tobytes() == getattr(curve, f).tobytes()
         assert np.array([ev.e.e]).tobytes() == curve.pos[-1:].tobytes()

@@ -14,7 +14,6 @@ from fourvertex.analysis import detect_vertices, osserman_check
 from fourvertex.bicircle import Configuration, closed_form_error
 from fourvertex.curvature import (
     TWO_PI,
-    CurvatureProfile,
     HypothesisViolated,
     NoPositiveWindow,
     StepSpec,
@@ -28,9 +27,9 @@ from fourvertex.integrator import (
     ErrorVector,
     InsufficientDensity,
     OriginOnLoop,
+    _integrate,
     curvature_samples,
     error_vector,
-    integrate_curve,
     is_simple,
 )
 from fourvertex.moebius import NumericallyDegenerate, evaluation_inverse, moebius_on_config
@@ -171,7 +170,7 @@ class TestErrorAtBeta:
         assert ds.size == 2048
         assert np.isfinite(err.magnitude)
         # the returned steps and scale rebuild the curve the error belongs to
-        curve = integrate_curve(CurvatureProfile(sc.c * k.samples), ds)
+        curve = _integrate(sc.c * k.samples, ds).curve
         assert curve.s.size == 2049
         assert error_vector(curve) == err
 
@@ -427,7 +426,9 @@ def test_roundoff_bounds_cover_extended_precision(case):
     k1, beta = root_case(case)
     ev = error_at_beta(k1, beta)
     tp = solver._tangent_pass(k1.samples, beta, ev)
-    eps_e, eps_j, _ = solver._roundoff(k1.samples, beta, ev.ds, ev.scale.c, tp)
+    ak = np.abs(k1.samples)
+    eps_e, eps_j, _ = solver._roundoff(beta, ev.ds, ev.scale.c, float(np.sum(ak)),
+                                       float(ak @ ev.ds), tp)
     e_ext, jac_ext = extended_error_and_jacobian(k1.samples, beta)
     assert abs(tp.e - e_ext) < eps_e < 1e-8
     assert np.linalg.norm(tp.jac - jac_ext, 2) < eps_j < 1e-7
