@@ -76,20 +76,40 @@ def test_synth_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "round 4 (eps=0.0125): eps at most 8*pi/1024" in err
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("e", [-12, -9, -3, 10, 306])
-def test_synth_profile_magnitudes_end_in_typed_failure(tmp_path, capsys, e):
-    # 10^e (1.5 + cos 2t + 0.1 sin 3t) is realized for e in [-1, 9] on this
-    # grid; at these magnitudes the window search, the warp or the total
-    # curvature fails instead, each with one stderr line and exit 2 or 3
+def write_magnitude_json(path, e):
+    """10^e (1.5 + cos 2t + 0.1 sin 3t) on 64 samples, as a JSON profile."""
     t = TWO_PI * np.arange(64) / 64
     samples = 10.0 ** e * (1.5 + np.cos(2 * t) + 0.1 * np.sin(3 * t))
+    path.write_text(json.dumps({"samples": samples.tolist()}), encoding="utf-8")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [-12, -9, 10, 306])
+def test_synth_profile_magnitudes_end_in_typed_failure(tmp_path, capsys, e):
+    # 10^e (1.5 + cos 2t + 0.1 sin 3t) is realized for e in [-7, 9] on this
+    # grid; at these magnitudes the window search or the warp fails instead,
+    # each with one stderr line and exit 2 or 3
     src = tmp_path / "kappa.json"
-    src.write_text(json.dumps({"samples": samples.tolist()}), encoding="utf-8")
+    write_magnitude_json(src, e)
     code = cli.main(["synth", str(src), "--out-dir", str(tmp_path / "o"), "--grid", "512"])
     err = capsys.readouterr().err
     assert code in (cli.EXIT_INPUT, cli.EXIT_FAILED), err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_synth_small_magnitude_realized(tmp_path):
+    # 10^-3 (1.5 + cos 2t + 0.1 sin 3t) closes on this grid; diagnostics.json
+    # carries the closure error and no distance to the step curve
+    src = tmp_path / "kappa.json"
+    write_magnitude_json(src, -3)
+    out = tmp_path / "o"
+    code = cli.main(["synth", str(src), "--out-dir", str(out), "--grid", "512"])
+    assert code == cli.EXIT_OK
+    assert len((out / "curve.csv").read_text().splitlines()) == 514  # header and 513 samples
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["final_error"] < 1e-9
+    assert not {"position_distance", "angle_distance"} & diag.keys()
 
 
 def test_synth_default_rounds_stop_at_four_sample_measure(tmp_path):

@@ -14,12 +14,14 @@ from fourvertex.analysis import detect_vertices, osserman_check
 from fourvertex.bicircle import Configuration, closed_form_error
 from fourvertex.curvature import (
     TWO_PI,
+    CurvatureProfile,
     HypothesisViolated,
     NoPositiveWindow,
     StepSpec,
     build_h1,
     compose,
     find_abab_points,
+    plateau_extrema,
     profile_from_function,
     profile_from_step,
 )
@@ -479,11 +481,12 @@ class TestSynthesize:
         assert res.diagnostics.error_evaluations <= 3
         assert abs(res.beta_star.beta - PINNED_BETA) < 1e-9
 
-    def test_evaluation_budget_over_seven_rounds(self):
-        # LARGE_SCALE's own pass fails every round it tries, and the flipped
-        # pass closes it in round 7; 23 evaluations over all of them
-        diag = synthesize(trig_profile(*LARGE_SCALE)).diagnostics
-        assert diag.rounds == 7 and diag.error_evaluations <= 24
+    def test_evaluation_budget_over_three_rounds(self):
+        # LARGE_SCALE's own pass fails the zero search at eps 0.1 and 0.05
+        # and closes it in round 3; 10 evaluations over all of them
+        res = synthesize(trig_profile(*LARGE_SCALE))
+        assert not res.sign_flipped
+        assert res.diagnostics.rounds == 3 and res.diagnostics.error_evaluations <= 10
 
     @pytest.mark.parametrize("kwargs", [
         {"eps0": 0.0}, {"eps0": -0.0}, {"eps0": -0.1}, {"eps0": 7.0},
@@ -594,8 +597,8 @@ def warp_onto_step(k, eps, offset=0.5):
          n=4096)
 # the normalized error evaluation turned a grid step by more than half a turn
 @example(*LARGE_SCALE, 4096)
-# a small own window: eps 0.1 and 0.05 fail the reference distance, round 3
-# realizes it (with grid-aligned step breakpoints only the flipped pass did)
+# a small own window: round 1 realizes it (with grid-aligned step breakpoints
+# only the flipped pass did)
 @example(*SMALL_WINDOW, 4096)
 # the sampled error route did not wind on this profile's round-2 certificate
 # square; see test_error_is_continuous_at_certificate_scale
@@ -618,9 +621,35 @@ def test_synthesis_realizes_random_admissible_profiles(c0, coefs, n):
 def test_own_window_realized_without_flip(case):
     res = synthesize(trig_profile(*case))
     assert not res.sign_flipped
-    assert res.diagnostics.rounds <= 3
+    assert res.diagnostics.rounds == 1
 
 
+@pytest.mark.parametrize("e", [-6, -4, -3, -2])
+def test_small_magnitudes_realized_in_round_one(e):
+    t = TWO_PI * np.arange(4096) / 4096
+    k = CurvatureProfile(10.0 ** e * (1.5 + np.cos(2 * t) + 0.1 * np.sin(3 * t)))
+    res = synthesize(k)
+    assert res.diagnostics.rounds == 1
+    assert error_vector(res.curve).magnitude < 1e-9 * TWO_PI
+    assert is_simple(res.curve)[0]
+    TestSynthesize._check_round_trip(k, res)
+
+
+def test_sweep_closes_in_round_one():
+    # 160 seeded trig profiles, 60 of them with c0 in [-1.05, -0.5] where
+    # the own window is small, and the three pinned ones: nearly all close
+    # in round 1, and each curve has as many vertices as k has extrema
+    rng = np.random.default_rng(12345)
+    cases = [(rng.uniform(-2.5, 2.5) if i < 100 else rng.uniform(-1.05, -0.5),
+              rng.uniform(-0.1, 0.1, size=10)) for i in range(160)]
+    cases += [SMALL_WINDOW, CERTIFICATE_CASE, LARGE_SCALE]
+    first_round = 0
+    for c0, coefs in cases:
+        k = trig_profile(c0, coefs)
+        res = synthesize(k)
+        first_round += res.diagnostics.rounds == 1
+        assert osserman_check(res.curve).vertex_count == len(plateau_extrema(k.samples))
+    assert first_round >= 155
 @pytest.mark.parametrize("case, eps", [(LARGE_SCALE, 0.025), (LARGE_SCALE, 0.00625),
                                        (LARGE_SCALE, 0.0015625), (SMALL_WINDOW, 0.05),
                                        (CERTIFICATE_CASE, 0.05)],
@@ -641,9 +670,8 @@ def test_polished_root_closes_the_scaled_curve(case, eps):
 
 def test_schedule_stops_at_four_sample_measure(monkeypatch):
     # one mismatched sample at each of the four step jumps measures 8*pi/n,
-    # so no round with eps <= 8*pi/n is tried: LARGE_SCALE's own pass stops
-    # after eps 0.00625 (was: two more rounds, at 0.003125 and 0.0015625),
-    # and the flipped pass realizes it as before
+    # so no round with eps <= 8*pi/n is tried: with every round failing at
+    # simplicity, each pass stops after eps 0.00625 (8*pi/4096 ~ 0.00614)
     k = trig_profile(*LARGE_SCALE)
     tried = []
     real = solver.build_h1
@@ -653,11 +681,14 @@ def test_schedule_stops_at_four_sample_measure(monkeypatch):
         return real(k, abab, step, eps)
 
     monkeypatch.setattr(solver, "build_h1", spy)
-    res = synthesize(k)
-    assert res.sign_flipped
-    assert res.beta_star.beta == -0.0015098197386953253 + 0.0016582205185108117j
-    assert res.diagnostics.rounds == 7
+    monkeypatch.setattr(solver, "is_simple", lambda curve: (False, (0, 1)))
+    with pytest.raises(SynthesisFailed) as info:
+        synthesize(k)
+    schedule = [0.1 * 0.5 ** j for j in range(5)]
+    assert tried == schedule + schedule  # the own pass, then the flipped one
     assert min(tried) > 8.0 * math.pi / k.n
+    stops = [r for r, _, why in info.value.history if why.endswith("schedule stopped")]
+    assert stops == [6, 12]
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
@@ -704,7 +735,7 @@ def test_large_grid_synthesis_in_bounded_memory():
 def test_one_integration_per_evaluation(monkeypatch):
     # each error evaluation integrates its curve once; the certificate and
     # the returned curve read those records, so a round adds only the
-    # repeated evaluation at the root and the reference step curve
+    # repeated evaluation at the root
     calls = [0]
     real = integrator._arcs
 
@@ -716,7 +747,7 @@ def test_one_integration_per_evaluation(monkeypatch):
     monkeypatch.setattr(solver, "_arcs", counted, raising=False)
     diag = synthesize(profile_from_function(lambda t: 1.5 + np.cos(2 * t))).diagnostics
     assert diag.rounds == 1
-    assert calls[0] == diag.error_evaluations + 2
+    assert calls[0] == diag.error_evaluations + 1
 
 
 def test_one_tangent_pass_per_evaluation(monkeypatch):
