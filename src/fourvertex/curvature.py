@@ -195,10 +195,6 @@ class CircleDiffeo:
         out += wind
         return out
 
-    def inverse(self) -> "CircleDiffeo":
-        """Exact inverse: a piecewise-linear lift with axes swapped."""
-        return CircleDiffeo(self.values, self.knots)
-
 
 @dataclass(frozen=True)
 class ScaleFactor:

@@ -572,7 +572,7 @@ def reference_star_curve(rng, n):
     return analysis._closed_fixture(t, gamma, np.abs(dgamma), theta)
 
 
-@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("n", [64, 96, 512, 4096])
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_random_curves_match_reference_formulas(seed, n):
     # each harmonic's cosine and sine are computed once; the curves are bit for bit the same
@@ -583,3 +583,59 @@ def test_random_curves_match_reference_formulas(seed, n):
         got, want = make(rng, n=n), old(ref, n)
         for name in ("s", "pos", "theta", "t"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+
+
+GENERATORS = [random_convex_curve, random_star_curve]
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+@pytest.mark.parametrize("n", [-3, 0, 1, 2, 3, analysis.MIN_SAMPLES - 1, 512.5])
+def test_random_curves_reject_bad_sample_counts(make, n):
+    with pytest.raises(ValueError):
+        make(np.random.default_rng(1), n)
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_random_curves_at_the_fewest_samples_pass_the_checks(make):
+    # numpy integers are sample counts too
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        c = make(rng, np.int64(analysis.MIN_SAMPLES))
+        PlanarCurve(c.s, c.pos, c.theta, c.scale, c.t)
+        assert c.closed and c.t[-1] == 2 * math.pi
+
+
+def test_harmonic_table_is_read_only():
+    for a in analysis._harmonic_table(512):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_random_curves_own_their_arrays(make):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    first = make(rng, 128)
+    want_first, want_next = make(ref, 128), make(ref, 128)
+    for name in ("t", "pos", "theta"):
+        a = getattr(first, name)
+        assert a.flags.writeable
+        a[:] = 0
+    got_next = make(rng, 128)
+    fresh = make(np.random.default_rng(5), 128)
+    for name in ("s", "pos", "theta", "t"):
+        assert np.array_equal(getattr(got_next, name), getattr(want_next, name)), name
+        assert np.array_equal(getattr(fresh, name), getattr(want_first, name)), name
+
+
+def test_random_curves_survive_table_eviction():
+    def curves(n):
+        rng = np.random.default_rng(11)
+        return [random_convex_curve(rng, n), random_star_curve(rng, n)]
+
+    before = curves(64)
+    for n in range(65, 66 + analysis._harmonic_table.cache_info().maxsize):
+        curves(n)
+    for got, want in zip(curves(64), before):
+        for name in ("s", "pos", "theta", "t"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
