@@ -41,7 +41,6 @@ from .curvature import (
     ConstructionFailed,
     CurvatureProfile,
     HypothesisViolated,
-    NoPositiveWindow,
     ScaleFactor,
     StepSpec,
     ZeroTotalCurvature,

@@ -16,7 +16,6 @@ from .curvature import (
     TWO_PI,
     CurvatureProfile,
     HypothesisViolated,
-    NoPositiveWindow,
     StepSpec,
     normalize_total,
     profile_from_step,
@@ -219,7 +218,7 @@ def cmd_synth(args) -> int:
         return EXIT_IO
     try:
         result = solver.synthesize(profile, eps0=args.eps0)
-    except (HypothesisViolated, NoPositiveWindow) as ex:
+    except HypothesisViolated as ex:
         print(f"hypothesis violated: {ex}", file=sys.stderr)
         return EXIT_INPUT
     except solver.BadParameter as ex:

@@ -33,10 +33,6 @@ class HypothesisViolated(ValueError):
     """The profile lacks two local maxima and two local minima."""
 
 
-class NoPositiveWindow(ValueError):
-    """Neither the profile nor its negation admits values 0 < a < b."""
-
-
 class ConstructionFailed(RuntimeError):
     """A constructed warp failed its verification check."""
 
@@ -255,10 +251,11 @@ def plateau_extrema(values) -> list[Plateau]:
     """Strict local extrema of a cyclic sequence after collapsing plateaus.
 
     Consecutive entries within ``PLATEAU_TOL`` of the running plateau mean are
-    grouped; a plateau is reported iff its value is strictly above (max) or
-    strictly below (min) both neighbouring plateau values.  ``start`` is the
-    first index of the run and the run may wrap past the end.  A constant
-    sequence yields an empty list.
+    grouped, and neighbouring groups with equal means join; a plateau is
+    reported iff its value is strictly above (max) or strictly below (min)
+    both neighbouring plateau values, so maxima and minima alternate.
+    ``start`` is the first index of the run and the run may wrap past the
+    end.  A constant sequence yields an empty list.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -298,6 +295,15 @@ def plateau_extrema(values) -> list[Plateau]:
         start, count, mean = start[:-1], count[:-1], mean[:-1]
     if start.size < 2:
         return []
+    # neighbouring plateaus whose means compare equal are one plateau, else
+    # neither is a strict extremum and the extrema need not alternate
+    if mean.item(0) == mean.item(-1) or (mean[1:] == mean[:-1]).any():
+        head = (mean != np.roll(mean, 1)).nonzero()[0]
+        if head.size < 2:
+            return []
+        # the run through index 0 starts at head[-1]
+        count = np.add.reduceat(np.roll(count, -head[0]), head - head[0])
+        start, mean = start[head], mean[head]
     ring = np.empty(mean.size + 2)  # the plateau means with each neighbour wrapped in
     ring[1:-1] = mean
     ring[0], ring[-1] = mean[-1], mean[0]
@@ -340,8 +346,6 @@ def _pick_window(plateaus: list[Plateau], samples: np.ndarray):
     ma, mb = sorted(top, key=lambda p: p.start)
     arc1 = [p for p in minima if _cyclic_between(ma.start, mb.start, p.start, n)]
     arc2 = [p for p in minima if _cyclic_between(mb.start, ma.start, p.start, n)]
-    if not arc1 or not arc2:
-        return None
     m1 = min(arc1, key=lambda p: p.value)
     m2 = min(arc2, key=lambda p: p.value)
     hi = min(ma.value, mb.value)
@@ -368,28 +372,29 @@ def find_abab_points(k: CurvatureProfile) -> AbabPoints:
 
     The window is cut from the two largest interleaved maxima and the two
     smallest interleaved minima, shaved by a tenth of its height and clamped
-    to positive values.  When the profile itself admits no positive window
-    but its negation does, the search runs on the negation and
-    ``sign_flipped`` is set.
+    to positive values.  When the profile itself admits no positive window,
+    the search runs on its negation and ``sign_flipped`` is set.
+
+    One of the two always has a window.  Maxima and minima alternate
+    (:func:`plateau_extrema`), so the two chosen maxima have a minimum on
+    each arc between them, below both, and k lacks a window only when its
+    second-largest maximum is <= 0; likewise -k only when k's second-smallest
+    minimum is >= 0.  Every maximum is above both neighbouring minima, of
+    which at most one is the smallest minimum, so the second condition makes
+    every maximum positive and rules out the first.
     """
     plateaus = plateau_extrema(k.samples)
-    n_max = sum(1 for p in plateaus if p.kind == "max")
-    n_min = sum(1 for p in plateaus if p.kind == "min")
-    if n_max < 2 or n_min < 2:
+    if len(plateaus) < 4:  # as many maxima as minima, since they alternate
         raise HypothesisViolated(
-            f"need two maxima and two minima, found {n_max} and {n_min}"
-        )
+            f"need two maxima and two minima, found {len(plateaus) // 2} of each")
     win = _pick_window(plateaus, k.samples)
-    if win is not None:
-        a, b, params = win
-        return AbabPoints(a, b, params, False)
-    neg = [Plateau(p.start, p.length, "min" if p.kind == "max" else "max", -p.value)
-           for p in plateaus]
-    win = _pick_window(neg, -k.samples)
-    if win is None:
-        raise NoPositiveWindow("no positive value window for the profile or its negation")
+    flipped = win is None
+    if flipped:
+        neg = [Plateau(p.start, p.length, "min" if p.kind == "max" else "max", -p.value)
+               for p in plateaus]
+        win = _pick_window(neg, -k.samples)
     a, b, params = win
-    return AbabPoints(a, b, params, True)
+    return AbabPoints(a, b, params, flipped)
 
 
 def _unwrap_cyclic(params) -> np.ndarray:
@@ -520,8 +525,8 @@ def build_h1(
     k(h1) stays within eps/8 of the step, so the mismatch has measure at
     most eps/4.  A measure of eps or more, or knots that do not define a
     diffeomorphism, raise ConstructionFailed.  The window must be one of k
-    itself: the points of a sign-flipped window do not attain its values,
-    raising ValueError.
+    itself: a sign-flipped window is a window of -k, and k does not attain
+    its values at its points, raising ValueError.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -559,9 +564,3 @@ def build_h1(
     if measure >= eps:
         raise ConstructionFailed(f"mismatch measure {measure:.3g} is not below eps {eps:.3g}")
     return h1
-
-
-def reflect_negate(k: CurvatureProfile) -> CurvatureProfile:
-    """The profile t -> -k(2*pi - t); sampled exactly on the same grid."""
-    s = k.samples
-    return CurvatureProfile(-np.concatenate(([s[0]], s[:0:-1])))

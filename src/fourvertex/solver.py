@@ -16,7 +16,9 @@ synthesis evaluates once more at the accepted root and returns that curve.
 A root that the test does not certify fails the synthesis round, which
 retries with a finer warp.  The synthesis pipeline warps an admissible
 profile onto a two-value step function, closes the curve by that root, and
-tags each sample with the original parameter the warp sends it to.
+tags each sample with the original parameter the warp sends it to; a
+profile that its own window does not realize gets the mirror image of the
+curve of -k, whose curvature is k at the same parameter.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .curvature import (
     normalize_total,  # bench/tracing.WRAPPED looks it up here
     normalizing_scale,
     profile_from_step,
-    reflect_negate,
 )
 from .integrator import (
     STRAIGHT_KAPPA,
@@ -108,9 +109,10 @@ class SynthesisDiagnostics:
 class SynthesisResult:
     """Closed simple curve realizing a preassigned curvature function.
 
-    ``curve.t`` tags every sample with the original parameter; evaluating
+    ``curve.t`` tags sample j with the original parameter mod_two_pi(h1(u_j));
     the input profile there matches the curve's curvature away from the
-    sliver arcs.
+    sliver arcs.  With ``sign_flipped`` the curve mirrors the one built for
+    -k, with that curve's h1, scale, arc lengths and tags.
     """
 
     curve: PlanarCurve
@@ -426,10 +428,10 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     parameter.  A round ends at its first failed check (the warp, the zero
     search, simplicity, the curvature mismatch) and logs its reason; the
     schedule then halves eps, the only retry.  When the profile admits no
-    positive value window, or every round of its schedule fails, the
-    reflected negation -k(2*pi - t) runs a schedule of its own and the
-    finished curve is reversed.  A pass whose window crossings are not
-    found logs a failed set-up in place of its rounds.
+    positive value window, or every round of its schedule fails, -k runs a
+    schedule of its own and its curve is mirrored, which negates both sides
+    of every check and keeps the arc lengths and tags.  A pass whose window
+    crossings are not found logs a failed set-up in place of its rounds.
 
     The final check measures the curvature mismatch as 2*pi times the
     share of mismatched curve samples, as ``bench/worker.py`` counts it;
@@ -464,9 +466,9 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     history: list[tuple[int, float, str]] = []
     stats = {"evaluations": 0}
     for flipped in (False, True):
-        # the flipped pass realizes -k(2*pi - t); reversing the finished curve
-        # then yields k(t)
-        work = reflect_negate(k) if flipped else k
+        # the flipped pass realizes -k; the mirror image of its curve has
+        # curvature k at the same parameter
+        work = CurvatureProfile(-k.samples) if flipped else k
         try:
             abab = find_abab_points(work)
         except ConstructionFailed as ex:
@@ -501,23 +503,20 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
             if not simple:
                 return f"self-intersection at {witness}"
 
-            # the curve scaled by c; sample j carries k1(u_j) = k(h1(u_j))
+            # the curve scaled by c; sample j carries k1(u_j) = work(h1(u_j))
             scaled = scale_curve(curve, sc)
-            s, pos, theta = scaled.s, scaled.pos, scaled.theta
-            tags = mod_two_pi(h1(_circle(k.n)[0]))
-            if flipped:  # traversed backwards, so it carries k at 2*pi - t
-                s, pos, theta = s[-1] - s[::-1], pos[::-1], theta[::-1] + math.pi
-                tags = mod_two_pi(TWO_PI - tags[::-1])
-            final = PlanarCurve._built(s, pos, theta, sc.c, tags)
-            kap_hat = curvature_samples(final)  # n values: the curve closes
-            # unflipped, k at the tags is k1: compose read k at h1 of the same
-            # grid, and k reduces its argument mod 2*pi as the tags do
-            target = k(final.t[:k.n]) if flipped else k1.samples
-            np.subtract(kap_hat, target, out=kap_hat)
+            kap_hat = curvature_samples(scaled)  # n values: the curve closes
+            np.subtract(kap_hat, k1.samples, out=kap_hat)
             bad = np.abs(kap_hat, out=kap_hat) >= tol_kappa
             bad_measure = np.count_nonzero(bad) / bad.size * TWO_PI
             if bad_measure >= eps:
                 return f"curvature mismatch on measure {bad_measure:.3f}"
+
+            pos, theta = scaled.pos, scaled.theta
+            if flipped:
+                pos, theta = pos.conj(), -theta
+            final = PlanarCurve._built(scaled.s, pos, theta, sc.c,
+                                       mod_two_pi(h1(_circle(k.n)[0])))
 
             diag = SynthesisDiagnostics(
                 final_error=err.magnitude, rounds=round_no,

@@ -124,12 +124,13 @@ def test_bench_curves_meet_their_circles_in_points(monkeypatch):
         assert rep.contact_gap <= math.pi + 1e-12
 
 
-def test_unflipped_target_is_the_composed_profile(monkeypatch):
-    # an unflipped round checks the curve's curvature against k at its tags,
-    # mod_two_pi(h1(grid)), by reading compose(k, h1): k reduces its argument
-    # mod 2*pi as the tags do, so the two agree bit for bit; checked on every
-    # round of the bench's seed-1 profiles, of a small own window and of a
-    # profile that takes three rounds
+def test_round_target_is_the_composed_profile(monkeypatch):
+    # every round checks the curvature of its curve, unmirrored, against
+    # compose(work, h1), work being k or, in the flipped pass, -k; work
+    # reduces its argument mod 2*pi as the tags mod_two_pi(h1(grid)) do, so
+    # the two agree bit for bit, and a flipped round's target is -k at the
+    # tags; checked on every round of the bench's seed-1 profiles, of a small
+    # own window and of a profile that takes three rounds
     from test_solver import LARGE_SCALE, SMALL_WINDOW
     from conftest import trig_profile
 
@@ -144,21 +145,59 @@ def test_unflipped_target_is_the_composed_profile(monkeypatch):
         return k1
 
     monkeypatch.setattr(fv.solver, "compose", recorded)
+    counts = {False: 0, True: 0}
     for k in profiles:
         rounds.clear()
-        fv.solver.synthesize(k)
-        unflipped = [(h1, k1) for work, h1, k1 in rounds if work is k]
+        res = fv.solver.synthesize(k)
         grid = fv.moebius._circle(k.n)[0]
-        for h1, k1 in unflipped:
-            target = k(fv.curvature.mod_two_pi(h1(grid)))[:k.n]
-            assert k1.samples.tobytes() == target.tobytes()
-    assert len(unflipped) >= 3  # LARGE_SCALE: rounds 1 to 3
+        for work, h1, k1 in rounds:
+            tags = fv.curvature.mod_two_pi(h1(grid))
+            assert k1.samples.tobytes() == work(tags)[:k.n].tobytes()
+            flipped = work is not k
+            if flipped:
+                assert work.samples.tobytes() == (-k.samples).tobytes()
+                assert k1.samples.tobytes() == (-k(tags))[:k.n].tobytes()
+            counts[flipped] += 1
+        # the curve carries the tags of its round's warp, in either orientation
+        assert res.curve.t.tobytes() == fv.curvature.mod_two_pi(res.h1(grid)).tobytes()
+    assert counts[True] >= 32 and counts[False] >= 96 + 3  # LARGE_SCALE: rounds 1 to 3
+
+
+def test_flipped_synthesis_is_the_mirror_of_the_negation(monkeypatch):
+    # a profile without a window of its own is realized through -k: its
+    # window is that of -k, and its result is the mirror image of
+    # synthesize(-k), positions conjugated and tangent angles negated, with
+    # every other output equal bit for bit; on the bench's profiles of seeds
+    # 1 and 7919, the sweep and the rich family
+    from conftest import rich_family, sweep_profiles
+
+    worker = bench_worker(monkeypatch)
+    profiles = [k for seed in (1, 7919)
+                for k in worker.synth_profiles(fv, np.random.default_rng(seed), 128)]
+    profiles += sweep_profiles() + rich_family()
+    flipped = 0
+    for k in profiles:
+        try:
+            window = fv.find_abab_points(k)
+        except fv.HypothesisViolated:
+            continue
+        if not window.sign_flipped:
+            continue
+        flipped += 1
+        neg = fv.CurvatureProfile(-k.samples)
+        assert fv.find_abab_points(neg) == window._replace(sign_flipped=False)
+        res, mirror = fv.solver.synthesize(k), fv.solver.synthesize(neg)
+        assert res.sign_flipped and res.curve.scale == mirror.curve.scale
+        back = dataclasses.replace(res.curve, pos=res.curve.pos.conj(), theta=-res.curve.theta)
+        assert synth_bytes(dataclasses.replace(res, curve=back, sign_flipped=False)) == \
+            synth_bytes(mirror)
+    assert flipped == 64 + 43 + 7
 
 
 # Digests of the first digest_ops outcomes of each workload, as bench/run.py
 # prints them; an output change moves them, and a change that means to
 # change outputs restates them here.
-BENCH_DIGESTS = {("synth", 1): "99fa6eb99d62ac0d", ("synth", 7919): "7eec7eb4da03bc47",
+BENCH_DIGESTS = {("synth", 1): "b86b6a4d5589e3fd", ("synth", 7919): "068aa8a7cd286a86",
                  ("analyze-corpus", 1): "9c5d9c4563570a3b",
                  ("analyze-corpus", 7919): "ccd6ed983e2a8e05"}
 
@@ -199,7 +238,7 @@ def report_bytes(curve, rep) -> bytes:
 # each seed-1 workload.  The bench digests above print beta* to 9 decimals
 # and cover 4 synth operations, so they miss a change in the last bits; these
 # do not.
-OUTPUT_BYTES = {"synth": (16, "a0fe86d35755b1ff"), "analyze-corpus": (256, "a6d2752d62a4bbcb")}
+OUTPUT_BYTES = {"synth": (16, "b43a2e8f2e43dccd"), "analyze-corpus": (256, "a6d2752d62a4bbcb")}
 
 
 @pytest.mark.parametrize("workload", list(OUTPUT_BYTES))

@@ -15,7 +15,8 @@ from fourvertex.curvature import TWO_PI, profile_from_function
 from fourvertex.integrator import PlanarCurve, integrate_curve
 from fourvertex.moebius import NumericallyDegenerate
 
-from conftest import ellipse_curve, limacon_curve
+from conftest import dyadic_polygon, ellipse_curve, limacon_curve
+from test_curvature import TIED_B
 
 
 def write_kappa_csv(path, fn, n=256):
@@ -244,6 +245,27 @@ def test_analyze_builds_one_vertex_report(tmp_path, monkeypatch, name):
     assert cli.main(["analyze", str(path), "--out-dir", str(out), "--svg"]) == 0
     assert len(calls) == 1
     assert json.loads((out / "analysis.json").read_text())["vertex_report"] == expected
+
+
+def test_analyze_plateaus_with_equal_means(tmp_path, capsys):
+    # a circle polygon of 512 samples whose curvature carries, at two peaks,
+    # a plateau of two samples next to one of 14 with the same mean; neither
+    # was an extremum, the vertex kinds failed to alternate and analyze
+    # ended in a traceback
+    step = 2.0 ** -6
+    peak = np.array([0, 1, 2, 3, 3] + [3] * 14 + [2, 1, 0, 1, 2, 2.5, 2, 1]) * step
+    peak[5:19] += TIED_B
+    kappa = np.full(512, 201 / 256)  # near 2*pi / 8, a circle's curvature at length 8
+    for at in (100, 301):  # one odd shift apart, so the even and odd sums agree
+        kappa[at:at + peak.size] += peak
+    path = tmp_path / "curve.csv"
+    cli.write_curve_csv(path, dyadic_polygon(kappa))
+    out = tmp_path / "rep"
+    assert cli.main(["analyze", str(path), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    kinds = [v["kind"] for v in json.loads((out / "analysis.json").read_text())
+             ["vertex_report"]["vertices"]]
+    assert len(kinds) == 8 and all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))
 
 
 def test_analyze_open_arc_rejected(tmp_path):

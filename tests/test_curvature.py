@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fourvertex.curvature import (
     PLATEAU_TOL,
@@ -22,7 +23,6 @@ from fourvertex.curvature import (
     plateau_extrema,
     profile_from_function,
     profile_from_step,
-    reflect_negate,
     total_curvature,
 )
 from fourvertex import curvature
@@ -204,7 +204,7 @@ class TestLocalExtrema:
 
 
 def reference_plateau_extrema(values):
-    """One pass of the running-mean grouping rule, sample by sample."""
+    """One pass of the running-mean grouping rule, sample by sample, then equal means joined."""
     v = np.asarray(values, dtype=float)
     n = v.size
     starts, sums, counts = [], [], []
@@ -223,6 +223,17 @@ def reference_plateau_extrema(values):
         sums[0] += sums[-1]
         means[0] = sums[0] / counts[0]
         del starts[-1], sums[-1], counts[-1], means[-1]
+    # neighbours whose means compare equal join, the run keeping its first mean
+    while len(means) > 1 and means[-1] == means[0]:
+        counts[-1] += counts.pop(0)
+        del starts[0], means[0]
+    g = 1
+    while g < len(means):
+        if means[g] == means[g - 1]:
+            counts[g - 1] += counts.pop(g)
+            del starts[g], means[g]
+        else:
+            g += 1
     m = len(starts)
     if m < 2:
         return []
@@ -242,11 +253,14 @@ def reference_plateau_extrema(values):
 
 @st.composite
 def plateau_sequences(draw):
-    """Step, plateau, noisy and smooth cyclic sequences, rolled across index 0."""
-    kind = draw(st.sampled_from(["step", "plateau", "noisy", "smooth"]))
+    """Step, plateau, noisy, smooth and integer cyclic sequences, rolled across index 0."""
+    kind = draw(st.sampled_from(["step", "plateau", "noisy", "smooth", "integer"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
-    if kind == "step":
+    if kind == "integer":
+        # small integers: exact ties at scale 1, steps near PLATEAU_TOL at 2^-31
+        v = rng.integers(-3, 4, size=n) * draw(st.sampled_from([1.0, 2.0 ** -31]))
+    elif kind == "step":
         levels = rng.choice(draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4)), size=n)
         v = levels[np.sort(rng.integers(0, n, size=n))]
     elif kind == "plateau":
@@ -267,13 +281,32 @@ def plateau_sequences(draw):
     return np.roll(v, draw(st.integers(0, n)))
 
 
+# B starts a group of its own, 2^-29 off the zeros before it, each value within
+# PLATEAU_TOL of the group's running mean; B sums to 0, so the zeros' group
+# and B's have equal means
+TIED_B = np.array([2048, 1127, 666, 359, 129, -56, -209, -341, -456, -558, -651, -734,
+                   -811, -513]) * 2.0 ** -40
+TIED_MEANS = np.concatenate(([-3, -2, -1, 0, 0], TIED_B, [-1, -2, -3, -2, -1, -0.5, -1, -2]))
+# the wrap merge gives the first group the mean of its neighbour
+TIED_BY_WRAP = np.array([2, -1, 1, 1, 3, 1, 1, 3, 1, -2, 0, 1, 1, 0]) * 2.0 ** -31
+
+
 class TestPlateauExtremaOracle:
     @settings(max_examples=400, deadline=None)
     @given(plateau_sequences())
     @example(np.array([1.0 + 0.4e-9, 2.0, 2.0, 0.0, 1.0 - 0.4e-9, 1.0]))  # plateau wraps index 0
     @example(np.array([0.0, 1e-9, 3e-9, 3e-9 + 2e-9, 0.5, 0.5, -1.0]))
+    @example(TIED_MEANS)
+    @example(TIED_BY_WRAP)
     def test_matches_running_mean_loop(self, v):
-        assert plateau_extrema(v) == reference_plateau_extrema(v)
+        ext = plateau_extrema(v)
+        assert ext == reference_plateau_extrema(v)
+        kinds = [p.kind for p in ext]
+        assert all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1]))  # they alternate
+
+    def test_tied_means_join(self):
+        assert [p.kind for p in plateau_extrema(TIED_MEANS)] == ["min", "max", "min", "max"]
+        assert [p.kind for p in plateau_extrema(TIED_BY_WRAP)] == ["min", "max"]
 
     def test_pinned_profiles(self):
         step = profile_from_step(StepSpec(1.0, 3.0), 1024).samples
@@ -461,6 +494,19 @@ class TestFindAbab:
         with pytest.raises(HypothesisViolated):
             find_abab_points(k)
 
+    @settings(max_examples=300, deadline=None)
+    @given(plateau_sequences().filter(lambda v: v.size >= 8))
+    @example(TIED_MEANS)
+    def test_window_of_k_or_of_its_negation(self, v):
+        # with alternating extrema, two maxima and two minima give k or -k a
+        # window (find_abab_points); the level crossings are stubbed, since a
+        # window value may lie within a plateau's tolerance of its samples
+        assume(sum(p.kind == "max" for p in plateau_extrema(v)) >= 2)
+        with mock.patch.object(curvature, "_first_crossing",
+                               lambda w, j0, j1, level, upward: (0.0, j0)):
+            ab = find_abab_points(CurvatureProfile(v))
+        assert 0.0 < ab.a < ab.b
+
     def test_asymmetric_three_extrema_pairs(self):
         # three maxima of different heights: the two largest get picked and
         # the window stays attainable
@@ -517,7 +563,7 @@ class TestBuildH1:
         for i in range(40):
             c0 = rng.uniform(-2.5, 2.5) if i < 24 else rng.uniform(-1.05, -0.5)
             k = trig_profile(c0, rng.uniform(-0.1, 0.1, size=10))
-            for work in (k, reflect_negate(k)):
+            for work in (k, CurvatureProfile(-k.samples)):
                 ab = find_abab_points(work)
                 if ab.sign_flipped:
                     continue
@@ -717,13 +763,6 @@ def test_value_at_off_the_reals_and_at_scalars():
             assert type(step.value_at(v)) is float
             assert step.value_at(v) == searchsorted_value_at(step, v)
     assert step.value_at(math.nan) == 2.0
-
-
-def test_reflect_negate_pointwise():
-    k = ridge(512)
-    r = reflect_negate(k)
-    t = np.linspace(0.1, TWO_PI - 0.1, 50)
-    assert np.allclose(np.asarray(r(t)), -np.asarray(k(TWO_PI - t)), atol=1e-12)
 
 
 def test_scale_factor_rejects_zero():
