@@ -186,7 +186,7 @@ def min_enclosing_circle(points) -> EnclosingCircle:
         raise ValueError("points must be finite")
     scale = math.ldexp(1.0, math.frexp(extent)[1])
     pts = pts / scale
-    a = pts.item(np.abs(pts - pts.mean()).argmax())
+    a = pts.item(np.abs(pts - pts.sum() / pts.size).argmax())
     b = pts.item(np.abs(pts - a).argmax())
     support, center, radius = _support_circle([a, b])
     for _ in range(_MEC_MAX_ITER):
@@ -206,12 +206,13 @@ def _params(c: PlanarCurve, ring_size: int) -> np.ndarray:
 
 
 def _contact_band(c: PlanarCurve, circle: EnclosingCircle) -> tuple[np.ndarray, np.ndarray]:
-    """Ring positions and the mask of those within CONTACT_BAND * R of the circle."""
+    """Ring positions and the increasing indices of those within CONTACT_BAND * R of the circle."""
     _, pos, _, _ = _ring(c)
     near = np.abs(np.abs(pos - circle.center) - circle.radius) < CONTACT_BAND * circle.radius
-    if not near.any():
+    idx = near.nonzero()[0]
+    if not idx.size:
         raise NoContact("no curve sample within the contact band")
-    return pos, near
+    return pos, idx
 
 
 def contact_components(c: PlanarCurve, circle: EnclosingCircle) -> list[ContactComponent]:
@@ -220,23 +221,19 @@ def contact_components(c: PlanarCurve, circle: EnclosingCircle) -> list[ContactC
     A run of at most two samples counts as a point contact, otherwise (or
     when every sample touches) as an arc.
     """
-    pos, near = _contact_band(c, circle)
+    pos, idx = _contact_band(c, circle)
     m = pos.size
     params = _params(c, m)
-
-    padded = np.zeros(m + 2, dtype=bool)
-    padded[1:-1] = near
-    edges = (padded[1:] != padded[:-1]).nonzero()[0]  # run starts and ends, alternating
-    starts, counts = edges[::2], edges[1::2] - edges[::2]
-    if starts.size > 1 and near[0] and near[m - 1]:
+    # the contact indices split into runs of consecutive samples at each jump
+    heads = [0] + [j + 1 for j in (idx[1:] - idx[:-1] > 1).nonzero()[0].tolist()]
+    runs = [(idx.item(a), b - a) for a, b in zip(heads, heads[1:] + [idx.size])]
+    if len(runs) > 1 and idx.item(0) == 0 and idx.item(-1) == m - 1:
         # cyclic wrap: the last run continues into the first
-        starts[0] = starts[-1]
-        counts[0] += counts[-1]
-        starts, counts = starts[:-1], counts[:-1]
-    ends = (starts + counts - 1) % m
-    return [ContactComponent((float(params[a]), float(params[e])),
+        a, n = runs.pop()
+        runs[0] = (a, n + runs[0][1])
+    return [ContactComponent((params.item(a), params.item((a + n - 1) % m)),
                              "arc" if n > 2 or n == m else "point", a, n)
-            for a, e, n in zip(starts.tolist(), ends.tolist(), counts.tolist())]
+            for a, n in runs]
 
 
 def contact_angular_gap(c: PlanarCurve, circle: EnclosingCircle) -> float:
@@ -245,8 +242,8 @@ def contact_angular_gap(c: PlanarCurve, circle: EnclosingCircle) -> float:
     A gap above pi would mean the contact set fits in an open half circle,
     which the smallest enclosing circle rules out.
     """
-    pos, near = _contact_band(c, circle)
-    d = pos[near] - circle.center
+    pos, idx = _contact_band(c, circle)
+    d = pos[idx] - circle.center
     ang = np.arctan2(d.imag, d.real)  # np.angle(d)
     ang.sort()
     wrap = ang.item(0) + TWO_PI - ang.item(-1)
@@ -266,9 +263,9 @@ def detect_vertices(c: PlanarCurve) -> VertexReport:
     if not plateaus:
         raise ConstantCurvature("curvature has no extrema")
     m = values.size
-    params = _params(c, m).tolist()
-    vertices = [((params[p.start], params[(p.start + p.length - 1) % m]), p.kind, p.value)
-                for p in plateaus]
+    params = _params(c, m)
+    vertices = [((params.item(p.start), params.item((p.start + p.length - 1) % m)),
+                 p.kind, p.value) for p in plateaus]
     # two kinds alternate cyclically when the list repeats its first two, which differ
     kinds = [p.kind for p in plateaus]
     if len(kinds) % 2 or kinds[0] == kinds[1] or kinds != kinds[:2] * (len(kinds) // 2):

@@ -255,25 +255,29 @@ def plateau_extrema(values) -> list[Plateau]:
     reported iff its value is strictly above (max) or strictly below (min)
     both neighbouring plateau values, so maxima and minima alternate.
     ``start`` is the first index of the run and the run may wrap past the
-    end.  A constant sequence yields an empty list.
+    end.  A constant sequence yields an empty list; a NaN raises ValueError.
+    The input is never written to.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
+    top = np.abs(v).max(initial=0.0).item()
+    if math.isnan(top):
+        raise ValueError("plateau_extrema needs values without NaN")
     if n < 2:
         return []
     # A group's last member lies within PLATEAU_TOL of its running mean, so a
     # step above 2*PLATEAU_TOL (plus slack for the rounding of the means)
     # always starts a new group; the running-mean rule runs only inside runs
     # of smaller steps.
-    big = 2.0 * PLATEAU_TOL + 16.0 * 2.0 ** -52 * np.abs(v).max()
+    big = 2.0 * PLATEAU_TOL + 16.0 * 2.0 ** -52 * top
     head = np.empty(n + 1, dtype=bool)  # first sample of a group, and a sentinel at n
     head[0] = head[n] = True
     np.greater(np.abs(v[1:] - v[:-1]), big, out=head[1:n])
     edges = head.nonzero()[0]
     start, count = edges[:-1], edges[1:] - edges[:-1]
-    total = v  # each group's sum, kept at its first sample
-    if count.max() > 1:
-        total = v.copy()
+    total = mean = v  # while every group is one sample, its sum and mean
+    if edges.size <= n:  # some group holds more than one sample
+        total = v.copy()  # each group's sum, kept at its first sample
         long = count > 1
         for a, length in zip(start[long].tolist(), count[long].tolist()):
             g, s = a, float(v[a])
@@ -285,33 +289,38 @@ def plateau_extrema(values) -> list[Plateau]:
             total[g] = s
         edges = head.nonzero()[0]
         start, count = edges[:-1], edges[1:] - edges[:-1]
-    total = total[start]
-    mean = total / count
-    if start.size > 1 and abs(mean[0] - mean[-1]) <= PLATEAU_TOL:
+        total = total[start]
+        mean = total / count
+    if start.size > 1 and abs(mean.item(0) - mean.item(-1)) <= PLATEAU_TOL:
         # cyclic wrap: the first group continues the last one
         start[0] = start[-1]
         count[0] += count[-1]
+        start, count, mean = start[:-1], count[:-1], mean[:-1].copy()  # mean may be v
         mean[0] = (total[0] + total[-1]) / count[0]
-        start, count, mean = start[:-1], count[:-1], mean[:-1]
     if start.size < 2:
         return []
     # neighbouring plateaus whose means compare equal are one plateau, else
     # neither is a strict extremum and the extrema need not alternate
-    if mean.item(0) == mean.item(-1) or (mean[1:] == mean[:-1]).any():
+    if mean.item(0) == mean.item(-1) or np.count_nonzero(mean[1:] == mean[:-1]):
         head = (mean != np.roll(mean, 1)).nonzero()[0]
         if head.size < 2:
             return []
         # the run through index 0 starts at head[-1]
         count = np.add.reduceat(np.roll(count, -head[0]), head - head[0])
         start, mean = start[head], mean[head]
-    ring = np.empty(mean.size + 2)  # the plateau means with each neighbour wrapped in
-    ring[1:-1] = mean
-    ring[0], ring[-1] = mean[-1], mean[0]
-    is_max = (mean > ring[:-2]) & (mean > ring[2:])
-    is_min = (mean < ring[:-2]) & (mean < ring[2:])
-    g = (is_max | is_min).nonzero()[0]
+    # Neighbouring means now differ, so the means rise into a plateau or fall
+    # into it, and it is an extremum iff they turn there: a max where they
+    # rise into it, a min where they fall.
+    m = mean.size
+    ring = np.empty(m + 1)  # the means, after the last one
+    ring[0] = mean.item(-1)
+    ring[1:] = mean
+    rise = np.empty(m + 1, dtype=bool)  # the means rise into plateau i, and again into 0
+    np.greater(ring[1:], ring[:-1], out=rise[:m])
+    rise[m] = rise[0]
+    g = (rise[:m] != rise[1:]).nonzero()[0]
     return [Plateau(a, length, "max" if up else "min", value) for a, length, up, value
-            in zip(start[g].tolist(), count[g].tolist(), is_max[g].tolist(), mean[g].tolist())]
+            in zip(start[g].tolist(), count[g].tolist(), rise[g].tolist(), mean[g].tolist())]
 
 
 def _cyclic_between(start: int, end: int, query: int, n: int) -> bool:

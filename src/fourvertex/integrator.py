@@ -334,7 +334,7 @@ def _star_shaped(pos: np.ndarray) -> bool:
     Zero chords fail the margin.  O(n).
     """
     d = np.empty(pos.size + 1, dtype=complex)
-    np.subtract(pos, pos.mean(), out=d[:-1])
+    np.subtract(pos, pos.sum() / pos.size, out=d[:-1])
     d[-1] = d[0]
     x, y = d.real, d.imag
     p1, p2 = x[:-1] * y[1:], y[:-1] * x[1:]
@@ -343,12 +343,16 @@ def _star_shaped(pos: np.ndarray) -> bool:
         lower = y < 0.0
     elif cross.max() < 0.0:
         lower = y > 0.0
+        np.negative(cross, out=cross)  # |cross|
     else:
         return False
-    slack = 8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2)) + 8.0 * math.ulp(0.0)
-    if not (np.abs(cross) > slack).all():
+    slack = np.abs(p1, out=p1)
+    slack += np.abs(p2, out=p2)
+    slack *= 8.0 * 2.0 ** -53
+    slack += 8.0 * math.ulp(0.0)
+    if np.count_nonzero(cross <= slack):  # cross holds no NaN, its min or max having compared
         return False
-    return int((lower[:-1] & ~lower[1:]).sum()) == 1
+    return np.count_nonzero(lower[:-1] > lower[1:]) == 1
 
 
 def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]:

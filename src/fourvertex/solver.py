@@ -430,7 +430,8 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
     schedule then halves eps, the only retry.  When the profile admits no
     positive value window, or every round of its schedule fails, -k runs a
     schedule of its own and its curve is mirrored, which negates both sides
-    of every check and keeps the arc lengths and tags.  A pass whose window
+    of every check and keeps the arc lengths and tags; in the first case
+    -k's window is the one the search on k returned.  A pass whose window
     crossings are not found logs a failed set-up in place of its rounds.
 
     The final check measures the curvature mismatch as 2*pi times the
@@ -465,17 +466,19 @@ def synthesize(k: CurvatureProfile, eps0: float = 0.1) -> SynthesisResult:
 
     history: list[tuple[int, float, str]] = []
     stats = {"evaluations": 0}
+    negated = None  # -k's window, once the search on k has found it
     for flipped in (False, True):
         # the flipped pass realizes -k; the mirror image of its curve has
         # curvature k at the same parameter
         work = CurvatureProfile(-k.samples) if flipped else k
         try:
-            abab = find_abab_points(work)
+            abab = find_abab_points(work) if negated is None else negated
         except ConstructionFailed as ex:
             history.append((len(history) + 1, float(eps0), f"set-up: {type(ex).__name__}: {ex}"))
             continue
-        if abab.sign_flipped:
-            continue  # work admits no positive value window
+        if abab.sign_flipped:  # work admits no positive value window
+            negated = abab._replace(sign_flipped=False)
+            continue
         # breakpoints half a grid step off the grid keep k1's samples off the
         # sliver midpoints, around which h1 sweeps most of k's domain
         step = StepSpec(abab.a, abab.b,

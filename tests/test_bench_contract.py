@@ -276,6 +276,17 @@ def test_synth_call_structure():
     }
 
 
+def test_flipped_synthesis_searches_for_the_window_once():
+    # find_abab_points(k) returns -k's window when k has none of its own,
+    # and the flipped pass takes it from there instead of searching again
+    tracer = bench_tracing().Tracer()
+    k = fv.profile_from_function(lambda t: -(1.5 + np.cos(2 * t)))
+    with tracer.recording(fv, 0):
+        res = fv.solver.synthesize(k)
+    calls = {name: total[1] for name, total in tracer.totals_by_op()[0].items()}
+    assert res.sign_flipped and calls["curvature.find_abab_points"] == 1
+
+
 def test_corpus_curves_pass_the_validating_constructor(monkeypatch):
     # random_convex_curve and random_star_curve build their curves unchecked;
     # each would pass PlanarCurve's checks and keep its arrays

@@ -313,6 +313,45 @@ class TestPlateauExtremaOracle:
         for v in (ridge().samples, cos2t().samples, step, np.roll(step, 100), np.ones(7), [2.0]):
             assert plateau_extrema(v) == reference_plateau_extrema(v)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([512, 4096]), seed=st.integers(0, 2**32 - 1),
+           wrap=st.booleans())
+    def test_one_sample_groups(self, n, seed, wrap):
+        # every step above 2 * PLATEAU_TOL, so each sample is a group of its
+        # own; with wrap the last sample lies within PLATEAU_TOL of the first,
+        # and the wrap merge joins the two
+        rng = np.random.default_rng(seed)
+        steps = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8.5, 0.0, size=n)
+        v = np.cumsum(steps)
+        if wrap:
+            v[-1] = v[0] + rng.uniform(-1.0, 1.0) * PLATEAU_TOL
+        assume(np.all(np.abs(np.diff(v)) > 2.0 * PLATEAU_TOL + 1e-15))
+        assert plateau_extrema(v) == reference_plateau_extrema(v)
+
+    def test_input_is_never_written(self):
+        # one-sample groups whose first and last samples merge across the
+        # wrap, the one path that reads its means from the input itself
+        wrapped = np.array([1.0, 0.0, 2.0, -1.0, 1.0 + 0.4 * PLATEAU_TOL])
+        wrapped.flags.writeable = False
+        ext = plateau_extrema(wrapped)
+        assert ext == reference_plateau_extrema(wrapped)
+        assert ext[0] == Plateau(4, 2, "max", (wrapped[0] + wrapped[-1]) / 2)
+        ordinary = np.concatenate((TIED_MEANS, cos2t().samples))
+        before = ordinary.copy()
+        plateau_extrema(ordinary)
+        assert ordinary.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("v", [[1, 2, np.nan, 1, 0, 1, 3, 0], [1, 3, 1, 3, np.nan, 2]])
+    def test_nan_raises(self, v):
+        # NaN compares false either way, so these once gave min, max, min
+        with pytest.raises(ValueError, match="NaN"):
+            plateau_extrema(v)
+
+    def test_infinity_is_a_value(self):
+        assert [(p.start, p.kind, p.value) for p in plateau_extrema([0, 1, 0, np.inf, 0, 1])] == [
+            (0, "min", 0.0), (1, "max", 1.0), (2, "min", 0.0), (3, "max", np.inf),
+            (4, "min", 0.0), (5, "max", 1.0)]
+
 
 def reference_first_crossing(w, j0, j1, level, upward):
     """Cell-by-cell scan of cells j0 -> j1: the reference for _first_crossing."""

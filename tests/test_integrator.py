@@ -486,6 +486,40 @@ def star_certified(c) -> bool:
     return integrator._star_shaped(_ring(c)[1])
 
 
+def random_polygon(n, spread, squash, turns, seed) -> np.ndarray:
+    """Vertices at sorted random angles on radii 1 + spread * noise, squashed
+    along y: convex, nearly convex, star-shaped, thin, wound the other way
+    (turns -1) or twice (turns 2)."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n)) * turns
+    z = (1.0 + spread * rng.uniform(0.0, 1.0, n)) * np.exp(1j * angles)
+    return z.real + 1j * squash * z.imag
+
+
+RANDOM_POLYGONS = dict(
+    n=st.integers(3, 40), spread=st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]),
+    squash=st.sampled_from([1.0, 1e-3, 1e-6]), turns=st.sampled_from([1, -1, 2]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def reference_star_shaped(pos) -> bool:
+    """The star certificate with its margin in one expression: the reference for _star_shaped."""
+    d = np.append(pos, pos[0]) - pos.mean()
+    x, y = d.real, d.imag
+    p1, p2 = x[:-1] * y[1:], y[:-1] * x[1:]
+    cross = p1 - p2
+    if cross.min() > 0.0:
+        lower = y < 0.0
+    elif cross.max() < 0.0:
+        lower = y > 0.0
+    else:
+        return False
+    slack = 8.0 * 2.0 ** -53 * (np.abs(p1) + np.abs(p2)) + 8.0 * math.ulp(0.0)
+    if not (np.abs(cross) > slack).all():
+        return False
+    return int((lower[:-1] & ~lower[1:]).sum()) == 1
+
+
 class TestConvexCertificate:
     @pytest.mark.parametrize("vertices, certified", [
         ([0, 1, 1, 1 + 1j, 1j], False),      # a zero-length chord
@@ -513,18 +547,11 @@ class TestConvexCertificate:
             assert is_simple(c) == sweep_result(c) == (True, None)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(3, 40), spread=st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]),
-           squash=st.sampled_from([1.0, 1e-3, 1e-6]), turns=st.sampled_from([1, -1, 2]),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(**RANDOM_POLYGONS)
     def test_matches_sweep_on_random_polygons(self, n, spread, squash, turns, seed):
-        # vertices at sorted random angles on radii 1 + spread * noise,
-        # squashed along y: convex, nearly convex, star-shaped, thin, wound
-        # the other way or twice; the certificate may decide only where the
-        # sweep (checked against brute force elsewhere) finds the polygon simple
-        rng = np.random.default_rng(seed)
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n)) * turns
-        z = (1.0 + spread * rng.uniform(0.0, 1.0, n)) * np.exp(1j * angles)
-        z = z.real + 1j * squash * z.imag
+        # the certificate may decide only where the sweep (checked against
+        # brute force elsewhere) finds the polygon simple
+        z = random_polygon(n, spread, squash, turns, seed)
         chords = np.abs(np.diff(np.append(z, z[0])))
         assume(np.all(chords > 0.0))
         c = closed_polygon(z, s=np.concatenate(([0.0], np.cumsum(chords))))
@@ -532,6 +559,12 @@ class TestConvexCertificate:
 
 
 class TestStarCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(**RANDOM_POLYGONS)
+    def test_matches_reference(self, n, spread, squash, turns, seed):
+        pos = random_polygon(n, spread, squash, turns, seed)
+        assert integrator._star_shaped(pos) == reference_star_shaped(pos)
+
     def test_alternating_star_is_certified_in_linear_time(self):
         # radii alternating 1 and 0.05: every chord is long, so the pair sweep
         # pairs each with thousands of others; the certificate decides in O(n)
