@@ -186,7 +186,7 @@ def min_enclosing_circle(points) -> EnclosingCircle:
         raise ValueError("points must be finite")
     scale = math.ldexp(1.0, math.frexp(extent)[1])
     pts = pts / scale
-    a = pts.item(np.abs(pts - pts.sum() / pts.size).argmax())
+    a = pts.item(np.abs(pts - pts.sum() / pts.size).argmax())  # pts.mean(), bit for bit
     b = pts.item(np.abs(pts - a).argmax())
     support, center, radius = _support_circle([a, b])
     for _ in range(_MEC_MAX_ITER):

@@ -312,10 +312,10 @@ def plateau_extrema(values) -> list[Plateau]:
     # into it, and it is an extremum iff they turn there: a max where they
     # rise into it, a min where they fall.
     m = mean.size
-    ring = np.empty(m + 1)  # the means, after the last one
+    ring = np.empty(m + 1)  # the last mean, then every mean
     ring[0] = mean.item(-1)
     ring[1:] = mean
-    rise = np.empty(m + 1, dtype=bool)  # the means rise into plateau i, and again into 0
+    rise = np.empty(m + 1, dtype=bool)  # the means rise into plateau i; rise[m] is rise[0]
     np.greater(ring[1:], ring[:-1], out=rise[:m])
     rise[m] = rise[0]
     g = (rise[:m] != rise[1:]).nonzero()[0]

@@ -334,7 +334,7 @@ def _star_shaped(pos: np.ndarray) -> bool:
     Zero chords fail the margin.  O(n).
     """
     d = np.empty(pos.size + 1, dtype=complex)
-    np.subtract(pos, pos.sum() / pos.size, out=d[:-1])
+    np.subtract(pos, pos.sum() / pos.size, out=d[:-1])  # pos.mean(), bit for bit
     d[-1] = d[0]
     x, y = d.real, d.imag
     p1, p2 = x[:-1] * y[1:], y[:-1] * x[1:]
