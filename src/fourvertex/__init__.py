@@ -59,7 +59,6 @@ from .integrator import (
     PlanarCurve,
     TooFewSamples,
     error_vector,
-    integrate_arcs,
     integrate_curve,
     is_simple,
     scale_curve,

@@ -19,15 +19,11 @@ from itertools import combinations
 import numpy as np
 
 from .curvature import TWO_PI, plateau_extrema
-from .integrator import PlanarCurve, _ring, curvature_samples, is_simple
+from .integrator import NotClosed, PlanarCurve, _ring, curvature_samples, is_simple
 
 
 class NotSimple(ValueError):
     """The curve has a self-intersection."""
-
-
-class NotClosed(ValueError):
-    """The curve does not close up."""
 
 
 class ConstantCurvature(ValueError):
@@ -207,7 +203,7 @@ def _params(c: PlanarCurve, ring_size: int) -> np.ndarray:
 
 def _contact_band(c: PlanarCurve, circle: EnclosingCircle) -> tuple[np.ndarray, np.ndarray]:
     """Ring positions and the increasing indices of those within CONTACT_BAND * R of the circle."""
-    _, pos, _, _ = _ring(c)
+    pos = _ring(c)[1]
     near = np.abs(np.abs(pos - circle.center) - circle.radius) < CONTACT_BAND * circle.radius
     idx = near.nonzero()[0]
     if not idx.size:
@@ -216,10 +212,12 @@ def _contact_band(c: PlanarCurve, circle: EnclosingCircle) -> tuple[np.ndarray, 
 
 
 def contact_components(c: PlanarCurve, circle: EnclosingCircle) -> list[ContactComponent]:
-    """Maximal sample runs within the contact band of the circle, merged cyclically.
+    """Maximal runs of ring samples within the contact band of the circle.
 
-    A run of at most two samples counts as a point contact, otherwise (or
-    when every sample touches) as an arc.
+    The ring is cyclic, so a run through the last sample continues into the
+    first; an open curve raises :class:`NotClosed`.  A run of at most two
+    samples counts as a point contact, otherwise (or when every sample
+    touches) as an arc.
     """
     pos, idx = _contact_band(c, circle)
     m = pos.size
@@ -253,11 +251,9 @@ def contact_angular_gap(c: PlanarCurve, circle: EnclosingCircle) -> float:
 def detect_vertices(c: PlanarCurve) -> VertexReport:
     """Curvature extrema of a closed curve, plateau-collapsed.
 
-    Raises :class:`ConstantCurvature` for circles, whose curvature has no
-    extrema.
+    Raises :class:`NotClosed` for an open curve and
+    :class:`ConstantCurvature` for circles, whose curvature has no extrema.
     """
-    if not c.closed:
-        raise NotClosed("vertex detection needs a closed curve")
     values = curvature_samples(c)
     plateaus = plateau_extrema(values)
     if not plateaus:
@@ -283,14 +279,13 @@ def osserman_check(c: PlanarCurve) -> OssermanReport:
     each gap between components by a parameter with curvature below K.
     Arc components add two bonus vertices each; the strengthened bound is
     checked only when every component is an arc.  Witness points are kept
-    separate from vertices and never counted as such.
+    separate from vertices and never counted as such.  An open curve raises
+    :class:`NotClosed`.
     """
-    if not c.closed:
-        raise NotClosed("curve endpoints do not meet")
     ok, witness = is_simple(c)
     if not ok:
         raise NotSimple(f"curve has a self-intersection near segments {witness}")
-    _, pos, _, _ = _ring(c)
+    pos = _ring(c)[1]
     m = pos.size
     circle = min_enclosing_circle(pos)
     comps = contact_components(c, circle)

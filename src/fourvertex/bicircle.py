@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import TWO_PI
-from .integrator import (
-    ErrorVector,
-    PlanarCurve,
-    ScaleFactor,
-    error_vector,
-    integrate_arcs,
-    winding_number,
-)
+from .integrator import ErrorVector, _integrate, winding_number
 
 UNIT_TOL = 1e-12
 MIN_GAP = 1e-3  # smallest arc between the points of a random configuration
@@ -172,15 +165,16 @@ def error_from_angle_config(q: Configuration, a: float, b: float) -> ErrorVector
     return ErrorVector((1.0 / (1j * scale * b) - 1.0 / (1j * scale * a)) * defect)
 
 
-def integrated_error(
-    c: Configuration, a: float, b: float
-) -> tuple[ErrorVector, PlanarCurve, ScaleFactor]:
-    """Endpoint error by direct arc integration of the normalized step curve."""
+def integrated_error(c: Configuration, a: float, b: float) -> ErrorVector:
+    """Endpoint error by direct integration of the normalized step curve's four arcs.
+
+    Each arc is integrated in four equal steps: the arcs turn by 2*pi in
+    total, so no step turns by pi/2 or more.
+    """
     length = np.asarray(c.gaps())
     sigma = TWO_PI / (a * (length[0] + length[2]) + b * (length[1] + length[3]))
     values = sigma * np.array([a, b, a, b])
-    curve = integrate_arcs(values, length)
-    return error_vector(curve), curve, ScaleFactor(sigma)
+    return _integrate(np.repeat(values, 4), np.repeat(0.25 * length, 4)).e
 
 
 def error_winding_on_core_link(a: float, b: float, loop) -> int:

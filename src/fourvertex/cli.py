@@ -259,9 +259,6 @@ def cmd_analyze(args) -> int:
     except (ValueError, KeyError, TypeError) as ex:
         print(f"error: bad curve file: {ex}", file=sys.stderr)
         return EXIT_IO
-    if not curve.closed:
-        print("error: curve is not closed", file=sys.stderr)
-        return EXIT_INPUT
     out: dict = {"simple": True}
     circle = None
     vertices = None
@@ -278,6 +275,9 @@ def cmd_analyze(args) -> int:
             report = analysis.VertexReport(oss.vertices, oss.vertex_count)
         out["vertex_report"] = _vertex_report_json(report)
         vertices = report.vertices
+    except analysis.NotClosed:
+        print("error: curve is not closed", file=sys.stderr)
+        return EXIT_INPUT
     except analysis.ConstantCurvature:
         out["vertex_report"] = {"count": 0, "vertices": [],
                                 "constant_curvature": True}

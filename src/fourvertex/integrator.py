@@ -6,7 +6,10 @@ per grid step, so step-function curvature is reproduced without quadrature
 drift; ``_integrate`` places every integrated curve, with its endpoint
 error and unit tangents (:class:`Integration`).  The winding counter here
 is the one both the configuration loops of ``bicircle`` and the compass
-demo's error loop in ``solver`` use.  All operations are pure.
+demo's error loop in ``solver`` use.  The measurements of a curve (its
+curvature samples, its simplicity and the analysis built on them) are of
+closed curves only: ``_ring`` decides closedness for all of them and
+raises :class:`NotClosed` on an open curve.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -21,11 +24,14 @@ from .curvature import TWO_PI, CurvatureProfile, ScaleFactor
 
 STRAIGHT_KAPPA = 1e-14  # below this a step is a straight segment
 PAIR_CHUNK = 1 << 16    # candidate segment pairs that is_simple tests per batch
-ARC_MAX_STEP = 3e-3     # integrate_arcs subdivides each arc into steps this long or shorter
 
 
 class TooFewSamples(ValueError):
     """Curve has too few samples for the requested operation."""
+
+
+class NotClosed(ValueError):
+    """The curve does not close up."""
 
 
 class OriginOnLoop(ValueError):
@@ -168,28 +174,6 @@ def integrate_curve(k: CurvatureProfile) -> PlanarCurve:
     return _integrate(k.samples, np.full(k.n, TWO_PI / k.n)).curve
 
 
-def integrate_arcs(curvatures, lengths) -> PlanarCurve:
-    """Curve from consecutive circular arcs of given curvatures and lengths.
-
-    Arcs are subdivided to ARC_MAX_STEP so the polyline is usable for
-    geometric queries; subdivision does not change the endpoint because the
-    per-step displacements telescope exactly.
-    """
-    kap_parts = []
-    ds_parts = []
-    for kap, ell in zip(curvatures, lengths):
-        if ell < 0:
-            raise ValueError("arc lengths must be nonnegative")
-        if ell == 0.0:
-            continue
-        m = max(1, int(math.ceil(ell / ARC_MAX_STEP)))
-        kap_parts.append(np.full(m, float(kap)))
-        ds_parts.append(np.full(m, ell / m))
-    if not kap_parts:
-        raise ValueError("no arcs to integrate")
-    return _integrate(np.concatenate(kap_parts), np.concatenate(ds_parts)).curve
-
-
 def error_vector(c: PlanarCurve) -> ErrorVector:
     """Final position minus initial position."""
     return ErrorVector(complex(c.pos[-1] - c.pos[0]))
@@ -229,40 +213,33 @@ def scale_curve(c: PlanarCurve, f: ScaleFactor) -> PlanarCurve:
     return PlanarCurve._built(c.s * abs(factor), c.pos * factor, theta, c.scale * factor, c.t)
 
 
-def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Samples with the closing sample dropped exactly when the curve is :attr:`closed`."""
-    if c.closed:
-        return c.s[:-1], c.pos[:-1], c.theta[:-1], True
-    return c.s, c.pos, c.theta, False
+def _ring(c: PlanarCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples without the closing one; raises :class:`NotClosed` unless :attr:`closed`."""
+    if not c.closed:
+        raise NotClosed("curve endpoints do not meet")
+    return c.s[:-1], c.pos[:-1], c.theta[:-1]
 
 
 def curvature_samples(c: PlanarCurve) -> np.ndarray:
-    """Discrete curvature d(theta)/d(s) at each sample by central differences.
+    """Discrete curvature d(theta)/d(s) at each ring sample by central differences.
 
-    Closed curves wrap cyclically using the lift's total turning; open
-    curves fall back to one-sided differences at the ends.
+    The differences wrap cyclically using the lift's total turning.
     """
-    s, _, theta, closed = _ring(c)
+    s, _, theta = _ring(c)
     m = s.size
     if m < 5:
         raise TooFewSamples("need at least 5 samples")
-    if closed:
-        period_s = c.s.item(-1)
-        period_theta = c.theta.item(-1) - c.theta.item(0)
-        s_ext = np.empty(m + 2)
-        s_ext[1:-1] = s
-        s_ext[0] = s.item(-1) - period_s
-        s_ext[-1] = s.item(0) + period_s
-        th_ext = np.empty(m + 2)
-        th_ext[1:-1] = theta
-        th_ext[0] = theta.item(-1) - period_theta
-        th_ext[-1] = theta.item(0) + period_theta
-        return (th_ext[2:] - th_ext[:-2]) / (s_ext[2:] - s_ext[:-2])
-    out = np.empty(m)
-    out[1:-1] = (theta[2:] - theta[:-2]) / (s[2:] - s[:-2])
-    out[0] = (theta[1] - theta[0]) / (s[1] - s[0])
-    out[-1] = (theta[-1] - theta[-2]) / (s[-1] - s[-2])
-    return out
+    period_s = c.s.item(-1)
+    period_theta = c.theta.item(-1) - c.theta.item(0)
+    s_ext = np.empty(m + 2)
+    s_ext[1:-1] = s
+    s_ext[0] = s.item(-1) - period_s
+    s_ext[-1] = s.item(0) + period_s
+    th_ext = np.empty(m + 2)
+    th_ext[1:-1] = theta
+    th_ext[0] = theta.item(-1) - period_theta
+    th_ext[-1] = theta.item(0) + period_theta
+    return (th_ext[2:] - th_ext[:-2]) / (s_ext[2:] - s_ext[:-2])
 
 
 def _orient(a, b, c):
@@ -286,13 +263,16 @@ def _segments_cross(p, q, r, w):
 
 
 def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
-    """Check that no two non-adjacent polyline segments intersect.
+    """Check that no two non-adjacent segments of the closed polygon intersect.
 
-    A closed curve that :func:`_star_shaped` certifies is simple
-    without a sweep; every other curve takes the sweep below, and the
-    result is the same either way.
+    The polygon runs through the ring samples and back to the first; an
+    open curve raises :class:`NotClosed`.  A polygon that
+    :func:`_star_shaped` certifies is simple without a sweep; every other
+    one takes the sweep below, and the result is the same either way.
 
-    The sweep runs along the longer side of the bounding box, x unless the
+    The sweep first scales the ring by a power of two, which is exact, so
+    that the orientation products neither overflow nor underflow.  It runs
+    along the longer side of the bounding box, x unless the
     y-extent is larger, when x and y are swapped first; the swap is exact
     and no crossing test depends on it.  Each segment, in order of its
     minimum along the sweep axis, is paired with the later ones whose range
@@ -303,13 +283,13 @@ def is_simple(c: PlanarCurve) -> tuple[bool, tuple[int, int] | None]:
     smooth curve usually no pair survives.  The witness is the crossing with
     the smallest later, then earlier, sorted position; adjacent segments
     folding back are reported only when nothing crosses, the witness then
-    being the first fold (i, i + 1), cyclically when closed.  Returns (flag,
-    witness), the witness a pair of segment indices or None.
+    being the first fold (i, i + 1), cyclically.  Returns (flag, witness),
+    the witness a pair of segment indices or None.
     """
-    _, pos, _, closed = _ring(c)
-    if closed and _star_shaped(pos):
+    pos = _ring(c)[1]
+    if _star_shaped(pos):
         return True, None
-    return _sweep(pos, closed)
+    return _sweep(pos)
 
 
 def _star_shaped(pos: np.ndarray) -> bool:
@@ -355,13 +335,15 @@ def _star_shaped(pos: np.ndarray) -> bool:
     return np.count_nonzero(lower[:-1] > lower[1:]) == 1
 
 
-def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]:
-    """is_simple's pair sweep on the ring ``pos``, closed or not."""
+def _sweep(pos: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
+    """is_simple's pair sweep on the closed polygon through the ring ``pos``."""
+    # the largest |coordinate| scales to [0.5, 1), so every product below is at most 4
+    extent = np.abs(np.ascontiguousarray(pos).view(float)).max().item()
+    pos = pos / math.ldexp(1.0, math.frexp(extent)[1])
     x, y = pos.real, pos.imag
     if y.max() - y.min() > x.max() - x.min():
         pos = y + 1j * x
-    a = pos if closed else pos[:-1]
-    b = np.concatenate((pos[1:], pos[:1])) if closed else pos[1:]
+    a, b = pos, np.concatenate((pos[1:], pos[:1]))
     nseg = a.size
 
     order = np.argsort(np.minimum(a.real, b.real), kind="stable")
@@ -388,8 +370,7 @@ def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]
         p = np.repeat(np.arange(p0, p1), own)
         q = p + 1 + np.arange(k0, k1) - first[p]
         d = np.abs(order[p] - order[q])
-        keep = (miny[p] <= maxy[q]) & (maxy[p] >= miny[q]) & (d > 1) \
-            & ~(closed & (d == nseg - 1))
+        keep = (miny[p] <= maxy[q]) & (maxy[p] >= miny[q]) & (d > 1) & (d < nseg - 1)
         p, q = p[keep], q[keep]
         if p.size:
             hit = _segments_cross(sa[q], sb[q], sa[p], sb[p])
@@ -399,13 +380,10 @@ def _sweep(pos: np.ndarray, closed: bool) -> tuple[bool, tuple[int, int] | None]
         return False, (i, j)
 
     # adjacent segments may only meet at their shared endpoint; segment i is
-    # (ai, bi) and segment i + 1 is (aj, bj)
-    if closed:
-        ai, bi, aj, bj = a, b, b, np.concatenate((b[1:], b[:1]))
-    else:
-        ai, bi, aj, bj = a[:-1], b[:-1], a[1:], b[1:]
-    back = (bj - aj).real * (ai - aj).real + (bj - aj).imag * (ai - aj).imag
-    fold = np.flatnonzero((_orient(ai, bi, bj) == 0.0) & (back > 0))
+    # (a, b) and segment i + 1 is (b, c)
+    c = np.concatenate((b[1:], b[:1]))
+    back = (c - b).real * (a - b).real + (c - b).imag * (a - b).imag
+    fold = np.flatnonzero((_orient(a, b, c) == 0.0) & (back > 0))
     if fold.size:
         i0 = int(fold[0])
         return False, (i0, (i0 + 1) % nseg)

@@ -60,7 +60,7 @@ def test_criterion_2_closure_equivalence():
                 continue
         a = rng.uniform(0.1, 2.0)
         b = a * rng.uniform(1.1, 4.0)
-        closes = fv.integrated_error(cfg, a, b)[0].magnitude < 1e-9
+        closes = fv.integrated_error(cfg, a, b).magnitude < 1e-9
         g = cfg.gaps()
         opposite_equal = abs(g[0] - g[2]) < 1e-9 and abs(g[1] - g[3]) < 1e-9
         on_core = abs(core_defect(cfg)) < 1e-9
@@ -78,7 +78,7 @@ def test_criterion_3_closed_form_matches_integration():
         a = rng.uniform(0.1, 2.0)
         b = a * rng.uniform(1.1, 4.0)
         diff = abs(fv.closed_form_error(cfg, a, b).e
-                   - fv.integrated_error(cfg, a, b)[0].e)
+                   - fv.integrated_error(cfg, a, b).e)
         worst = max(worst, diff)
     assert worst < 1e-9
     report(3, f"closed-form error equals direct integration (worst {worst:.1e})",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fourvertex import analysis
+import fourvertex as fv
+from fourvertex import analysis, integrator
 from fourvertex.analysis import (
     ConstantCurvature,
     ContactComponent,
@@ -24,7 +25,8 @@ from fourvertex.analysis import (
 )
 from fourvertex.curvature import (
     Plateau, ScaleFactor, StepSpec, normalize_total, profile_from_function, profile_from_step)
-from fourvertex.integrator import PlanarCurve, integrate_curve, scale_curve
+from fourvertex.integrator import (
+    PlanarCurve, curvature_samples, integrate_curve, is_simple, scale_curve)
 from fourvertex.solver import synthesize
 
 from conftest import ellipse_curve, ellipse_kappa
@@ -261,13 +263,14 @@ def reference_contact_components(near, params):
     return out
 
 
-def masked_arc(near):
-    """Open polyline over half the unit circle: masked samples on it, others at radius 0.5."""
+def masked_ring(near):
+    """Closed polygon around the unit circle: masked samples on it, others at radius 0.5."""
     near = np.asarray(near, dtype=bool)
     m = near.size
-    pos = np.where(near, 1.0, 0.5) * np.exp(1j * math.pi * np.arange(m) / m)
+    ring = np.where(near, 1.0, 0.5) * np.exp(2j * math.pi * np.arange(m) / m)
+    pos = np.append(ring, ring[0])
     s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pos)) + 1e-3)))
-    return PlanarCurve(s=s, pos=pos, theta=np.zeros(m), t=0.1 * np.arange(m))
+    return PlanarCurve(s=s, pos=pos, theta=np.zeros(m + 1), t=0.1 * np.arange(m + 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,10 +281,30 @@ def masked_arc(near):
 @example([True, True, False, False, True])
 @example([False, True, True, True, False])
 def test_contact_components_match_sample_loop(near):
-    c = masked_arc(near)
+    c = masked_ring(near)
     comps = contact_components(c, EnclosingCircle(0j, 1.0))
     assert comps == reference_contact_components(near, c.t)
     assert all(type(x.index_start) is int and type(x.index_count) is int for x in comps)
+
+
+@pytest.mark.parametrize("measure", [
+    is_simple,
+    curvature_samples,
+    lambda c: contact_components(c, EnclosingCircle(0j, 1.0)),
+    lambda c: contact_angular_gap(c, EnclosingCircle(0j, 1.0)),
+    detect_vertices,
+    osserman_check,
+], ids=["is_simple", "curvature_samples", "contact_components", "contact_angular_gap",
+        "detect_vertices", "osserman_check"])
+def test_open_curve_is_not_measured(measure):
+    # an open arc whose two ends, samples 0 and 7, touch the circle: they are
+    # no neighbours, so a cyclic contact run must not join them
+    c = masked_ring([True] + [False] * 6 + [True])
+    arc = PlanarCurve(s=c.s[:-1], pos=c.pos[:-1], theta=c.theta[:-1], t=c.t[:-1])
+    assert not arc.closed
+    with pytest.raises(NotClosed):
+        measure(arc)
+    assert NotClosed is integrator.NotClosed is fv.NotClosed
 
 
 class TestContactComponents:
@@ -324,7 +347,7 @@ class TestContactComponents:
 
 def reference_angular_gap(c, circle):
     """The former formula: sorted contact angles, the first appended a turn later, largest step."""
-    pos = c.pos[:-1] if c.closed else c.pos
+    pos = c.pos[:-1]
     band = analysis.CONTACT_BAND * circle.radius
     near = np.abs(np.abs(pos - circle.center) - circle.radius) < band
     ang = np.sort(np.angle(pos[near] - circle.center))
@@ -332,6 +355,12 @@ def reference_angular_gap(c, circle):
 
 
 class TestContactAngularGap:
+    @staticmethod
+    def ring(pos):
+        """The closed curve through ``pos`` and back to its first sample, taken unchecked."""
+        return PlanarCurve._built(np.arange(6.0), np.append(pos, pos[0]), np.zeros(6),
+                                  t=np.arange(6.0))
+
     def test_matches_former_formula_on_corpus(self):
         rng = np.random.default_rng(11)
         for i in range(40):
@@ -343,7 +372,7 @@ class TestContactAngularGap:
         # contact angles 0.1, 1.2 and 2.9 rad: the gap from 2.9 back to 0.1 is the largest
         pos = np.exp(1j * np.array([0.1, 1.2, 2.9, 0.5, 1.0]))
         pos[3:] *= 0.5
-        c = PlanarCurve._built(np.arange(5.0), pos, np.zeros(5), t=np.arange(5.0))
+        c = self.ring(pos)
         circle = EnclosingCircle(0j, 1.0)
         gap = contact_angular_gap(c, circle)
         assert gap == reference_angular_gap(c, circle)
@@ -351,7 +380,7 @@ class TestContactAngularGap:
 
     def test_single_contact_sample_is_a_full_turn(self):
         pos = np.array([1.0, 0.5j, -0.5, -0.5j, 0.25 + 0.25j]) * np.exp(0.3j)
-        c = PlanarCurve._built(np.arange(5.0), pos, np.zeros(5), t=np.arange(5.0))
+        c = self.ring(pos)
         circle = EnclosingCircle(0j, 1.0)
         gap = contact_angular_gap(c, circle)
         assert gap == reference_angular_gap(c, circle)

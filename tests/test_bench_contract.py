@@ -104,9 +104,9 @@ def test_star_certificate_decides_the_bench_curves(monkeypatch):
     curves = worker.analysis_curves(worker.CORPUS_N)(fv, rng, 256)
     curves += [fv.solver.synthesize(k).curve for k in worker.synth_profiles(fv, rng, 32)]
     for c in curves:
-        _, pos, _, closed = _ring(c)
-        assert closed and _star_shaped(pos)
-        assert _sweep(pos, closed) == (True, None)
+        pos = _ring(c)[1]  # raises NotClosed on an open curve
+        assert _star_shaped(pos)
+        assert _sweep(pos) == (True, None)
 
 
 def test_bench_curves_meet_their_circles_in_points(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fourvertex import integrator, solver
-from fourvertex.bicircle import Configuration, closed_form_error
+from fourvertex.bicircle import Configuration, closed_form_error, integrated_error
 from fourvertex.curvature import (
     TWO_PI,
     CurvatureProfile,
@@ -20,6 +20,7 @@ from fourvertex.curvature import (
     profile_from_step,
 )
 from fourvertex.integrator import (
+    NotClosed,
     PlanarCurve,
     TooFewSamples,
     _integrate,
@@ -28,7 +29,6 @@ from fourvertex.integrator import (
     _segments_cross,
     curvature_samples,
     error_vector,
-    integrate_arcs,
     integrate_curve,
     is_simple,
     scale_curve,
@@ -54,12 +54,12 @@ class TestIntegrateCurve:
         assert not half.closed
 
     def test_closed_flag_does_not_close_a_gap(self):
-        # a gap of 2e-6 of the length is open, and its ring keeps the closing sample
+        # a gap of 2e-6 of the length is open, and it has no ring
         c = unit_circle()
         wide = replace(c, pos=c.pos + 2e-6 * c.length * (c.s == c.length))
         assert not wide.closed
-        _, pos, _, ring_closed = _ring(wide)
-        assert pos.size == c.pos.size and not ring_closed
+        with pytest.raises(NotClosed):
+            _ring(wide)
 
     def test_equal_opposite_arcs_close(self):
         spec = StepSpec(0.5, 2.0, (0.0, 2 * math.pi / 3, math.pi, 5 * math.pi / 3))
@@ -150,10 +150,9 @@ class TestEstimateCurvature:
         assert np.max(np.abs(kappa - 1.0)) < 1e-6
 
     def test_too_few_samples(self):
-        c = unit_circle(4096)
-        clipped = PlanarCurve(s=c.s[:4], pos=c.pos[:4], theta=c.theta[:4])
+        # the closed square: a ring of 4 samples
         with pytest.raises(TooFewSamples):
-            curvature_samples(clipped)
+            curvature_samples(chord_polygon([1, 1j, -1, -1j]))
 
 
 class TestIsSimple:
@@ -173,20 +172,20 @@ class TestIsSimple:
         ok, _ = is_simple(integrate_curve(k))
         assert ok
 
-    def test_open_chain(self):
-        # an open spiral-ish arc: no closing segment is added
-        k = profile_from_function(lambda t: np.ones_like(t), n=512)
-        c = integrate_curve(k)
-        half = PlanarCurve(s=c.s[:200], pos=c.pos[:200], theta=c.theta[:200])
-        ok, _ = is_simple(half)
-        assert ok
+    @pytest.mark.parametrize("factor", [1e-300, 1.0, 1e160, 1e300])
+    def test_verdict_does_not_depend_on_scale(self, factor):
+        # the sweep scales the ring by a power of two, so its orientation
+        # products neither overflow to inf - inf = NaN nor underflow
+        lim = scale_curve(limacon_curve(1024), ScaleFactor(factor))
+        assert is_simple(lim) == (False, (597, 938))
+        assert is_simple(scale_curve(chord_polygon(THIN_C), ScaleFactor(factor))) == (True, None)
 
 
-def grid_polygon(points, closed: bool) -> PlanarCurve | None:
-    """Polyline through integer points, consecutive repeats dropped; None if degenerate."""
+def grid_polygon(points) -> PlanarCurve | None:
+    """Closed polygon through integer points, consecutive repeats dropped; None if degenerate."""
     pos = [complex(x, y) for x, y in points]
     pos = [z for k, z in enumerate(pos) if k == 0 or z != pos[k - 1]]
-    if closed and pos[-1] != pos[0]:
+    if pos[-1] != pos[0]:
         pos.append(pos[0])
     if len(pos) < 2:
         return None
@@ -198,18 +197,17 @@ def grid_polygon(points, closed: bool) -> PlanarCurve | None:
 class TestSweepAgainstBruteForce:
     @staticmethod
     def segments(curve):
-        _, pos, _, closed = _ring(curve)
-        b = np.roll(pos, -1) if closed else pos[1:]
-        return pos[:b.size], b, closed
+        pos = _ring(curve)[1]
+        return pos, np.roll(pos, -1)
 
     @classmethod
     def brute_force_crossing(cls, curve):
         """The first non-adjacent pair of segments that meet, or None."""
-        a, b, closed = cls.segments(curve)
+        a, b = cls.segments(curve)
         nseg = a.size
         for i in range(nseg):
             for j in range(i + 2, nseg):
-                if closed and i == 0 and j == nseg - 1:
+                if i == 0 and j == nseg - 1:
                     continue
                 if _segments_cross(a[i], b[i], a[j], b[j]):
                     return i, j
@@ -218,9 +216,9 @@ class TestSweepAgainstBruteForce:
     @classmethod
     def brute_force_fold(cls, curve) -> bool:
         """Whether a segment doubles back along the one before it."""
-        a, b, closed = cls.segments(curve)
+        a, b = cls.segments(curve)
         nseg = a.size
-        for i in range(nseg if closed else nseg - 1):
+        for i in range(nseg):
             j = (i + 1) % nseg
             back = (b[j] - a[j]).real * (a[i] - a[j]).real \
                 + (b[j] - a[j]).imag * (a[i] - a[j]).imag
@@ -246,22 +244,21 @@ class TestSweepAgainstBruteForce:
         assert self.brute_force_simple(lim) is False
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=10),
-           st.booleans())
-    def test_matches_on_grid_polygons(self, points, closed):
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=10))
+    def test_matches_on_grid_polygons(self, points):
         # integer vertices make collinear overlaps, shared vertices and folds common
-        c = grid_polygon(points, closed)
+        c = grid_polygon(points)
         assume(c is not None)
         ok, witness = is_simple(c)
         assert ok == self.brute_force_simple(c)
         if ok:
             assert witness is None
             return
-        a, b, ring_closed = self.segments(c)
+        a, b = self.segments(c)
         i, j = witness
         if self.brute_force_crossing(c) is not None:
             # a crossing takes precedence over a fold
-            assert j - i > 1 and not (ring_closed and (i, j) == (0, a.size - 1))
+            assert j - i > 1 and (i, j) != (0, a.size - 1)
             assert _segments_cross(a[i], b[i], a[j], b[j])
         else:
             assert j == (i + 1) % a.size and self.brute_force_fold(c)
@@ -275,12 +272,6 @@ def test_fold_at_closing_vertex_witnessed():
     pos = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
     c = PlanarCurve(s=np.arange(4.0), pos=pos, theta=np.zeros(4))
     assert is_simple(c) == (False, (2, 0))
-
-
-def test_fold_at_open_end_witnessed():
-    # the last segment doubles back along the one before it
-    c = grid_polygon([(0, 0), (2, 0), (2, 2), (2, 1)], closed=False)
-    assert is_simple(c) == (False, (1, 2))
 
 
 @pytest.mark.parametrize("regular", [True, False], ids=["regular", "random"])
@@ -311,7 +302,7 @@ def test_witness_independent_of_batch_size(monkeypatch):
     rng = np.random.default_rng(17)
     # at 3 pairs per batch, the first crossing in sweep order is not in the
     # first batch that holds a crossing
-    pentagon = grid_polygon([(2, 3), (8, 2), (1, 1), (5, 8), (8, 0)], closed=True)
+    pentagon = grid_polygon([(2, 3), (8, 2), (1, 1), (5, 8), (8, 0)])
     curves = [pentagon] + [limacon_curve(n) for n in (128, 2048, 8192)] \
         + [random_star_curve(rng, n=96) for _ in range(25)]
     expected = [is_simple(c) for c in curves]
@@ -391,17 +382,13 @@ def test_chords_match_complex_division(n, straight):
 
 class TestIntegrateArcs:
     def test_matches_profile_route(self):
+        # the four quarter arcs of the (0.5, 2) step, integrated as arcs and
+        # as the 4096-sample normalized profile
         spec = StepSpec(0.5, 2.0)
-        k, sc = normalize_total(profile_from_step(spec, 4096))
+        k, _ = normalize_total(profile_from_step(spec, 4096))
         via_profile = error_vector(integrate_curve(k)).e
-        values = np.array([spec.a, spec.b, spec.a, spec.b])
-        lengths = np.full(4, 0.5 * math.pi)
-        via_arcs = error_vector(integrate_arcs(sc.c * values, lengths)).e
+        via_arcs = integrated_error(Configuration(1, 1j, -1, -1j), spec.a, spec.b).e
         assert abs(via_profile - via_arcs) < 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            integrate_arcs([], [])
 
 
 @pytest.mark.parametrize("field", ["s", "pos", "theta", "t"])
@@ -471,8 +458,7 @@ def closed_polygon(vertices, s=None) -> PlanarCurve:
 
 
 def sweep_result(c):
-    _, pos, _, closed = _ring(c)
-    return integrator._sweep(pos, closed)
+    return integrator._sweep(_ring(c)[1])
 
 
 def chord_polygon(vertices) -> PlanarCurve:
@@ -480,6 +466,11 @@ def chord_polygon(vertices) -> PlanarCurve:
     z = np.asarray(vertices, dtype=complex)
     chords = np.abs(np.diff(np.append(z, z[0])))
     return closed_polygon(z, s=np.concatenate(([0.0], np.cumsum(chords))))
+
+
+# a simple polygon that is not star-shaped about its vertex mean
+THIN_C = np.concatenate((np.exp(1j * np.linspace(0.3, 2 * np.pi - 0.3, 64)),
+                         0.9 * np.exp(1j * np.linspace(2 * np.pi - 0.3, 0.3, 64))))
 
 
 def star_certified(c) -> bool:
@@ -577,8 +568,7 @@ class TestStarCertificate:
         assert star_certified(c)
 
     @pytest.mark.parametrize("vertices", [
-        np.concatenate((np.exp(1j * np.linspace(0.3, 2 * np.pi - 0.3, 64)),
-                        0.9 * np.exp(1j * np.linspace(2 * np.pi - 0.3, 0.3, 64)))),
+        THIN_C,
         # five teeth of height 0.8 on a spine of height 0.2
         [0, 9] + [complex(x, y) for i in range(4, -1, -1)
                   for x, y in ((2 * i + 1, 1), (2 * i, 1), (2 * i, 0.2), (2 * i - 1, 0.2))][:-2],
